@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -111,12 +112,19 @@ def _wrap(deg: np.ndarray) -> np.ndarray:
     return wrapped
 
 
+@lru_cache(maxsize=8)
 def _contour_local(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Evenly parameterized contour points and outward normals, ellipse frame."""
+    """Evenly parameterized contour points and outward normals, ellipse frame.
+
+    Cached per body shape, since the filter needs the same contour every
+    frame. The arrays are shared by every caller, so they are read-only.
+    """
     t = 2.0 * math.pi * np.arange(n) / n
     pts = np.column_stack([a * np.cos(t), b * np.sin(t)])
     normals = np.column_stack([np.cos(t) / a, np.sin(t) / b])
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    pts.setflags(write=False)
+    normals.setflags(write=False)
     return pts, normals
 
 
@@ -159,13 +167,46 @@ def likelihood(
     return max(alpha, min_weight)
 
 
+def _nearest_return_distances(
+    px: np.ndarray, py: np.ndarray, scan_points: np.ndarray
+) -> np.ndarray:
+    """Distance from each point (px[i], py[i]) to its nearest scan return.
+
+    The loop runs over the returns (a few dozen per scan) and keeps a
+    running minimum over all points (thousands per frame), so every
+    temporary is one point-sized vector that stays in cache. Each pair is
+    still computed as (px - sx)**2 + (py - sy)**2 in that order, so the
+    result is bit-identical to a full (points x returns) broadcast.
+    """
+    best = np.full(len(px), np.inf)
+    dx = np.empty(len(px))
+    dy = np.empty(len(px))
+    for sx, sy in scan_points.tolist():
+        np.subtract(px, sx, out=dx)
+        np.subtract(py, sy, out=dy)
+        dx *= dx
+        dy *= dy
+        dx += dy
+        np.minimum(best, dx, out=best)
+    return np.sqrt(best, out=best)
+
+
 def _batch_likelihoods(
     states: np.ndarray,
     sensor_xy: np.ndarray,
     scan_points: np.ndarray,
     config: FilterConfig,
 ) -> np.ndarray:
-    """Vectorized likelihood over all particles; matches the scalar path."""
+    """Vectorized likelihood over all particles; matches the scalar path.
+
+    Distances are computed only for visible contour points (about half of
+    them) and scattered back into an (n, n_eval_points) array padded with
+    zeros. The padding cannot raise a row maximum, because distances are
+    non-negative, and the variance below takes np.nanvar's steps on the
+    same rows (row sum, mean, masked squared deviations, row sum), so the
+    weights are bit-identical to reducing NaN-padded rows with
+    np.nanmax and np.nanvar.
+    """
     n = len(states)
     if len(scan_points) == 0:
         return np.full(n, MIN_WEIGHT)
@@ -182,20 +223,20 @@ def _batch_likelihoods(
     wny = s * nx + c * ny
     visible = wnx * (sensor_xy[0] - px) + wny * (sensor_xy[1] - py) > 0.0
 
-    dx = px[:, :, None] - scan_points[None, None, :, 0]
-    dy = py[:, :, None] - scan_points[None, None, :, 1]
-    d = np.sqrt(np.min(dx * dx + dy * dy, axis=2))
+    d = np.zeros(px.shape)
+    d[visible] = _nearest_return_distances(px[visible], py[visible], scan_points)
 
-    d = np.where(visible, d, np.nan)
     counts = visible.sum(axis=1)
-    ok = counts > 0
-    alphas = np.full(n, MIN_WEIGHT)
-    if ok.any():
-        with np.errstate(invalid="ignore"):
-            d_max = np.nanmax(d[ok], axis=1)
-            var = np.nanvar(d[ok], axis=1)
-        sigma_d = np.maximum(var, config.sigma_floor_m2)
-        alphas[ok] = np.maximum(np.exp(-(d_max * d_max) / sigma_d), MIN_WEIGHT)
+    # Rows without a visible point get MIN_WEIGHT below; dividing them by 1
+    # only keeps their discarded arithmetic finite.
+    divisor = np.maximum(counts, 1)
+    d_max = d.max(axis=1)
+    dev = d - d.sum(axis=1, keepdims=True) / divisor[:, None]
+    dev[~visible] = 0.0
+    dev *= dev
+    sigma_d = np.maximum(dev.sum(axis=1) / divisor, config.sigma_floor_m2)
+    alphas = np.maximum(np.exp(-(d_max * d_max) / sigma_d), MIN_WEIGHT)
+    alphas[counts == 0] = MIN_WEIGHT
     return alphas
 
 

@@ -17,13 +17,14 @@ so a trial's decisions are identical whichever engine runs it:
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Literal, NamedTuple
 
 from .body_tracker import BodyTracker, FilterConfig, body_orientation_for_srm
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .controller import (
     ControllerInputs,
     EventKind,
@@ -543,10 +544,13 @@ def run_experiment(
 
     Seeds depend only on (base_seed, method, situation, rep), so a subset
     run reproduces the corresponding records of the full design exactly,
-    and workers can run trials in any order.
+    and workers can run trials in any order. The pool never holds more
+    workers than there are cores or trials.
     """
     if config.n_per_cell < 1:
         raise ValueError("n_per_cell must be at least 1")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     if mode not in TRIAL_MODES:
         raise ValueError(f"unknown trial mode {mode!r}")
     if trace_dir is not None:
@@ -571,9 +575,10 @@ def run_experiment(
                         trace_path,
                     )
                 )
-    if jobs > 1 and len(tasks) > 1:
-        chunk = max(1, len(tasks) // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        chunk = max(1, len(tasks) // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_trial_worker, tasks, chunksize=chunk))
     else:
         records = [_trial_worker(task) for task in tasks]
@@ -634,6 +639,10 @@ def _read_records(fp: IO[str]) -> list[TrialRecord]:
         if len(parts) != 8:
             raise ValueError(f"line {line_no}: expected 8 fields, got {len(parts)}")
         (tid, method, situation, responded, action, latency, gaze, seed) = parts
+        if responded not in ("true", "false"):
+            raise ValueError(
+                f"line {line_no}: responded must be true or false, got {responded!r}"
+            )
         records.append(
             TrialRecord(
                 trial_id=int(tid),

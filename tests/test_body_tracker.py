@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gazesim import body_tracker
 from gazesim.body_tracker import (
     MIN_WEIGHT,
     BodyEstimate,
     BodyTracker,
     FilterConfig,
+    _batch_likelihoods,
+    _contour_local,
+    _reinit_over_field,
     body_orientation_for_srm,
     init_particles,
     likelihood,
@@ -16,7 +20,8 @@ from gazesim.body_tracker import (
     visible_evaluation_points,
 )
 from gazesim.geometry import Pose2, normalize_angle
-from gazesim.laser import EllipseBody, synthesize_scan
+from gazesim.laser import EllipseBody, scan_to_points, synthesize_scan
+from gazesim.scenario import default_scenario
 
 
 def brute_force_likelihood(eval_points, scan_points, sigma_floor_m2):
@@ -30,6 +35,46 @@ def brute_force_likelihood(eval_points, scan_points, sigma_floor_m2):
     var = sum(d * d for d in dists) / len(dists) - (sum(dists) / len(dists)) ** 2
     sigma = max(var, sigma_floor_m2)
     return max(math.exp(-max(dists) ** 2 / sigma), MIN_WEIGHT)
+
+
+def broadcast_batch_likelihoods(states, sensor_xy, scan_points, config):
+    """Reference batched kernel: distances for every contour point in one
+    (particles x contour points x returns) broadcast, NaN-masked reductions.
+
+    The production kernel computes distances for visible points only and
+    must return the same bits.
+    """
+    n = len(states)
+    if len(scan_points) == 0:
+        return np.full(n, MIN_WEIGHT)
+    local_pts, local_nrm = _contour_local(
+        config.body_semi_major_m, config.body_semi_minor_m, config.n_eval_points
+    )
+    axis = np.radians(states[:, 2] + 90.0)
+    c, s = np.cos(axis)[:, None], np.sin(axis)[:, None]
+    lx, ly = local_pts[:, 0][None, :], local_pts[:, 1][None, :]
+    nx, ny = local_nrm[:, 0][None, :], local_nrm[:, 1][None, :]
+    px = states[:, 0][:, None] + c * lx - s * ly
+    py = states[:, 1][:, None] + s * lx + c * ly
+    wnx = c * nx - s * ny
+    wny = s * nx + c * ny
+    visible = wnx * (sensor_xy[0] - px) + wny * (sensor_xy[1] - py) > 0.0
+
+    dx = px[:, :, None] - scan_points[None, None, :, 0]
+    dy = py[:, :, None] - scan_points[None, None, :, 1]
+    d = np.sqrt(np.min(dx * dx + dy * dy, axis=2))
+
+    d = np.where(visible, d, np.nan)
+    counts = visible.sum(axis=1)
+    ok = counts > 0
+    alphas = np.full(n, MIN_WEIGHT)
+    if ok.any():
+        with np.errstate(invalid="ignore"):
+            d_max = np.nanmax(d[ok], axis=1)
+            var = np.nanvar(d[ok], axis=1)
+        sigma_d = np.maximum(var, config.sigma_floor_m2)
+        alphas[ok] = np.maximum(np.exp(-(d_max * d_max) / sigma_d), MIN_WEIGHT)
+    return alphas
 
 
 class TestFilterConfig:
@@ -140,6 +185,116 @@ class TestLikelihood:
         w2 = likelihood(pts, np.array([[d2, 0.0]]), floor)
         if w1 > MIN_WEIGHT:
             assert w2 < w1
+
+
+SCENE = default_scenario()
+SENSOR_XY = np.array([SCENE.sensor_pose.x, SCENE.sensor_pose.y])
+
+
+def seat_scan(heading_offset_deg, seed):
+    """A real scan of the body on the default seat, turned by an offset."""
+    seat = SCENE.human_seat
+    body = EllipseBody(
+        Pose2(seat.x, seat.y, seat.heading_deg + heading_offset_deg),
+        SCENE.body_semi_major_m,
+        SCENE.body_semi_minor_m,
+    )
+    return synthesize_scan(SCENE.sensor_pose, body, seed=seed)
+
+
+def scalar_likelihoods(states, scan_points, cfg):
+    return np.array(
+        [
+            likelihood(
+                visible_evaluation_points(state, SCENE.sensor_pose, cfg),
+                scan_points,
+                cfg.sigma_floor_m2,
+            )
+            for state in states
+        ]
+    )
+
+
+class TestBatchLikelihoods:
+    """The batched kernel is what the filter runs; the scalar likelihood on
+    visible_evaluation_points is the documented model it must match."""
+
+    def test_matches_scalar_likelihood_per_particle(self):
+        cfg = FilterConfig()
+        rng = np.random.default_rng(5)
+        seat_weights = []
+        for i, offset in enumerate((0.0, 35.0, -90.0)):
+            scan = seat_scan(offset, seed=100 + i)
+            scan_points = scan_to_points(scan)
+            assert len(scan_points) > 10
+            around_seat = init_particles(
+                cfg, SCENE.human_seat, seed=200 + i
+            ).states[:200]
+            over_field = _reinit_over_field(scan, 200, rng)
+            for states in (around_seat, over_field):
+                got = _batch_likelihoods(states, SENSOR_XY, scan_points, cfg)
+                want = scalar_likelihoods(states, scan_points, cfg)
+                assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+                if states is around_seat:
+                    seat_weights.append(np.max(got))
+        # The seat sets must exercise real weights, not only the floor.
+        assert max(seat_weights) > 1e-3
+
+    def test_row_without_visible_points_gets_min_weight(self):
+        cfg = FilterConfig()
+        scan_points = scan_to_points(seat_scan(0.0, seed=3))
+        seat = SCENE.human_seat
+        # A hypothesis centred on the sensor encloses it: no contour normal
+        # faces the sensor, so nothing is visible.
+        states = np.array(
+            [[SENSOR_XY[0], SENSOR_XY[1], 10.0], [seat.x, seat.y, seat.heading_deg]]
+        )
+        assert len(visible_evaluation_points(states[0], SCENE.sensor_pose, cfg)) == 0
+        got = _batch_likelihoods(states, SENSOR_XY, scan_points, cfg)
+        assert got[0] == MIN_WEIGHT
+        assert got[1] == pytest.approx(
+            scalar_likelihoods(states[1:], scan_points, cfg)[0], rel=1e-9, abs=0.0
+        )
+        assert got[1] > MIN_WEIGHT
+        assert np.array_equal(
+            got, broadcast_batch_likelihoods(states, SENSOR_XY, scan_points, cfg)
+        )
+
+    def test_empty_scan_gives_min_weight(self):
+        cfg = FilterConfig()
+        far = EllipseBody(Pose2(SENSOR_XY[0] + 10.0, SENSOR_XY[1], 0.0))
+        scan_points = scan_to_points(synthesize_scan(SCENE.sensor_pose, far, seed=1))
+        assert scan_points.shape == (0, 2)
+        states = init_particles(cfg, SCENE.human_seat, seed=4).states
+        got = _batch_likelihoods(states, SENSOR_XY, scan_points, cfg)
+        assert np.all(got == MIN_WEIGHT)
+        assert np.all(scalar_likelihoods(states[:5], scan_points, cfg) == MIN_WEIGHT)
+
+    def test_bit_identical_to_broadcast_kernel_on_a_tracker_run(self, monkeypatch):
+        compared = []
+
+        def both_kernels(states, sensor_xy, scan_points, config):
+            got = _batch_likelihoods(states, sensor_xy, scan_points, config)
+            want = broadcast_batch_likelihoods(states, sensor_xy, scan_points, config)
+            compared.append(np.array_equal(got, want))
+            return got
+
+        monkeypatch.setattr(body_tracker, "_batch_likelihoods", both_kernels)
+        seat = SCENE.human_seat
+        tracker = BodyTracker(FilterConfig(), seat, seed=5)
+        for frame in range(220):
+            # Settle, turn 90 degrees at 60 deg/s, then jump 1.2 m so the
+            # filter scores hypotheses far from every return while it
+            # recaptures the body.
+            heading = seat.heading_deg + 2.0 * min(max(frame - 40, 0), 45)
+            x, y = (seat.x, seat.y) if frame < 150 else (seat.x - 0.8, seat.y + 0.9)
+            body = EllipseBody(
+                Pose2(x, y, heading), SCENE.body_semi_major_m, SCENE.body_semi_minor_m
+            )
+            scan = synthesize_scan(SCENE.sensor_pose, body, seed=1000 + frame)
+            tracker.step(scan, seed=2000 + frame)
+        assert len(compared) == 220
+        assert all(compared)
 
 
 class TestSystematicResample:

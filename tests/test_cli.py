@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gazesim import harness
 from gazesim.cli import main
 from gazesim.config import scenario_to_dict
 from gazesim.harness import RESULTS_CSV_HEADER
@@ -196,6 +197,75 @@ class TestExperiment:
         assert code == 1
         assert "cannot read" in err
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_one(self, tmp_path, capsys, jobs):
+        code, _, err = run_cli(
+            [
+                "experiment",
+                "--config",
+                str(self._tiny_config(tmp_path)),
+                "--out",
+                str(tmp_path / "out"),
+                "--jobs",
+                jobs,
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert "jobs" in err
+        assert not (tmp_path / "out" / "results.csv").exists()
+
+    @pytest.mark.parametrize(
+        "situations, jobs, workers",
+        [
+            (["CFOV", "NPFOV", "FPFOV", "OFOV"], "64", 4),  # capped at the cores
+            (["CFOV", "NPFOV"], "64", 2),  # capped at the trials
+            (["CFOV", "NPFOV", "FPFOV", "OFOV"], "3", 3),
+        ],
+    )
+    def test_pool_size_capped_at_cores_and_trials(
+        self, tmp_path, capsys, monkeypatch, situations, jobs, workers
+    ):
+        # A stand-in pool records its size and runs the trials in-process,
+        # so no worker process is started whatever --jobs says.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(
+            json.dumps({"n_per_cell": 1, "methods": ["M1"], "situations": situations})
+        )
+        code, _, _ = run_cli(
+            [
+                "experiment",
+                "--config",
+                str(config_path),
+                "--out",
+                str(tmp_path / "out"),
+                "--jobs",
+                jobs,
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert sizes == [workers]
+        rows = (tmp_path / "out" / "results.csv").read_text().strip().splitlines()
+        assert len(rows) == 1 + len(situations)
+
 
 class TestReport:
     def test_report_adds_chart(self, tmp_path, capsys):
@@ -226,6 +296,20 @@ class TestReport:
     def test_missing_results_exits_one(self, tmp_path, capsys):
         code, _, err = run_cli(["report", str(tmp_path / "nope.csv")], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("responded", ["yes", "True", "1", ""])
+    def test_non_boolean_responded_exits_one(self, tmp_path, capsys, responded):
+        bad = tmp_path / "results.csv"
+        bad.write_text(
+            RESULTS_CSV_HEADER
+            + "\n0,M1,CFOV,false,,,,11\n"
+            + f"1,M1,CFOV,{responded},,,,12\n"
+        )
+        code, _, err = run_cli(["report", str(bad), "--out", str(tmp_path / "rep")], capsys)
+        assert code == 1
+        assert "line 3" in err
+        assert "responded" in err
+        assert not (tmp_path / "rep").exists()
 
     def test_foreign_csv_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
