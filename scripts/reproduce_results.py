@@ -16,16 +16,16 @@ Examples:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from gazesim.config import RunConfig
+from gazesim.cli import write_report_files
+from gazesim.config import ConfigError, RunConfig
 from gazesim.controller import METHODS, Method
-from gazesim.harness import run_experiment, write_records_csv
+from gazesim.harness import TRIAL_MODES, run_experiment, write_records_csv
 from gazesim.human import REFERENCE_SUCCESS_RATES
 from gazesim.situation import SITUATIONS
 from gazesim.stats import (
@@ -35,8 +35,6 @@ from gazesim.stats import (
     overall_ratio,
     records_to_cells,
     success_ratio,
-    to_jsonable,
-    write_summary_csv,
 )
 
 
@@ -44,11 +42,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n-per-cell", type=int, default=10_000)
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--mode", choices=("full", "ideal", "event"), default="event")
+    parser.add_argument("--mode", choices=TRIAL_MODES, default="event")
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out", default=None, help="directory for results/summary/stats files")
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except ConfigError as exc:
+        print(f"reproduce_results: {exc}", file=sys.stderr)
+        return 1
 
+
+def _run(args: argparse.Namespace) -> int:
     config = RunConfig(n_per_cell=args.n_per_cell, base_seed=args.seed)
     t0 = time.perf_counter()
     records = run_experiment(config, mode=args.mode, jobs=args.jobs)
@@ -94,14 +99,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.out is not None:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_records_csv(out_dir / "results.csv", records)
-        write_summary_csv(out_dir / "summary.csv", success_ratio(records))
-        stats_payload = {"anova": anova, "pairwise": bonferroni_pairwise(records)}
-        (out_dir / "stats.json").write_text(
-            json.dumps(to_jsonable(stats_payload), indent=2) + "\n", encoding="utf-8"
-        )
-        for name in ("results.csv", "summary.csv", "stats.json"):
-            print(f"wrote {out_dir / name}")
+        results_path = out_dir / "results.csv"
+        write_records_csv(results_path, records)
+        for path in [results_path] + write_report_files(out_dir, records, include_chart=False):
+            print(f"wrote {path}")
     return 0
 
 

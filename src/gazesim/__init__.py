@@ -34,15 +34,12 @@ from .controller import (
     RobotEvent,
     controller_step,
     face_detected,
-    head_motion_step,
     make_controller,
-    plan_actions,
 )
 from .geometry import (
     HeadPose,
     Pose2,
     bearing_to,
-    heading_vector,
     move_toward_angle,
     normalize_angle,
     relative_bearing,
@@ -73,8 +70,6 @@ from .laser import (
     EllipseBody,
     LaserParams,
     LaserScan,
-    ray_ellipse_intersect,
-    scan_to_csv,
     scan_to_points,
     synthesize_scan,
 )

@@ -27,7 +27,6 @@ from .geometry import Pose2, normalize_angle
 from .harness import (
     TrialAbortError,
     TRIAL_MODES,
-    format_record_row,
     read_records_csv,
     run_experiment,
     run_trial,
@@ -175,7 +174,7 @@ def _write_json(path: Path, payload) -> None:
     )
 
 
-def _write_report_files(out_dir: Path, records, include_chart: bool) -> list[Path]:
+def write_report_files(out_dir: Path, records, include_chart: bool) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     summary_path = out_dir / "summary.csv"
@@ -223,7 +222,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     results_path = out_dir / "results.csv"
     write_records_csv(results_path, records)
     written = [results_path]
-    written += _write_report_files(out_dir, records, include_chart=False)
+    written += write_report_files(out_dir, records, include_chart=False)
     for path in written:
         print(f"wrote {path}")
     return 0
@@ -339,7 +338,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if not records:
         raise ConfigError(f"{csv_path}: no records")
     out_dir = Path(args.out) if args.out is not None else csv_path.parent
-    for path in _write_report_files(out_dir, records, include_chart=True):
+    for path in write_report_files(out_dir, records, include_chart=True):
         print(f"wrote {path}")
     return 0
 

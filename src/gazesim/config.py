@@ -7,6 +7,7 @@ valid config.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
@@ -60,7 +61,13 @@ def _as_int(value: Any, path: str) -> int:
 def _as_number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return number
 
 
 def _as_bool(value: Any, path: str) -> bool:
@@ -86,6 +93,7 @@ def _pose_to_list(pose: Pose2) -> list[float]:
     return [pose.x, pose.y, pose.heading_deg]
 
 
+_POSE_KEYS = ("robot_pose", "sensor_pose", "camera_pose", "human_seat")
 _SCENARIO_KEYS = {
     "robot_pose",
     "sensor_pose",
@@ -95,7 +103,6 @@ _SCENARIO_KEYS = {
     "situation_map",
     "body_semi_major_m",
     "body_semi_minor_m",
-    "eye_height_m",
     "painting_pitch_deg",
 }
 
@@ -104,7 +111,7 @@ def scenario_from_dict(obj: Any, path: str = "scenario") -> Scenario:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object")
     _require_keys(obj, _SCENARIO_KEYS, path)
-    for key in ("robot_pose", "sensor_pose", "camera_pose", "human_seat", "paintings", "situation_map"):
+    for key in _POSE_KEYS + ("paintings", "situation_map"):
         if key not in obj:
             raise ConfigError(f"{path}.{key}: required")
     paintings_raw = obj["paintings"]
@@ -133,15 +140,13 @@ def scenario_from_dict(obj: Any, path: str = "scenario") -> Scenario:
             name, f"{path}.situation_map.{painting_id}"
         )
     kwargs: dict[str, Any] = {}
-    for key in ("body_semi_major_m", "body_semi_minor_m", "eye_height_m", "painting_pitch_deg"):
+    for key in ("body_semi_major_m", "body_semi_minor_m", "painting_pitch_deg"):
         if key in obj:
             kwargs[key] = _as_number(obj[key], f"{path}.{key}")
+    for key in _POSE_KEYS:
+        kwargs[key] = _parse_pose(obj[key], f"{path}.{key}")
     try:
         return Scenario(
-            robot_pose=_parse_pose(obj["robot_pose"], f"{path}.robot_pose"),
-            sensor_pose=_parse_pose(obj["sensor_pose"], f"{path}.sensor_pose"),
-            camera_pose=_parse_pose(obj["camera_pose"], f"{path}.camera_pose"),
-            human_seat=_parse_pose(obj["human_seat"], f"{path}.human_seat"),
             paintings=tuple(paintings),
             situation_map=situation_map,
             **kwargs,
@@ -167,7 +172,6 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
         },
         "body_semi_major_m": scenario.body_semi_major_m,
         "body_semi_minor_m": scenario.body_semi_minor_m,
-        "eye_height_m": scenario.eye_height_m,
         "painting_pitch_deg": scenario.painting_pitch_deg,
     }
 

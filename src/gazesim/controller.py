@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Literal
 
 from .situation import ViewingSituation
 
@@ -86,11 +85,6 @@ _ENSURE_BLINK = {
 METHODS = (Method.M1, Method.M2, Method.M3, Method.M4)
 
 
-def plan_actions(method: Method) -> tuple[tuple[RobotAction, ...], bool]:
-    """Ordered capture actions plus whether success is acknowledged by blinking."""
-    return method.capture_plan, method.ensure_blink
-
-
 class EventKind(enum.Enum):
     HEAD_TURN_START = "HeadTurnStart"
     HEAD_TURN_END = "HeadTurnEnd"
@@ -152,7 +146,6 @@ class ControllerState:
     blinks_remaining: int = 0
     next_blink_s: float | None = None
     dwell_end_s: float | None = None
-    target_clamped: bool = False
 
     @property
     def terminal(self) -> bool:
@@ -171,10 +164,6 @@ def clamp_pan(deg: float) -> float:
     return min(max(deg, PAN_MIN_DEG), PAN_MAX_DEG)
 
 
-def clamp_tilt(deg: float) -> float:
-    return min(max(deg, TILT_MIN_DEG), TILT_MAX_DEG)
-
-
 def _move_joint(current: float, target: float, dt_s: float, speed_deg_s: float) -> float:
     """Rate-limited joint motion. Joint space does not wrap: going from
     -150 to +150 means sweeping through zero, not through the back."""
@@ -184,39 +173,6 @@ def _move_joint(current: float, target: float, dt_s: float, speed_deg_s: float) 
     if abs(delta) <= step:
         return target
     return current + (step if delta > 0 else -step)
-
-
-MotionMode = Literal["turn", "shake"]
-
-_MODE_SPEEDS: dict[str, float] = {
-    "turn": TURN_SPEED_DEG_S,
-    "shake": SHAKE_SPEED_DEG_S,
-}
-
-
-def head_motion_step(
-    state: ControllerState,
-    target_pan_deg: float,
-    dt_s: float,
-    mode: MotionMode,
-) -> ControllerState:
-    """Advance the pan joint one step toward a target.
-
-    Targets beyond the mechanical range are clamped and the state is
-    flagged so the trace can record the request.
-    """
-    if dt_s <= 0:
-        raise ValueError(f"dt_s must be positive, got {dt_s}")
-    if mode not in _MODE_SPEEDS:
-        raise ValueError(f"unknown motion mode {mode!r}")
-    clamped = clamp_pan(target_pan_deg)
-    was_clamped = clamped != target_pan_deg
-    pan = _move_joint(state.pan_deg, clamped, dt_s, _MODE_SPEEDS[mode])
-    return replace(
-        state,
-        pan_deg=clamp_pan(pan),
-        target_clamped=state.target_clamped or was_clamped,
-    )
 
 
 def _begin_action(
@@ -236,8 +192,6 @@ def _begin_action(
             phase=Phase.EXECUTE_ACTION,
             action=action,
             target_pan_deg=target,
-            target_clamped=state.target_clamped
-            or target != inputs.human_bearing_deg,
         )
     if action is RobotAction.HS:
         center = state.pan_deg

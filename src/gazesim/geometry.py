@@ -44,19 +44,17 @@ class Pose2:
 
 @dataclass(frozen=True)
 class HeadPose:
-    """Head position (meters) and orientation (degrees, world frame)."""
+    """Head position on the ground plane (meters) and orientation
+    (degrees, world frame)."""
 
     x: float
     y: float
-    z: float
     yaw_deg: float
     pitch_deg: float = 0.0
-    roll_deg: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "yaw_deg", normalize_angle(self.yaw_deg))
         object.__setattr__(self, "pitch_deg", normalize_angle(self.pitch_deg))
-        object.__setattr__(self, "roll_deg", normalize_angle(self.roll_deg))
 
     @property
     def position(self) -> tuple[float, float]:
@@ -78,12 +76,6 @@ def relative_bearing(observer: Pose2, target: tuple[float, float]) -> float:
     Positive means the target lies to the observer's left.
     """
     return normalize_angle(bearing_to(observer.position, target) - observer.heading_deg)
-
-
-def heading_vector(deg: float) -> tuple[float, float]:
-    """Unit vector for a world-frame heading."""
-    rad = math.radians(deg)
-    return (math.cos(rad), math.sin(rad))
 
 
 def move_toward_angle(current: float, target: float, max_step: float) -> float:

@@ -1,6 +1,6 @@
 """Simulated camera-based head direction sensor.
 
-Reports head yaw/pitch/roll relative to the camera with additive
+Reports head yaw and pitch relative to the camera with additive
 Gaussian noise, at most once per video frame. The face model is only
 trackable while the head is turned no more than 90 degrees away from
 the camera; beyond that the observation is invalid and carries no
@@ -16,7 +16,6 @@ from .seeding import STREAM_HEAD, SeedLike, derive_rng
 
 TRACKING_LIMIT_DEG = 90.0
 DEFAULT_NOISE_SIGMA_DEG = 1.0
-FRAME_RATE_HZ = 30.0
 
 
 @dataclass(frozen=True)
@@ -32,7 +31,6 @@ class HeadObservation:
     valid: bool
     yaw_deg: float | None = None
     pitch_deg: float | None = None
-    roll_deg: float | None = None
 
 
 def relative_yaw_deg(head: HeadPose, camera: Pose2) -> float:
@@ -53,11 +51,10 @@ def observe_head(
     if abs(rel) > TRACKING_LIMIT_DEG:
         return HeadObservation(frame=frame, valid=False)
     rng = derive_rng(seed, STREAM_HEAD, frame)
-    noise = rng.normal(0.0, noise_sigma, size=3)
+    noise = rng.normal(0.0, noise_sigma, size=2)
     return HeadObservation(
         frame=frame,
         valid=True,
         yaw_deg=normalize_angle(rel + noise[0]),
         pitch_deg=normalize_angle(true_head.pitch_deg + noise[1]),
-        roll_deg=normalize_angle(true_head.roll_deg + noise[2]),
     )

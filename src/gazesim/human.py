@@ -180,7 +180,6 @@ class HumanState:
     """Tick-level visitor state. World-frame angles, trial-local."""
 
     seat: Pose2
-    eye_height_m: float
     head_yaw_deg: float
     head_pitch_deg: float
     body_theta_deg: float
@@ -195,7 +194,6 @@ class HumanState:
         return HeadPose(
             self.seat.x,
             self.seat.y,
-            self.eye_height_m,
             yaw_deg=self.head_yaw_deg,
             pitch_deg=self.head_pitch_deg,
         )
@@ -207,7 +205,6 @@ def make_human(scenario: Scenario, painting_id: str) -> HumanState:
     seat = scenario.human_seat
     return HumanState(
         seat=seat,
-        eye_height_m=scenario.eye_height_m,
         head_yaw_deg=seat.heading_deg,
         head_pitch_deg=0.0,
         body_theta_deg=seat.heading_deg,

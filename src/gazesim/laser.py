@@ -7,13 +7,12 @@ dropped when a scan is converted back to Cartesian points.
 """
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose2, normalize_angle
+from .geometry import Pose2
 from .seeding import SeedLike, derive_rng
 
 _RANGE_EPS = 1e-12
@@ -85,38 +84,6 @@ def _ellipse_frame(body: EllipseBody) -> tuple[np.ndarray, np.ndarray]:
     center = np.array([body.pose.x, body.pose.y])
     rot = np.array([[c, s], [-s, c]])  # world -> ellipse
     return center, rot
-
-
-def ray_ellipse_intersect(
-    origin: tuple[float, float],
-    direction_deg: float,
-    body: EllipseBody,
-) -> float | None:
-    """Distance along a ray to the first boundary crossing, or None.
-
-    Solves the quadratic for the ray in the ellipse frame. Raises if the
-    origin lies inside the body: the scanner cannot sit inside the target.
-    """
-    center, rot = _ellipse_frame(body)
-    rad = math.radians(direction_deg)
-    o = rot @ (np.asarray(origin, dtype=float) - center)
-    d = rot @ np.array([math.cos(rad), math.sin(rad)])
-    a, b = body.semi_major_m, body.semi_minor_m
-    cA = (d[0] / a) ** 2 + (d[1] / b) ** 2
-    cB = 2.0 * (o[0] * d[0] / a**2 + o[1] * d[1] / b**2)
-    cC = (o[0] / a) ** 2 + (o[1] / b) ** 2 - 1.0
-    if cC < 0.0:
-        raise ValueError("ray origin lies inside the body ellipse")
-    disc = cB * cB - 4.0 * cA * cC
-    if disc < 0.0:
-        return None
-    sqrt_disc = math.sqrt(disc)
-    t_near = (-cB - sqrt_disc) / (2.0 * cA)
-    t_far = (-cB + sqrt_disc) / (2.0 * cA)
-    for t in (t_near, t_far):
-        if t > _RANGE_EPS:
-            return float(t)
-    return None
 
 
 def _intersect_batch(
@@ -195,12 +162,3 @@ def scan_to_points(scan: LaserScan) -> np.ndarray:
         [scan.sensor_pose.x + r * np.cos(angles), scan.sensor_pose.y + r * np.sin(angles)]
     )
 
-
-def scan_to_csv(scan: LaserScan) -> str:
-    """Dump a scan as CSV (beam_index, angle_deg, range_m) for debugging."""
-    out = io.StringIO()
-    out.write("beam_index,angle_deg,range_m\n")
-    angles = scan.beam_angles_deg()
-    for i, (ang, rng) in enumerate(zip(angles, scan.ranges_m)):
-        out.write(f"{i},{normalize_angle(float(ang)):.4f},{float(rng):.6f}\n")
-    return out.getvalue()

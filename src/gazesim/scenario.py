@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import HeadPose, Pose2, bearing_to, normalize_angle
+from .geometry import Pose2, bearing_to, normalize_angle
 from .head_tracker import HeadObservation, TRACKING_LIMIT_DEG
 from .situation import ViewingSituation, classify_instant
 
@@ -38,7 +38,6 @@ class Scenario:
     situation_map: dict[str, ViewingSituation]
     body_semi_major_m: float = 0.25
     body_semi_minor_m: float = 0.15
-    eye_height_m: float = 1.15
     painting_pitch_deg: float = 5.0
 
     def __post_init__(self) -> None:
@@ -70,9 +69,6 @@ class Scenario:
         """World-frame gaze direction when looking at a painting from the seat."""
         return normalize_angle(self.human_seat.heading_deg + painting.bearing_deg)
 
-    def seat_head_position(self) -> tuple[float, float, float]:
-        return (self.human_seat.x, self.human_seat.y, self.eye_height_m)
-
 
 def settled_instant(scenario: Scenario, painting: Painting) -> ViewingSituation | None:
     """Instantaneous label for a viewer settled on a painting, noise-free.
@@ -81,17 +77,16 @@ def settled_instant(scenario: Scenario, painting: Painting) -> ViewingSituation 
     the camera for the field-of-view bands, body orientation relative to
     the robot for the out-of-view rule.
     """
-    x, y, z = scenario.seat_head_position()
+    seat = scenario.human_seat.position
     yaw = scenario.painting_world_yaw(painting)
-    head = HeadPose(x, y, z, yaw_deg=yaw, pitch_deg=scenario.painting_pitch_deg)
-    to_camera = bearing_to((x, y), scenario.camera_pose.position)
+    to_camera = bearing_to(seat, scenario.camera_pose.position)
     rel = normalize_angle(yaw - to_camera)
     if abs(rel) <= TRACKING_LIMIT_DEG:
-        obs = HeadObservation(frame=0, valid=True, yaw_deg=rel,
-                              pitch_deg=head.pitch_deg, roll_deg=0.0)
+        pitch = normalize_angle(scenario.painting_pitch_deg)
+        obs = HeadObservation(frame=0, valid=True, yaw_deg=rel, pitch_deg=pitch)
     else:
         obs = HeadObservation(frame=0, valid=False)
-    to_robot = bearing_to((x, y), scenario.robot_pose.position)
+    to_robot = bearing_to(seat, scenario.robot_pose.position)
     theta_rel = normalize_angle(yaw - to_robot)
     return classify_instant(obs, theta_rel)
 

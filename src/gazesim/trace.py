@@ -11,7 +11,7 @@ import json
 from dataclasses import asdict, is_dataclass
 from typing import Any, IO
 
-TRACE_SOURCES = ("laser", "btm", "hdtm", "srm", "ctrl", "human")
+TRACE_SOURCES = ("btm", "hdtm", "srm", "ctrl", "human")
 
 
 def _plain(value: Any) -> Any:

@@ -195,14 +195,14 @@ def test_criterion_05_head_sensor_noise_and_validity():
     within = 0
     for i, yaw in enumerate(yaws):
         obs = observe_head(
-            HeadPose(2.0, 0.0, 1.2, yaw_deg=180.0 + yaw), camera, seed=1234, frame=i
+            HeadPose(2.0, 0.0, yaw_deg=180.0 + yaw), camera, seed=1234, frame=i
         )
         if abs(normalize_angle(obs.yaw_deg - yaw)) <= 3.0:
             within += 1
     coverage = within / len(yaws)
 
     def valid_at(rel_yaw):
-        head = HeadPose(2.0, 0.0, 1.2, yaw_deg=180.0 + rel_yaw)
+        head = HeadPose(2.0, 0.0, yaw_deg=180.0 + rel_yaw)
         return observe_head(head, camera, noise_sigma=0.0).valid
 
     boundary_ok = (
@@ -241,15 +241,15 @@ def test_criterion_06_classification_grid_and_persistence():
     asymmetries = 0
     for yaw in grid:
         for pitch in grid:
-            obs = HeadObservation(0, True, yaw, pitch, 0.0)
+            obs = HeadObservation(0, True, yaw, pitch)
             got = classify_instant(obs, 0.0)
             if got is not _expected_gaze_label(yaw, pitch):
                 mismatches += 1
-            mirrored = HeadObservation(0, True, -yaw, pitch, 0.0)
+            mirrored = HeadObservation(0, True, -yaw, pitch)
             if classify_instant(mirrored, 0.0) is not got:
                 asymmetries += 1
 
-    invalid = HeadObservation(0, False, None, None, None)
+    invalid = HeadObservation(0, False, None, None)
     invalid_bad = 0
     for theta in np.arange(-180.0, 180.25, 0.25):
         want = ViewingSituation.OFOV if abs(theta) > 90.0 else None

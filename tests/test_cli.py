@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,7 @@ from gazesim.config import scenario_to_dict
 from gazesim.harness import RESULTS_CSV_HEADER
 from gazesim.scenario import default_scenario
 from gazesim.stats import SUMMARY_CSV_HEADER
+from gazesim.trace import TRACE_SOURCES
 
 
 def run_cli(argv, capsys):
@@ -68,6 +71,12 @@ class TestSimulate:
         assert ("Success" in kinds) or ("Failure" in kinds)
         times = [e["t"] for e in lines]
         assert times == sorted(times)
+
+    def test_full_mode_emits_every_declared_source(self, capsys):
+        code, out, _ = run_cli(["simulate", "--mode", "full", "--seed", "42"], capsys)
+        assert code == 0
+        sources = {json.loads(line)["source"] for line in out.strip().splitlines()}
+        assert sources == set(TRACE_SOURCES)
 
     def test_event_mode_runs(self, capsys):
         code, _, err = run_cli(
@@ -189,6 +198,31 @@ class TestExperiment:
         code, _, err = run_cli(["experiment", "--config", str(config_path)], capsys)
         assert code == 1
         assert "n_per_cell" in err
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("robot_pose", [float("inf"), 0.0, 0.0]),
+            ("bearing_deg", float("nan")),
+            ("human_seat", [10**400, 0.0, 0.0]),
+        ],
+    )
+    def test_non_finite_config_exits_one(self, tmp_path, capsys, key, value):
+        scenario = scenario_to_dict(default_scenario())
+        if key == "bearing_deg":
+            scenario["paintings"][0]["bearing_deg"] = value
+        else:
+            scenario[key] = value
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"scenario": scenario, "n_per_cell": 1}))
+        code, _, err = run_cli(
+            ["experiment", "--config", str(config_path), "--out", str(tmp_path / "out")],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("gazesim: scenario.")
+        assert "finite" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_exits_one(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -317,6 +351,42 @@ class TestReport:
         code, _, err = run_cli(["report", str(bad)], capsys)
         assert code == 1
         assert "header" in err or "bad.csv" in err
+
+
+def load_reproduce_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_results.py"
+    spec = importlib.util.spec_from_file_location("reproduce_results", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestReproduceScript:
+    def test_jobs_zero_exits_one(self, capsys):
+        code = load_reproduce_script().main(["--n-per-cell", "2", "--jobs", "0"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("reproduce_results: jobs must be at least 1")
+        assert "Traceback" not in err
+
+    def test_stats_json_has_the_cli_schema(self, tmp_path, capsys):
+        script_out = tmp_path / "script"
+        code = load_reproduce_script().main(
+            ["--n-per-cell", "2", "--out", str(script_out)]
+        )
+        assert code == 0
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"n_per_cell": 2}))
+        cli_out = tmp_path / "cli"
+        code, _, _ = run_cli(
+            ["experiment", "--config", str(config_path), "--out", str(cli_out)], capsys
+        )
+        assert code == 0
+        script_stats = json.loads((script_out / "stats.json").read_text())
+        cli_stats = json.loads((cli_out / "stats.json").read_text())
+        assert set(script_stats) == set(cli_stats) == {"overall", "anova", "bonferroni"}
+        for name in ("results.csv", "summary.csv", "stats.json"):
+            assert (script_out / name).read_bytes() == (cli_out / name).read_bytes()
 
 
 class TestTrackDemo:

@@ -103,6 +103,30 @@ class TestValidation:
         with pytest.raises(ConfigError, match="scenario.paintings: required"):
             parse_config(json.dumps({"scenario": scenario}))
 
+    def test_eye_height_is_not_a_scenario_key(self):
+        scenario = scenario_to_dict(default_scenario())
+        scenario["eye_height_m"] = 1.15
+        with pytest.raises(ConfigError, match="scenario: unknown keys: eye_height_m"):
+            parse_config(json.dumps({"scenario": scenario}))
+
+    def test_infinite_pose_coordinate_rejected(self):
+        scenario = scenario_to_dict(default_scenario())
+        scenario["robot_pose"] = [float("inf"), 0.0, 0.0]
+        text = json.dumps({"scenario": scenario})
+        assert "[Infinity, 0.0, 0.0]" in text
+        with pytest.raises(ConfigError, match=r"scenario\.robot_pose\[0\]: expected a finite"):
+            parse_config(text)
+
+    def test_nan_painting_bearing_rejected(self):
+        scenario = scenario_to_dict(default_scenario())
+        scenario["paintings"][2]["bearing_deg"] = float("nan")
+        text = json.dumps({"scenario": scenario})
+        assert '"bearing_deg": NaN' in text
+        with pytest.raises(
+            ConfigError, match=r"scenario\.paintings\[2\]\.bearing_deg: expected a finite"
+        ):
+            parse_config(text)
+
 
 class TestRoundTrip:
     def test_default_config_round_trips(self):

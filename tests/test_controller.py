@@ -9,23 +9,22 @@ from gazesim.controller import (
     PAN_MAX_DEG,
     PAN_MIN_DEG,
     RESPONSE_WINDOW_S,
+    SHAKE_SPEED_DEG_S,
     TICK_S,
     TILT_MAX_DEG,
     TILT_MIN_DEG,
+    TURN_SPEED_DEG_S,
     UTTERANCE_DURATION_S,
     ControllerInputs,
-    ControllerState,
     EventKind,
     Method,
     Phase,
     RobotAction,
+    _move_joint,
     clamp_pan,
-    clamp_tilt,
     controller_step,
     face_detected,
-    head_motion_step,
     make_controller,
-    plan_actions,
 )
 from gazesim.situation import ViewingSituation
 
@@ -79,16 +78,11 @@ def never(t, events):
 
 class TestPlans:
     def test_capture_plans(self):
-        assert plan_actions(Method.M1) == ((RobotAction.HT,), True)
-        assert plan_actions(Method.M2) == ((RobotAction.HT, RobotAction.HS), True)
-        assert plan_actions(Method.M3) == (
-            (RobotAction.HT, RobotAction.HS, RobotAction.RT),
-            False,
-        )
-        assert plan_actions(Method.M4) == (
-            (RobotAction.HT, RobotAction.HS, RobotAction.RT),
-            True,
-        )
+        HT, HS, RT = RobotAction.HT, RobotAction.HS, RobotAction.RT
+        assert Method.M1.capture_plan == (HT,) and Method.M1.ensure_blink
+        assert Method.M2.capture_plan == (HT, HS) and Method.M2.ensure_blink
+        assert Method.M3.capture_plan == (HT, HS, RT) and not Method.M3.ensure_blink
+        assert Method.M4.capture_plan == (HT, HS, RT) and Method.M4.ensure_blink
 
 
 class TestJointLimits:
@@ -96,37 +90,22 @@ class TestJointLimits:
         assert clamp_pan(200.0) == PAN_MAX_DEG
         assert clamp_pan(-200.0) == PAN_MIN_DEG
         assert clamp_pan(100.0) == 100.0
-        assert clamp_tilt(50.0) == TILT_MAX_DEG
-        assert clamp_tilt(-50.0) == TILT_MIN_DEG
 
     def test_head_motion_reaches_target_at_turn_speed(self):
-        state = ControllerState(method=Method.M1)
-        state = head_motion_step(state, 60.0, 0.5, "turn")
-        assert state.pan_deg == pytest.approx(60.0)
-        assert not state.target_clamped
+        assert _move_joint(0.0, 60.0, 0.5, TURN_SPEED_DEG_S) == pytest.approx(60.0)
 
     def test_head_motion_partial_step(self):
-        state = ControllerState(method=Method.M1)
-        state = head_motion_step(state, 60.0, TICK_S, "turn")
-        assert state.pan_deg == pytest.approx(120.0 * TICK_S)
+        pan = _move_joint(0.0, 60.0, TICK_S, TURN_SPEED_DEG_S)
+        assert pan == pytest.approx(120.0 * TICK_S)
 
     def test_shake_mode_is_faster(self):
-        state = ControllerState(method=Method.M1)
-        state = head_motion_step(state, 60.0, TICK_S, "shake")
-        assert state.pan_deg == pytest.approx(240.0 * TICK_S)
+        pan = _move_joint(0.0, 60.0, TICK_S, SHAKE_SPEED_DEG_S)
+        assert pan == pytest.approx(240.0 * TICK_S)
 
-    def test_out_of_range_target_is_clamped_and_flagged(self):
-        state = ControllerState(method=Method.M1)
-        state = head_motion_step(state, 500.0, 10.0, "turn")
-        assert state.pan_deg == PAN_MAX_DEG
-        assert state.target_clamped
-
-    def test_bad_mode_rejected(self):
-        state = ControllerState(method=Method.M1)
+    def test_non_positive_dt_rejected(self):
+        inputs = ControllerInputs(confirmed=CFOV, human_bearing_deg=10.0)
         with pytest.raises(ValueError):
-            head_motion_step(state, 10.0, TICK_S, "wiggle")
-        with pytest.raises(ValueError):
-            head_motion_step(state, 10.0, 0.0, "turn")
+            controller_step(make_controller(Method.M1), inputs, 0.0, dt_s=0.0)
 
 
 class TestHappyPathM1:
@@ -321,7 +300,6 @@ class TestClampedTargets:
     def test_pan_saturates_at_the_stop(self):
         events, pans, state = drive(Method.M1, never, bearing_deg=170.0)
         assert np.max(pans) == PAN_MAX_DEG
-        assert state.target_clamped
         assert EventKind.HEAD_TURN_END in kinds(events)
 
 

@@ -7,7 +7,6 @@ from gazesim.geometry import (
     HeadPose,
     Pose2,
     bearing_to,
-    heading_vector,
     move_toward_angle,
     normalize_angle,
     relative_bearing,
@@ -60,21 +59,6 @@ class TestAngularDistance:
         d = angular_distance(a, b)
         assert 0.0 <= d <= 180.0
         assert d == pytest.approx(angular_distance(b, a), abs=1e-9)
-
-
-class TestHeadingVector:
-    def test_cardinal_directions(self):
-        vx, vy = heading_vector(0.0)
-        assert (vx, vy) == pytest.approx((1.0, 0.0))
-        vx, vy = heading_vector(90.0)
-        assert (vx, vy) == pytest.approx((0.0, 1.0), abs=1e-12)
-        vx, vy = heading_vector(180.0)
-        assert (vx, vy) == pytest.approx((-1.0, 0.0), abs=1e-12)
-
-    @given(finite_angles)
-    def test_unit_length(self, a):
-        vx, vy = heading_vector(a)
-        assert math.hypot(vx, vy) == pytest.approx(1.0)
 
 
 class TestBearings:
@@ -145,6 +129,6 @@ class TestPoses:
         assert Pose2(0.0, 0.0, 0.0).distance_to((3.0, 4.0)) == pytest.approx(5.0)
 
     def test_head_pose_position_is_planar(self):
-        hp = HeadPose(1.0, 2.0, 1.2, yaw_deg=30.0, pitch_deg=5.0)
+        hp = HeadPose(1.0, 2.0, yaw_deg=30.0, pitch_deg=5.0)
         assert hp.position == (1.0, 2.0)
         assert hp.pitch_deg == 5.0

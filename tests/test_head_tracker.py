@@ -8,7 +8,7 @@ from gazesim.head_tracker import DEFAULT_NOISE_SIGMA_DEG, HeadObservation, obser
 def head_at(rel_yaw_deg: float, pitch_deg: float = 0.0) -> HeadPose:
     """Head 2 m in front of a camera at the origin, offset rel_yaw_deg from
     looking straight back at it."""
-    return HeadPose(2.0, 0.0, 1.2, yaw_deg=180.0 + rel_yaw_deg, pitch_deg=pitch_deg)
+    return HeadPose(2.0, 0.0, yaw_deg=180.0 + rel_yaw_deg, pitch_deg=pitch_deg)
 
 
 CAMERA = Pose2(0.0, 0.0, 0.0)
@@ -41,7 +41,6 @@ class TestValidity:
         obs = observe_head(head_at(150.0), CAMERA, noise_sigma=0.0)
         assert obs.yaw_deg is None
         assert obs.pitch_deg is None
-        assert obs.roll_deg is None
 
 
 class TestAngles:
@@ -82,5 +81,5 @@ class TestAngles:
 
 class TestObservationType:
     def test_fields(self):
-        obs = HeadObservation(valid=True, yaw_deg=1.0, pitch_deg=2.0, roll_deg=0.0, frame=9)
+        obs = HeadObservation(valid=True, yaw_deg=1.0, pitch_deg=2.0, frame=9)
         assert obs.valid and obs.yaw_deg == 1.0 and obs.frame == 9

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gazesim.geometry import Pose2, heading_vector
+from gazesim.geometry import Pose2
 from gazesim.laser import (
     DEFAULT_LASER,
     EllipseBody,
     LaserParams,
-    ray_ellipse_intersect,
-    scan_to_csv,
+    _intersect_batch,
     scan_to_points,
     synthesize_scan,
 )
@@ -31,42 +30,54 @@ def implicit_value(point, body: EllipseBody) -> float:
     return (u / body.semi_major_m) ** 2 + (v / body.semi_minor_m) ** 2
 
 
+def unit(deg):
+    rad = np.radians(np.atleast_1d(np.asarray(deg, dtype=float)))
+    return np.column_stack([np.cos(rad), np.sin(rad)])
+
+
+def ray_hits(origin, directions_deg, body):
+    """Ranges the scanner's batched intersection gives, NaN on a miss."""
+    return _intersect_batch(np.asarray(origin, dtype=float), unit(directions_deg), body)
+
+
 class TestRayEllipseIntersect:
     def test_circle_head_on(self):
         body = EllipseBody(Pose2(2.0, 0.0, 0.0), semi_major_m=0.25, semi_minor_m=0.25)
-        t = ray_ellipse_intersect((0.0, 0.0), 0.0, body)
+        (t,) = ray_hits((0.0, 0.0), 0.0, body)
         assert t == pytest.approx(1.75)
 
     def test_ellipse_hit_along_minor_axis(self):
         # Heading 0 puts the short axis along x, so a head-on ray stops 0.15 early.
         body = EllipseBody(Pose2(2.0, 0.0, 0.0))
-        t = ray_ellipse_intersect((0.0, 0.0), 0.0, body)
+        (t,) = ray_hits((0.0, 0.0), 0.0, body)
         assert t == pytest.approx(1.85)
 
     def test_ellipse_hit_along_major_axis(self):
         body = EllipseBody(Pose2(2.0, 0.0, 90.0))
-        t = ray_ellipse_intersect((0.0, 0.0), 0.0, body)
+        (t,) = ray_hits((0.0, 0.0), 0.0, body)
         assert t == pytest.approx(1.75)
 
     def test_miss_returns_none(self):
+        # A beam that misses carries NaN; its neighbours are unaffected.
         body = EllipseBody(Pose2(2.0, 0.0, 0.0))
-        assert ray_ellipse_intersect((0.0, 0.0), 90.0, body) is None
-        assert ray_ellipse_intersect((0.0, 0.0), 180.0, body) is None
+        t = ray_hits((0.0, 0.0), [90.0, 180.0, 0.0], body)
+        assert np.isnan(t[:2]).all()
+        assert t[2] == pytest.approx(1.85)
 
     def test_origin_inside_rejected(self):
         body = EllipseBody(Pose2(0.0, 0.0, 0.0))
         with pytest.raises(ValueError):
-            ray_ellipse_intersect((0.05, 0.0), 0.0, body)
+            ray_hits((0.05, 0.0), 0.0, body)
 
     def test_grazing_ray_still_hits_inside_the_tangent(self):
         body = EllipseBody(Pose2(2.0, 0.0, 90.0), semi_major_m=0.25, semi_minor_m=0.25)
         graze = math.degrees(math.asin(0.25 / 2.0))
         inside = graze - 1e-3
-        t = ray_ellipse_intersect((0.0, 0.0), inside, body)
-        assert t is not None
-        vx, vy = heading_vector(inside)
+        t, beyond = ray_hits((0.0, 0.0), [inside, graze + 0.1], body)
+        assert not np.isnan(t)
+        ((vx, vy),) = unit(inside)
         assert implicit_value((t * vx, t * vy), body) == pytest.approx(1.0, abs=1e-6)
-        assert ray_ellipse_intersect((0.0, 0.0), graze + 0.1, body) is None
+        assert np.isnan(beyond)
 
     @settings(max_examples=200)
     @given(
@@ -78,9 +89,9 @@ class TestRayEllipseIntersect:
         body = EllipseBody(
             Pose2(r * math.cos(math.radians(bearing)), r * math.sin(math.radians(bearing)), body_heading)
         )
-        t = ray_ellipse_intersect((0.0, 0.0), bearing, body)
-        assert t is not None  # the ray through the center always hits
-        vx, vy = heading_vector(bearing)
+        (t,) = ray_hits((0.0, 0.0), bearing, body)
+        assert not np.isnan(t)  # the ray through the center always hits
+        ((vx, vy),) = unit(bearing)
         assert implicit_value((t * vx, t * vy), body) == pytest.approx(1.0, abs=1e-9)
         assert 0.0 < t < r
 
@@ -162,15 +173,3 @@ class TestSynthesizeScan:
         ranges = np.asarray(scan.ranges_m)
         assert len(points) == int(np.sum(ranges < DEFAULT_LASER.max_range_m))
 
-
-class TestScanCsv:
-    def test_csv_shape_and_header(self):
-        body = EllipseBody(Pose2(2.0, 0.0, 0.0))
-        scan = synthesize_scan(Pose2(0.0, 0.0, 0.0), body, seed=2, timestamp_s=1.25)
-        text = scan_to_csv(scan)
-        lines = text.strip().splitlines()
-        assert lines[0] == "beam_index,angle_deg,range_m"
-        assert len(lines) == 1 + 667
-        first = lines[1].split(",")
-        assert first[0] == "0"
-        assert float(first[1]) == pytest.approx(-119.88)

@@ -66,12 +66,6 @@ class TestDefaultScenario:
         central = sc.painting_for(ViewingSituation.CFOV)
         assert abs(central.bearing_deg) <= 10.0
 
-    def test_seat_head_position_has_eye_height(self):
-        sc = default_scenario()
-        x, y, z = sc.seat_head_position()
-        assert (x, y) == sc.human_seat.position
-        assert z == sc.eye_height_m
-
 
 class TestSettledInstant:
     @pytest.mark.parametrize(

@@ -14,8 +14,8 @@ from gazesim.situation import (
 
 def obs(yaw=0.0, pitch=0.0, valid=True, frame=0):
     if not valid:
-        return HeadObservation(valid=False, yaw_deg=None, pitch_deg=None, roll_deg=None, frame=frame)
-    return HeadObservation(valid=True, yaw_deg=yaw, pitch_deg=pitch, roll_deg=0.0, frame=frame)
+        return HeadObservation(valid=False, yaw_deg=None, pitch_deg=None, frame=frame)
+    return HeadObservation(valid=True, yaw_deg=yaw, pitch_deg=pitch, frame=frame)
 
 
 CFOV = ViewingSituation.CFOV

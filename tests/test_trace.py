@@ -43,4 +43,4 @@ class TestTraceWriter:
             TraceWriter(io.StringIO()).emit(0.0, "telepathy", "what")
 
     def test_known_sources_cover_the_pipeline(self):
-        assert set(TRACE_SOURCES) == {"laser", "btm", "hdtm", "srm", "ctrl", "human"}
+        assert set(TRACE_SOURCES) == {"btm", "hdtm", "srm", "ctrl", "human"}
