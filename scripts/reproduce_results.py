@@ -22,20 +22,15 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from gazesim.cli import write_report_files
+from gazesim.cli import stats_payload, write_report_files
 from gazesim.config import ConfigError, RunConfig
 from gazesim.controller import METHODS, Method
 from gazesim.harness import TRIAL_MODES, run_experiment, write_records_csv
 from gazesim.human import REFERENCE_SUCCESS_RATES
 from gazesim.situation import SITUATIONS
-from gazesim.stats import (
-    anova_two_way,
-    bonferroni_pairwise,
-    gaze_stats,
-    overall_ratio,
-    records_to_cells,
-    success_ratio,
-)
+from gazesim.stats import gaze_stats, success_ratio
+
+NOT_AVAILABLE = "n/a"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -71,19 +66,27 @@ def _run(args: argparse.Namespace) -> int:
             row.append(f"{got:.3f} / {ref:.2f}")
         print(f"{method.value:>6}    " + "".join(f"{v:>16}" for v in row))
 
+    payload = stats_payload(records)
     print("\noverall success ratio")
     for method in (Method.M1, Method.M2, Method.M4):
-        print(f"  {method.value}: {overall_ratio(records, method):.4f}")
+        print(f"  {method.value}: {payload['overall'][method.value]:.4f}")
 
     print("\ngaze duration on success (mean, variance)")
     for method in (Method.M4, Method.M3):
-        mean, var = gaze_stats(records, method)
         label = "with blinks" if method.ensure_blink else "without blinks"
+        try:
+            mean, var = gaze_stats(records, method)
+        except ValueError:
+            print(f"  {method.value} ({label}): {NOT_AVAILABLE}")
+            continue
         print(f"  {method.value} ({label}): {mean:.3f} s, {var:.4f} s^2")
 
-    anova = anova_two_way(records_to_cells(records))
+    anova = payload["anova"]
     print("\ntwo-way ANOVA on per-cell success")
     for effect in ("method", "situation", "interaction"):
+        if anova is None:
+            print(f"  {effect:<12} {NOT_AVAILABLE}")
+            continue
         e = anova[effect]
         print(
             f"  {effect:<12} F({e['df'][0]}, {e['df'][1]}) = {e['F']:.2f}, "
@@ -91,7 +94,7 @@ def _run(args: argparse.Namespace) -> int:
         )
 
     print("\npairwise method comparisons (Bonferroni-corrected z-tests)")
-    for pair in bonferroni_pairwise(records):
+    for pair in payload["bonferroni"]:
         flag = "significant" if pair["significant"] else "n.s."
         name = " vs ".join(pair["pair"])
         print(f"  {name}: z = {pair['z']:.2f}, p_adj = {pair['p_adj']:.3g} ({flag})")

@@ -7,7 +7,6 @@ from .body_tracker import (
     BodyEstimate,
     BodyTracker,
     FilterConfig,
-    ParticleSet,
     body_orientation_for_srm,
     filter_step,
     init_particles,
@@ -68,7 +67,6 @@ from .human import (
 )
 from .laser import (
     EllipseBody,
-    LaserParams,
     LaserScan,
     scan_to_points,
     synthesize_scan,

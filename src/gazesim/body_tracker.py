@@ -33,8 +33,8 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import Pose2, normalize_angle
-from .laser import LaserScan, scan_to_points
-from .seeding import SeedLike, derive_rng
+from .laser import BEAM_ANGLES_DEG, MAX_RANGE_M, LaserScan, scan_to_points
+from .seeding import derive_rng
 
 MIN_WEIGHT = 1e-300
 
@@ -66,25 +66,6 @@ class FilterConfig:
             raise ValueError("require body_semi_major_m >= body_semi_minor_m > 0")
 
 
-@dataclass
-class ParticleSet:
-    """states has shape (n, 3): columns x, y, theta_deg. weights sum to 1."""
-
-    states: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.states = np.asarray(self.states, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.states.ndim != 2 or self.states.shape[1] != 3:
-            raise ValueError("states must have shape (n, 3)")
-        if self.weights.shape != (len(self.states),):
-            raise ValueError("weights must match states")
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-
 @dataclass(frozen=True)
 class BodyEstimate:
     x: float
@@ -95,15 +76,20 @@ class BodyEstimate:
     converged: bool
 
 
-def init_particles(config: FilterConfig, guess: Pose2, seed: SeedLike) -> ParticleSet:
-    """Spread particles around an initial pose guess (e.g. the seat)."""
+def init_particles(config: FilterConfig, guess: Pose2, seed: int) -> np.ndarray:
+    """Spread particles around an initial pose guess (e.g. the seat).
+
+    A particle set is its (n, 3) states array: columns x, y, theta_deg.
+    Every set between frames is freshly drawn or resampled, so its
+    weights are uniform and are not stored.
+    """
     rng = derive_rng(seed)
     n = config.n_particles
     states = np.empty((n, 3))
     states[:, 0] = rng.normal(guess.x, config.init_sigma_xy_m, n)
     states[:, 1] = rng.normal(guess.y, config.init_sigma_xy_m, n)
     states[:, 2] = _wrap(rng.normal(guess.heading_deg, config.init_sigma_theta_deg, n))
-    return ParticleSet(states, np.full(n, 1.0 / n))
+    return states
 
 
 def _wrap(deg: np.ndarray) -> np.ndarray:
@@ -249,11 +235,13 @@ def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nda
     return np.searchsorted(cumulative, positions)
 
 
-def _estimate(particles: ParticleSet, sensor: Pose2, converged: bool) -> BodyEstimate:
-    w = particles.weights
-    x = float(np.dot(w, particles.states[:, 0]))
-    y = float(np.dot(w, particles.states[:, 1]))
-    theta_rad = np.radians(particles.states[:, 2])
+def _estimate(
+    states: np.ndarray, weights: np.ndarray, sensor: Pose2, converged: bool
+) -> BodyEstimate:
+    w = weights
+    x = float(np.dot(w, states[:, 0]))
+    y = float(np.dot(w, states[:, 1]))
+    theta_rad = np.radians(states[:, 2])
     theta = math.degrees(
         math.atan2(float(np.dot(w, np.sin(theta_rad))), float(np.dot(w, np.cos(theta_rad))))
     )
@@ -270,10 +258,9 @@ def _estimate(particles: ParticleSet, sensor: Pose2, converged: bool) -> BodyEst
 
 def _reinit_over_field(scan: LaserScan, n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform hypotheses over the sensor's fan, used on track loss."""
-    span = scan.angular_step_deg * (len(scan.ranges_m) - 1)
-    rel = rng.uniform(scan.start_angle_deg, scan.start_angle_deg + span, n)
+    rel = rng.uniform(BEAM_ANGLES_DEG[0], BEAM_ANGLES_DEG[-1], n)
     rad = np.radians(scan.sensor_pose.heading_deg + rel)
-    r = rng.uniform(0.2, scan.max_range_m, n)
+    r = rng.uniform(0.2, MAX_RANGE_M, n)
     states = np.empty((n, 3))
     states[:, 0] = scan.sensor_pose.x + r * np.cos(rad)
     states[:, 1] = scan.sensor_pose.y + r * np.sin(rad)
@@ -282,12 +269,13 @@ def _reinit_over_field(scan: LaserScan, n: int, rng: np.random.Generator) -> np.
 
 
 def filter_step(
-    particles: ParticleSet,
+    states: np.ndarray,
     scan: LaserScan,
     config: FilterConfig,
-    seed: SeedLike,
-) -> tuple[ParticleSet, BodyEstimate]:
-    """One diffuse/weight/estimate/resample cycle.
+    seed: int,
+) -> tuple[np.ndarray, BodyEstimate]:
+    """One diffuse/weight/estimate/resample cycle on a uniformly weighted
+    set; returns the resampled set and the estimate.
 
     On total weight underflow (no hypothesis explains the scan) the set
     is reinitialized uniformly over the sensor's field and the returned
@@ -295,31 +283,29 @@ def filter_step(
     BodyTracker additionally requires a warmup streak.
     """
     rng = derive_rng(seed)
-    n = len(particles)
+    n = len(states)
     sensor = scan.sensor_pose
+    uniform = np.full(n, 1.0 / n)
 
-    states = particles.states.copy()
+    states = states.copy()
     states[:, 0] += rng.normal(0.0, config.motion_sigma_xy_m, n)
     states[:, 1] += rng.normal(0.0, config.motion_sigma_xy_m, n)
     states[:, 2] = _wrap(states[:, 2] + rng.normal(0.0, config.motion_sigma_theta_deg, n))
 
     scan_points = scan_to_points(scan)
     alphas = _batch_likelihoods(states, np.array([sensor.x, sensor.y]), scan_points, config)
-    weights = particles.weights * alphas
+    # Not alphas / n: the product rounds differently.
+    weights = uniform * alphas
     total = float(weights.sum())
 
     if not math.isfinite(total) or total <= 0.0:
         states = _reinit_over_field(scan, n, rng)
-        uniform = np.full(n, 1.0 / n)
-        fresh = ParticleSet(states, uniform)
-        return fresh, _estimate(fresh, sensor, converged=False)
+        return states, _estimate(states, uniform, sensor, converged=False)
 
     weights = weights / total
-    weighted = ParticleSet(states, weights)
-    estimate = _estimate(weighted, sensor, converged=True)
+    estimate = _estimate(states, weights, sensor, converged=True)
     idx = systematic_resample(weights, rng)
-    resampled = ParticleSet(states[idx].copy(), np.full(n, 1.0 / n))
-    return resampled, estimate
+    return states[idx], estimate
 
 
 def body_orientation_for_srm(estimate: BodyEstimate, robot: Pose2) -> float | None:
@@ -337,15 +323,13 @@ def body_orientation_for_srm(estimate: BodyEstimate, robot: Pose2) -> float | No
 class BodyTracker:
     """Stateful convenience wrapper: owns the particle set and warmup logic."""
 
-    def __init__(self, config: FilterConfig, guess: Pose2, seed: SeedLike) -> None:
+    def __init__(self, config: FilterConfig, guess: Pose2, seed: int) -> None:
         self.config = config
         self.particles = init_particles(config, guess, seed)
-        self.frames = 0
         self._healthy_streak = 0
 
-    def step(self, scan: LaserScan, seed: SeedLike) -> BodyEstimate:
+    def step(self, scan: LaserScan, seed: int) -> BodyEstimate:
         self.particles, estimate = filter_step(self.particles, scan, self.config, seed)
-        self.frames += 1
         self._healthy_streak = self._healthy_streak + 1 if estimate.converged else 0
         if self._healthy_streak < self.config.warmup_frames:
             estimate = replace(estimate, converged=False)

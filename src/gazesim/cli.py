@@ -114,7 +114,10 @@ def _load_config(path: str | None) -> RunConfig:
     return parse_config(text, base_dir=file_path.parent)
 
 
-def _stats_payload(records) -> dict:
+def stats_payload(records) -> dict:
+    """The stats.json document. A statistic the records cannot support
+    (a method missing a situation, fewer than two trials per cell, one
+    method only) is left out or null."""
     overall = {}
     for method in METHODS:
         try:
@@ -181,7 +184,7 @@ def write_report_files(out_dir: Path, records, include_chart: bool) -> list[Path
     write_summary_csv(summary_path, success_ratio(records))
     written.append(summary_path)
     stats_path = out_dir / "stats.json"
-    _write_json(stats_path, _stats_payload(records))
+    _write_json(stats_path, stats_payload(records))
     written.append(stats_path)
     if include_chart:
         chart_path = out_dir / "chart.json"
@@ -299,7 +302,6 @@ def _cmd_track_demo(args: argparse.Namespace) -> int:
                 sensor,
                 body,
                 seed=derive_seed(base, STREAM_LASER, frame),
-                timestamp_s=frame / 30.0,
             )
             estimate = tracker.step(scan, seed=derive_seed(base, STREAM_FILTER, frame))
             if frame >= 30:

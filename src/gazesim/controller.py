@@ -114,7 +114,6 @@ class Phase(enum.Enum):
     EXECUTE_ACTION = "ExecuteAction"
     AWAIT_RESPONSE = "AwaitResponse"
     ENSURE_ATTENTION = "EnsureAttention"
-    HOLD_NO_BLINK = "HoldNoBlink"
     SUCCESS = "Success"
     FAILURE = "Failure"
 
@@ -137,15 +136,12 @@ class ControllerState:
     tilt_deg: float = 0.0
     plan_cursor: int = 0
     action: RobotAction | None = None
-    deadline_s: float | None = None  # response window or silent-hold end
+    # End of the current timed span: speech, response window or dwell.
+    deadline_s: float | None = None
     window_start_s: float | None = None  # when the current window opened
-    target_pan_deg: float | None = None
-    shake_center_deg: float | None = None
-    shake_legs_done: int = 0
-    utterance_end_s: float | None = None
+    waypoints: tuple[float, ...] = ()  # pan targets the motion still has to reach
     blinks_remaining: int = 0
     next_blink_s: float | None = None
-    dwell_end_s: float | None = None
 
     @property
     def terminal(self) -> bool:
@@ -182,36 +178,26 @@ def _begin_action(
     events: list[RobotEvent],
 ) -> ControllerState:
     action = state.method.capture_plan[state.plan_cursor]
+    state = replace(state, phase=Phase.EXECUTE_ACTION, action=action)
     if action is RobotAction.HT:
         if inputs.human_bearing_deg is None:
             raise ValueError("head turn needs a bearing toward the person")
-        target = clamp_pan(inputs.human_bearing_deg)
         events.append(RobotEvent(clock_s, EventKind.HEAD_TURN_START))
-        return replace(
-            state,
-            phase=Phase.EXECUTE_ACTION,
-            action=action,
-            target_pan_deg=target,
-        )
+        return replace(state, waypoints=(clamp_pan(inputs.human_bearing_deg),))
     if action is RobotAction.HS:
         center = state.pan_deg
         events.append(RobotEvent(clock_s, EventKind.HEAD_SHAKE_START))
         return replace(
             state,
-            phase=Phase.EXECUTE_ACTION,
-            action=action,
-            shake_center_deg=center,
-            shake_legs_done=0,
-            target_pan_deg=clamp_pan(center + SHAKE_HALF_SWING_DEG),
+            waypoints=(
+                clamp_pan(center + SHAKE_HALF_SWING_DEG),
+                clamp_pan(center - SHAKE_HALF_SWING_DEG),
+                center,
+            ),
         )
     if action is RobotAction.RT:
         events.append(RobotEvent(clock_s, EventKind.UTTERANCE, UTTERANCE_TEXT))
-        return replace(
-            state,
-            phase=Phase.EXECUTE_ACTION,
-            action=action,
-            utterance_end_s=clock_s + UTTERANCE_DURATION_S,
-        )
+        return replace(state, deadline_s=clock_s + UTTERANCE_DURATION_S)
     raise ValueError(f"{action} is not a capture action")
 
 
@@ -221,7 +207,6 @@ def _open_window(state: ControllerState, start_s: float) -> ControllerState:
         phase=Phase.AWAIT_RESPONSE,
         deadline_s=start_s + RESPONSE_WINDOW_S,
         window_start_s=start_s,
-        target_pan_deg=None,
     )
 
 
@@ -232,36 +217,27 @@ def _execute_step(
     events: list[RobotEvent],
 ) -> ControllerState:
     action = state.action
-    if action is RobotAction.HT:
-        assert state.target_pan_deg is not None
-        pan = _move_joint(state.pan_deg, state.target_pan_deg, dt_s, TURN_SPEED_DEG_S)
-        state = replace(state, pan_deg=pan)
-        if pan == state.target_pan_deg:
-            events.append(RobotEvent(clock_s, EventKind.HEAD_TURN_END))
-            return _open_window(state, clock_s)
-        return state
-    if action is RobotAction.HS:
-        assert state.target_pan_deg is not None and state.shake_center_deg is not None
-        pan = _move_joint(state.pan_deg, state.target_pan_deg, dt_s, SHAKE_SPEED_DEG_S)
-        state = replace(state, pan_deg=pan)
-        if pan != state.target_pan_deg:
-            return state
-        legs = state.shake_legs_done + 1
-        if legs == 1:
-            target = clamp_pan(state.shake_center_deg - SHAKE_HALF_SWING_DEG)
-        elif legs == 2:
-            target = state.shake_center_deg
-        else:
-            events.append(RobotEvent(clock_s, EventKind.HEAD_SHAKE_END))
-            return _open_window(state, clock_s)
-        return replace(state, shake_legs_done=legs, target_pan_deg=target)
     if action is RobotAction.RT:
-        assert state.utterance_end_s is not None
-        if clock_s >= state.utterance_end_s - TIME_EPS_S:
+        assert state.deadline_s is not None
+        if clock_s >= state.deadline_s - TIME_EPS_S:
             # Window timed from the end of speech, not from this tick.
-            return _open_window(state, state.utterance_end_s)
+            return _open_window(state, state.deadline_s)
         return state
-    raise AssertionError(f"executing non-capture action {action}")
+    if action is RobotAction.HT:
+        speed, end = TURN_SPEED_DEG_S, EventKind.HEAD_TURN_END
+    elif action is RobotAction.HS:
+        speed, end = SHAKE_SPEED_DEG_S, EventKind.HEAD_SHAKE_END
+    else:
+        raise AssertionError(f"executing non-capture action {action}")
+    target, *rest = state.waypoints
+    pan = _move_joint(state.pan_deg, target, dt_s, speed)
+    if pan != target:
+        return replace(state, pan_deg=pan)
+    state = replace(state, pan_deg=pan, waypoints=tuple(rest))
+    if rest:
+        return state
+    events.append(RobotEvent(clock_s, end))
+    return _open_window(state, clock_s)
 
 
 def _await_step(
@@ -272,20 +248,16 @@ def _await_step(
 ) -> ControllerState:
     if inputs.face_detected:
         events.append(RobotEvent(clock_s, EventKind.FACE_DETECTED))
+        blinks = 0
         if state.method.ensure_blink:
             # First pulse lands with the detection, the rest at 1/s.
             events.append(RobotEvent(clock_s, EventKind.BLINK_PULSE))
-            return replace(
-                state,
-                phase=Phase.ENSURE_ATTENTION,
-                blinks_remaining=BLINK_COUNT - 1,
-                next_blink_s=clock_s + BLINK_PERIOD_S,
-                dwell_end_s=clock_s + ENSURE_DWELL_S,
-                deadline_s=None,
-            )
+            blinks = BLINK_COUNT - 1
         return replace(
             state,
-            phase=Phase.HOLD_NO_BLINK,
+            phase=Phase.ENSURE_ATTENTION,
+            blinks_remaining=blinks,
+            next_blink_s=clock_s + BLINK_PERIOD_S,
             deadline_s=clock_s + ENSURE_DWELL_S,
         )
     assert state.deadline_s is not None
@@ -314,8 +286,8 @@ def _ensure_step(
                 blinks_remaining=state.blinks_remaining - 1,
                 next_blink_s=state.next_blink_s + BLINK_PERIOD_S,
             )
-    assert state.dwell_end_s is not None
-    if state.blinks_remaining == 0 and clock_s >= state.dwell_end_s - TIME_EPS_S:
+    assert state.deadline_s is not None
+    if state.blinks_remaining == 0 and clock_s >= state.deadline_s - TIME_EPS_S:
         events.append(RobotEvent(clock_s, EventKind.SUCCESS))
         return replace(state, phase=Phase.SUCCESS)
     return state
@@ -346,12 +318,6 @@ def controller_step(
         return _await_step(state, inputs, clock_s, events), events
     if state.phase is Phase.ENSURE_ATTENTION:
         return _ensure_step(state, clock_s, events), events
-    if state.phase is Phase.HOLD_NO_BLINK:
-        assert state.deadline_s is not None
-        if clock_s >= state.deadline_s - TIME_EPS_S:
-            events.append(RobotEvent(clock_s, EventKind.SUCCESS))
-            return replace(state, phase=Phase.SUCCESS), events
-        return state, events
     raise AssertionError(f"unhandled phase {state.phase}")
 
 

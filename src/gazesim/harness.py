@@ -69,7 +69,6 @@ from .seeding import (
     STREAM_INIT,
     STREAM_LASER,
     STREAM_RESPOND,
-    SeedLike,
     derive_seed,
 )
 from .situation import (
@@ -152,7 +151,7 @@ def run_trial(
     scenario: Scenario,
     method: Method,
     situation: ViewingSituation,
-    seed: SeedLike,
+    seed: int,
     mode: TrialMode = "full",
     trial_id: int = 0,
     trace: TraceWriter | None = None,
@@ -166,7 +165,7 @@ def run_trial_detailed(
     scenario: Scenario,
     method: Method,
     situation: ViewingSituation,
-    seed: SeedLike,
+    seed: int,
     mode: TrialMode = "full",
     trial_id: int = 0,
     trace: TraceWriter | None = None,
@@ -205,7 +204,7 @@ def _run_ticks(
     scenario: Scenario,
     method: Method,
     situation: ViewingSituation,
-    seed: SeedLike,
+    seed: int,
     mode: TrialMode,
     trial_id: int,
     trace: TraceWriter | None,
@@ -260,7 +259,6 @@ def _run_ticks(
                     semi_minor_m=scenario.body_semi_minor_m,
                 ),
                 seed=derive_seed(seed, STREAM_LASER, frame),
-                timestamp_s=t,
             )
             estimate = tracker.step(scan, seed=derive_seed(seed, STREAM_FILTER, frame))
             theta_rel = body_orientation_for_srm(estimate, robot)
@@ -379,7 +377,7 @@ def _run_ticks(
         responding_action=responding_action if succeeded else None,
         response_latency_s=measured_latency_s if succeeded else None,
         gaze_time_s=drawn_gaze_s if succeeded else None,
-        seed=_seed_scalar(seed),
+        seed=seed,
     )
     return TrialDetail(
         record=record,
@@ -410,7 +408,7 @@ def _run_event(
     scenario: Scenario,
     method: Method,
     situation: ViewingSituation,
-    seed: SeedLike,
+    seed: int,
     trial_id: int,
     trace: TraceWriter | None,
 ) -> TrialDetail:
@@ -489,15 +487,9 @@ def _run_event(
         responding_action=responding_action,
         response_latency_s=latency_s,
         gaze_time_s=gaze_s,
-        seed=_seed_scalar(seed),
+        seed=seed,
     )
     return TrialDetail(record=record, events=tuple(events), ticks=None)
-
-
-def _seed_scalar(seed: SeedLike) -> int:
-    if isinstance(seed, int):
-        return seed
-    return derive_seed(seed)
 
 
 def trial_seed(base_seed: int, method: Method, situation: ViewingSituation, rep: int) -> int:

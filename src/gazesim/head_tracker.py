@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .geometry import HeadPose, Pose2, bearing_to, normalize_angle
-from .seeding import STREAM_HEAD, SeedLike, derive_rng
+from .seeding import STREAM_HEAD, derive_rng
 
 TRACKING_LIMIT_DEG = 90.0
 DEFAULT_NOISE_SIGMA_DEG = 1.0
@@ -43,7 +43,7 @@ def observe_head(
     true_head: HeadPose,
     camera: Pose2,
     noise_sigma: float = DEFAULT_NOISE_SIGMA_DEG,
-    seed: SeedLike = 0,
+    seed: int = 0,
     frame: int = 0,
 ) -> HeadObservation:
     """Observe one frame. Identical (seed, frame) pairs give identical output."""

@@ -18,7 +18,7 @@ from typing import Mapping
 from .controller import Method, RobotAction
 from .geometry import HeadPose, Pose2, bearing_to, move_toward_angle, normalize_angle
 from .scenario import Scenario
-from .seeding import SeedLike, derive_rng
+from .seeding import derive_rng
 from .situation import SITUATIONS, ViewingSituation
 
 HEAD_TURN_SPEED_DEG_S = 90.0
@@ -146,7 +146,7 @@ def respond(
     action: RobotAction,
     situation: ViewingSituation,
     table: ResponseTable,
-    seed: SeedLike,
+    seed: int,
 ) -> tuple[bool, float | None]:
     """One response decision: does the person react to this prompt, and if
     so, how long until their eyes land on the robot. The latency draw is
@@ -160,7 +160,7 @@ def respond(
     return True, float(rng.uniform(LATENCY_MIN_S, LATENCY_MAX_S))
 
 
-def gaze_duration(blinked: bool, seed: SeedLike) -> float:
+def gaze_duration(blinked: bool, seed: int) -> float:
     """How long the person keeps looking at the robot after gaze crossing."""
     mean, var = (
         (GAZE_MEAN_BLINK_S, GAZE_VAR_BLINK)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Pose2
-from .seeding import SeedLike, derive_rng
+from .seeding import derive_rng
 
 _RANGE_EPS = 1e-12
 
@@ -35,45 +35,27 @@ class EllipseBody:
             raise ValueError("require semi_major_m >= semi_minor_m > 0")
 
 
-@dataclass(frozen=True, eq=False)
-class LaserParams:
-    fov_deg: float = 240.0
-    step_deg: float = 0.36
-    max_range_m: float = 4.0
-    noise_sigma_m: float = 0.01
-
-    def __post_init__(self) -> None:
-        if self.fov_deg <= 0 or self.step_deg <= 0:
-            raise ValueError("fov_deg and step_deg must be positive")
-        if self.max_range_m <= 0:
-            raise ValueError("max_range_m must be positive")
-        if self.noise_sigma_m < 0:
-            raise ValueError("noise_sigma_m must be non-negative")
-
-    @property
-    def n_beams(self) -> int:
-        # Fence-post count: one beam per whole step that fits in the fan.
-        return int(math.floor(self.fov_deg / self.step_deg + 1e-9)) + 1
-
-
-DEFAULT_LASER = LaserParams()
+FOV_DEG = 240.0
+STEP_DEG = 0.36
+MAX_RANGE_M = 4.0
+NOISE_SIGMA_M = 0.01
+# Fence-post count: one beam per whole step that fits in the fan.
+N_BEAMS = int(math.floor(FOV_DEG / STEP_DEG + 1e-9)) + 1
+# Beam directions relative to the sensor heading.
+BEAM_ANGLES_DEG = -0.5 * STEP_DEG * (N_BEAMS - 1) + STEP_DEG * np.arange(N_BEAMS)
+BEAM_ANGLES_DEG.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
 class LaserScan:
-    """One sweep. Ranges equal to max_range_m mean no return."""
+    """One sweep. Ranges equal to MAX_RANGE_M mean no return."""
 
     sensor_pose: Pose2
-    start_angle_deg: float
-    angular_step_deg: float
     ranges_m: np.ndarray
-    max_range_m: float
-    timestamp_s: float = 0.0
 
     def beam_angles_deg(self) -> np.ndarray:
         """World-frame beam directions."""
-        rel = self.start_angle_deg + self.angular_step_deg * np.arange(len(self.ranges_m))
-        return self.sensor_pose.heading_deg + rel
+        return self.sensor_pose.heading_deg + BEAM_ANGLES_DEG
 
 
 def _ellipse_frame(body: EllipseBody) -> tuple[np.ndarray, np.ndarray]:
@@ -114,51 +96,34 @@ def _intersect_batch(
 def synthesize_scan(
     sensor: Pose2,
     body: EllipseBody,
-    noise_sigma: float | None = None,
-    seed: SeedLike = 0,
-    params: LaserParams = DEFAULT_LASER,
-    timestamp_s: float = 0.0,
+    noise_sigma: float = NOISE_SIGMA_M,
+    seed: int = 0,
 ) -> LaserScan:
-    """Simulate one sweep of the scanner at the given pose.
-
-    Deterministic for a given seed. noise_sigma defaults to the value in
-    params.
-    """
-    sigma = params.noise_sigma_m if noise_sigma is None else float(noise_sigma)
-    n = params.n_beams
-    start = -0.5 * params.step_deg * (n - 1)
-    rel = start + params.step_deg * np.arange(n)
-    world = np.radians(sensor.heading_deg + rel)
+    """Simulate one sweep of the scanner at the given pose; deterministic
+    for a given seed."""
+    world = np.radians(sensor.heading_deg + BEAM_ANGLES_DEG)
     dirs = np.column_stack([np.cos(world), np.sin(world)])
     origin = np.array([sensor.x, sensor.y])
 
     t = _intersect_batch(origin, dirs, body)
-    ranges = np.full(n, params.max_range_m)
-    hit = ~np.isnan(t) & (t <= params.max_range_m)
-    if sigma > 0.0 and hit.any():
+    ranges = np.full(N_BEAMS, MAX_RANGE_M)
+    hit = ~np.isnan(t) & (t <= MAX_RANGE_M)
+    if noise_sigma > 0.0 and hit.any():
         rng = derive_rng(seed)
-        noise = rng.normal(0.0, sigma, size=int(hit.sum()))
+        noise = rng.normal(0.0, noise_sigma, size=int(hit.sum()))
         ranges[hit] = t[hit] + noise
     else:
         ranges[hit] = t[hit]
-    np.clip(ranges, _RANGE_EPS, params.max_range_m, out=ranges)
-    return LaserScan(
-        sensor_pose=sensor,
-        start_angle_deg=start,
-        angular_step_deg=params.step_deg,
-        ranges_m=ranges,
-        max_range_m=params.max_range_m,
-        timestamp_s=timestamp_s,
-    )
+    np.clip(ranges, _RANGE_EPS, MAX_RANGE_M, out=ranges)
+    return LaserScan(sensor, ranges)
 
 
 def scan_to_points(scan: LaserScan) -> np.ndarray:
     """Cartesian world points for returning beams, shape (k, 2)."""
     ranges = np.asarray(scan.ranges_m, dtype=float)
-    returned = ranges < scan.max_range_m - _RANGE_EPS
+    returned = ranges < MAX_RANGE_M - _RANGE_EPS
     angles = np.radians(scan.beam_angles_deg()[returned])
     r = ranges[returned]
     return np.column_stack(
         [scan.sensor_pose.x + r * np.cos(angles), scan.sensor_pose.y + r * np.sin(angles)]
     )
-

@@ -18,23 +18,13 @@ STREAM_LASER = 4
 STREAM_FILTER = 5
 STREAM_INIT = 6
 
-SeedLike = int | tuple[int, ...] | list[int]
 
-
-def _entropy(seed: SeedLike, *keys: int) -> list[int]:
-    if isinstance(seed, (tuple, list)):
-        base = [int(s) for s in seed]
-    else:
-        base = [int(seed)]
-    return base + [int(k) for k in keys]
-
-
-def derive_rng(seed: SeedLike, *keys: int) -> np.random.Generator:
+def derive_rng(seed: int, *keys: int) -> np.random.Generator:
     """Return a generator for stream (seed, *keys)."""
-    return np.random.default_rng(_entropy(seed, *keys))
+    return np.random.default_rng([seed, *keys])
 
 
-def derive_seed(seed: SeedLike, *keys: int) -> int:
+def derive_seed(seed: int, *keys: int) -> int:
     """Collapse (seed, *keys) into a single integer seed."""
-    ss = np.random.SeedSequence(_entropy(seed, *keys))
+    ss = np.random.SeedSequence([seed, *keys])
     return int(ss.generate_state(1, dtype=np.uint64)[0])

@@ -5,6 +5,8 @@ Each test prints one PASS/FAIL line with the measured numbers so a plain
 crossed experiment is run once at module scope and shared by the first
 three checks.
 """
+import hashlib
+import io
 import math
 import time
 
@@ -32,7 +34,12 @@ from gazesim.controller import (
     RESPONSE_WINDOW_S,
 )
 from gazesim.geometry import HeadPose, Pose2, normalize_angle
-from gazesim.harness import run_experiment, run_trial_detailed, trial_seed
+from gazesim.harness import (
+    run_experiment,
+    run_trial_detailed,
+    trial_seed,
+    write_records_csv,
+)
 from gazesim.head_tracker import HeadObservation, observe_head
 from gazesim.human import (
     REFERENCE_SUCCESS_RATES,
@@ -56,6 +63,8 @@ SC = default_scenario()
 
 N_PER_CELL = 10_000
 TIME_BUDGET_S = 120.0
+# sha256 of results.csv for the big run (event mode, all methods, seed 42).
+BIG_RUN_DIGEST = "61ad38a1d40cd6311b29ae8f9b21134c0380a40ba5aa96a0299ec4ac4528b9df"
 
 
 def report(number, ok, text):
@@ -96,6 +105,14 @@ def test_criterion_01_success_table(big_run):
     assert elapsed < TIME_BUDGET_S
     for key, dev in deviations.items():
         assert abs(dev) <= 0.02, f"cell {key} off by {dev:+.4f}"
+
+
+def test_big_run_results_digest(big_run):
+    records, _ = big_run
+    buf = io.StringIO()
+    write_records_csv(buf, records)
+    digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+    assert digest == BIG_RUN_DIGEST
 
 
 def test_criterion_02_overall_ratios(big_run):

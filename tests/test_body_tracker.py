@@ -227,9 +227,7 @@ class TestBatchLikelihoods:
             scan = seat_scan(offset, seed=100 + i)
             scan_points = scan_to_points(scan)
             assert len(scan_points) > 10
-            around_seat = init_particles(
-                cfg, SCENE.human_seat, seed=200 + i
-            ).states[:200]
+            around_seat = init_particles(cfg, SCENE.human_seat, seed=200 + i)[:200]
             over_field = _reinit_over_field(scan, 200, rng)
             for states in (around_seat, over_field):
                 got = _batch_likelihoods(states, SENSOR_XY, scan_points, cfg)
@@ -265,7 +263,7 @@ class TestBatchLikelihoods:
         far = EllipseBody(Pose2(SENSOR_XY[0] + 10.0, SENSOR_XY[1], 0.0))
         scan_points = scan_to_points(synthesize_scan(SCENE.sensor_pose, far, seed=1))
         assert scan_points.shape == (0, 2)
-        states = init_particles(cfg, SCENE.human_seat, seed=4).states
+        states = init_particles(cfg, SCENE.human_seat, seed=4)
         got = _batch_likelihoods(states, SENSOR_XY, scan_points, cfg)
         assert np.all(got == MIN_WEIGHT)
         assert np.all(scalar_likelihoods(states[:5], scan_points, cfg) == MIN_WEIGHT)
@@ -326,18 +324,16 @@ class TestSystematicResample:
 class TestInitParticles:
     def test_shapes_and_spread(self):
         cfg = FilterConfig()
-        ps = init_particles(cfg, Pose2(2.0, 0.5, 30.0), seed=11)
-        assert ps.states.shape == (cfg.n_particles, 3)
-        assert np.isclose(ps.weights.sum(), 1.0)
-        assert np.all(ps.weights == ps.weights[0])
-        assert abs(np.mean(ps.states[:, 0]) - 2.0) < 0.05
-        assert abs(np.mean(ps.states[:, 1]) - 0.5) < 0.05
+        states = init_particles(cfg, Pose2(2.0, 0.5, 30.0), seed=11)
+        assert states.shape == (cfg.n_particles, 3)
+        assert abs(np.mean(states[:, 0]) - 2.0) < 0.05
+        assert abs(np.mean(states[:, 1]) - 0.5) < 0.05
 
     def test_deterministic(self):
         cfg = FilterConfig()
         a = init_particles(cfg, Pose2(2.0, 0.0, 0.0), seed=3)
         b = init_particles(cfg, Pose2(2.0, 0.0, 0.0), seed=3)
-        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a, b)
 
 
 def run_static_tracking(seed, n_frames, distance_m=2.0, heading_deg=180.0, cfg=None):

@@ -388,6 +388,17 @@ class TestReproduceScript:
         for name in ("results.csv", "summary.csv", "stats.json"):
             assert (script_out / name).read_bytes() == (cli_out / name).read_bytes()
 
+    def test_one_trial_per_cell_prints_na_and_writes_null_anova(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code = load_reproduce_script().main(
+            ["--n-per-cell", "1", "--out", str(out_dir)]
+        )
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert "Traceback" not in out + err
+        assert "method       n/a" in out
+        assert json.loads((out_dir / "stats.json").read_text())["anova"] is None
+
 
 class TestTrackDemo:
     def test_runs_and_reports(self, capsys):

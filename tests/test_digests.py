@@ -1,16 +1,24 @@
 """Pinned sha256 digests of results.csv: the "same behaviour" contract.
 
 A change that alters any of these bytes changes what the simulator
-computes, and must say why when it updates the digest.
+computes, and must say why when it updates the digest. results.csv holds
+decisions and latencies only, so the tick engine's event times and head
+trajectory are pinned separately.
 """
 import hashlib
 import json
 
 from gazesim.cli import main
+from gazesim.controller import METHODS, EventKind
+from gazesim.harness import run_trial_detailed, trial_seed
+from gazesim.scenario import default_scenario
+from gazesim.situation import SITUATIONS
 
 FULL_M4_SEED42 = "53f3f2f0ec5f526e06816ae10c74c60ae2ea6d343e92340237b0f243d2d25370"
 EVENT_N1000_SEED42 = "8b56f3a611b02213e0ef477e8c38492a8a19f2f2b1918a2ae681b6b120d5f13e"
 IDEAL_N10_SEED42 = "df4569188143a78459eb0a32f564ad8b9b28a462de294088eeba3722afc5e0da"
+IDEAL_TIMELINE_SEED42 = "c067f7ff02fb8629725079f56f9e548f67eef89f28e3b4473538901306e14f8b"
+TIMELINE_REPS = 8
 ALL_METHODS = ["M1", "M2", "M3", "M4"]
 
 
@@ -38,3 +46,32 @@ def test_event_mode_all_methods(tmp_path, capsys):
 def test_ideal_mode_all_methods(tmp_path, capsys):
     config = {"methods": ALL_METHODS, "n_per_cell": 10, "base_seed": 42}
     assert results_digest(tmp_path, config, "ideal") == IDEAL_N10_SEED42
+
+
+def test_tick_engine_event_timeline():
+    """Every ideal-mode event (time, kind, detail) and tick sample (time,
+    pan, tilt), over 8 trials of each of the 16 cells."""
+    scenario = default_scenario()
+    digest = hashlib.sha256()
+    kinds = set()
+    for method in METHODS:
+        for situation in SITUATIONS:
+            for rep in range(TIMELINE_REPS):
+                detail = run_trial_detailed(
+                    scenario,
+                    method,
+                    situation,
+                    trial_seed(42, method, situation, rep),
+                    mode="ideal",
+                    collect_ticks=True,
+                )
+                for event in detail.events:
+                    kinds.add(event.kind)
+                    line = f"{event.time_s!r} {event.kind.value} {event.detail}\n"
+                    digest.update(line.encode())
+                for tick in detail.ticks:
+                    line = f"{tick.t_s!r} {tick.pan_deg!r} {tick.tilt_deg!r}\n"
+                    digest.update(line.encode())
+                digest.update(b"\n")
+    assert kinds == set(EventKind)
+    assert digest.hexdigest() == IDEAL_TIMELINE_SEED42

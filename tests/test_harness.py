@@ -4,7 +4,7 @@ import io
 import pytest
 
 from gazesim.config import RunConfig
-from gazesim.controller import EventKind, Method, RobotAction
+from gazesim.controller import METHODS, TICK_S, EventKind, Method, RobotAction
 from gazesim.harness import (
     RESULTS_CSV_HEADER,
     TrialAbortError,
@@ -59,38 +59,39 @@ class TestSeedDiscipline:
         assert trial_identifier(Method.M4, OFOV, 9, n) == 159
 
 
+def assert_same_outcome(ticked, ev):
+    assert ticked.responded == ev.responded
+    assert ticked.responding_action == ev.responding_action
+    assert ticked.gaze_time_s == ev.gaze_time_s
+    if ev.responded:
+        assert abs(ticked.response_latency_s - ev.response_latency_s) <= TICK_S
+
+
 class TestTrialModes:
     def test_same_seed_same_record(self):
         a = run_trial(SC, Method.M2, NPFOV, seed=11, mode="ideal")
         b = run_trial(SC, Method.M2, NPFOV, seed=11, mode="ideal")
         assert a == b
 
-    @pytest.mark.parametrize("method", [Method.M1, Method.M4])
-    @pytest.mark.parametrize("situation", [CFOV, OFOV])
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("situation", SITUATIONS)
     def test_event_mode_matches_ideal_mode(self, method, situation):
         for seed in range(10):
-            ev = run_trial(SC, method, situation, seed=seed, mode="event")
-            ticked = run_trial(SC, method, situation, seed=seed, mode="ideal")
-            assert ev.responded == ticked.responded
-            assert ev.responding_action == ticked.responding_action
-            assert ev.gaze_time_s == ticked.gaze_time_s
-            if ev.responded:
-                assert abs(ev.response_latency_s - ticked.response_latency_s) <= 0.1
+            ev = run_trial_detailed(SC, method, situation, seed=seed, mode="event")
+            ticked = run_trial_detailed(SC, method, situation, seed=seed, mode="ideal")
+            assert_same_outcome(ticked.record, ev.record)
+            # The closed-form timeline starts and ends where the ticks do.
+            for index in (0, -1):
+                gap = abs(ev.events[index].time_s - ticked.events[index].time_s)
+                assert gap <= 2 * TICK_S
 
     def test_full_mode_matches_event_mode_on_discrete_outcomes(self):
-        for method, situation, seed in [
-            (Method.M1, CFOV, 0),
-            (Method.M1, FPFOV, 1),
-            (Method.M4, OFOV, 7),
-            (Method.M3, NPFOV, 2),
-        ]:
-            full = run_trial(SC, method, situation, seed=seed, mode="full")
-            ev = run_trial(SC, method, situation, seed=seed, mode="event")
-            assert full.responded == ev.responded
-            assert full.responding_action == ev.responding_action
-            assert full.gaze_time_s == ev.gaze_time_s
-            if full.responded:
-                assert abs(full.response_latency_s - ev.response_latency_s) <= 0.1
+        for method in METHODS:
+            for situation in SITUATIONS:
+                seed = trial_seed(7, method, situation, 0)
+                full = run_trial(SC, method, situation, seed=seed, mode="full")
+                ev = run_trial(SC, method, situation, seed=seed, mode="event")
+                assert_same_outcome(full, ev)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

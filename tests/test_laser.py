@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from gazesim.geometry import Pose2
 from gazesim.laser import (
-    DEFAULT_LASER,
+    MAX_RANGE_M,
+    N_BEAMS,
     EllipseBody,
-    LaserParams,
     _intersect_batch,
     scan_to_points,
     synthesize_scan,
@@ -98,7 +98,7 @@ class TestRayEllipseIntersect:
 
 class TestLaserParams:
     def test_beam_count(self):
-        assert DEFAULT_LASER.n_beams == 667
+        assert N_BEAMS == 667
 
     def test_fan_is_symmetric(self):
         scan = synthesize_scan(
@@ -109,10 +109,6 @@ class TestLaserParams:
         assert angles[0] == pytest.approx(-119.88)
         assert angles[-1] == pytest.approx(119.88)
         assert np.allclose(np.diff(angles), 0.36)
-
-    def test_custom_fov(self):
-        params = LaserParams(fov_deg=90.0, step_deg=1.0)
-        assert params.n_beams == 91
 
 
 class TestSynthesizeScan:
@@ -130,13 +126,13 @@ class TestSynthesizeScan:
         ranges = np.asarray(scan.ranges_m)
         angles = scan.beam_angles_deg()
         far = np.abs(angles) > 30.0
-        assert np.all(ranges[far] == DEFAULT_LASER.max_range_m)
+        assert np.all(ranges[far] == MAX_RANGE_M)
 
     def test_noise_applies_only_to_hits(self):
         body = EllipseBody(Pose2(2.0, 0.0, 0.0))
         clean = np.asarray(synthesize_scan(Pose2(0.0, 0.0, 0.0), body, noise_sigma=0.0).ranges_m)
         noisy = np.asarray(synthesize_scan(Pose2(0.0, 0.0, 0.0), body, seed=3).ranges_m)
-        hits = clean < DEFAULT_LASER.max_range_m
+        hits = clean < MAX_RANGE_M
         assert np.any(clean[hits] != noisy[hits])
         assert np.array_equal(clean[~hits], noisy[~hits])
         spread = noisy[hits] - clean[hits]
@@ -147,7 +143,7 @@ class TestSynthesizeScan:
         scan = synthesize_scan(Pose2(0.0, 0.0, 0.0), body, seed=1)
         ranges = np.asarray(scan.ranges_m)
         assert np.all(ranges > 0.0)
-        assert np.all(ranges <= DEFAULT_LASER.max_range_m)
+        assert np.all(ranges <= MAX_RANGE_M)
 
     def test_deterministic_per_seed(self):
         body = EllipseBody(Pose2(2.0, 0.3, 10.0))
@@ -171,5 +167,5 @@ class TestSynthesizeScan:
         scan = synthesize_scan(Pose2(0.0, 0.0, 0.0), body, noise_sigma=0.0)
         points = scan_to_points(scan)
         ranges = np.asarray(scan.ranges_m)
-        assert len(points) == int(np.sum(ranges < DEFAULT_LASER.max_range_m))
+        assert len(points) == int(np.sum(ranges < MAX_RANGE_M))
 
