@@ -104,7 +104,9 @@ def _run(args: argparse.Namespace) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         results_path = out_dir / "results.csv"
         write_records_csv(results_path, records)
-        for path in [results_path] + write_report_files(out_dir, records, include_chart=False):
+        for path in [results_path] + write_report_files(
+            out_dir, records, payload, include_chart=False
+        ):
             print(f"wrote {path}")
     return 0
 

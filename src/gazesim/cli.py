@@ -114,6 +114,12 @@ def _load_config(path: str | None) -> RunConfig:
     return parse_config(text, base_dir=file_path.parent)
 
 
+def _seed_flag(seed: int | None) -> int | None:
+    if seed is not None and seed < 0:
+        raise ConfigError(f"--seed: expected a non-negative integer, got {seed}")
+    return seed
+
+
 def stats_payload(records) -> dict:
     """The stats.json document. A statistic the records cannot support
     (a method missing a situation, fewer than two trials per cell, one
@@ -177,14 +183,18 @@ def _write_json(path: Path, payload) -> None:
     )
 
 
-def write_report_files(out_dir: Path, records, include_chart: bool) -> list[Path]:
+def write_report_files(
+    out_dir: Path, records, stats: dict, include_chart: bool
+) -> list[Path]:
+    """Write summary.csv, stats.json (`stats`, from `stats_payload(records)`)
+    and optionally chart.json."""
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     summary_path = out_dir / "summary.csv"
     write_summary_csv(summary_path, success_ratio(records))
     written.append(summary_path)
     stats_path = out_dir / "stats.json"
-    _write_json(stats_path, stats_payload(records))
+    _write_json(stats_path, stats)
     written.append(stats_path)
     if include_chart:
         chart_path = out_dir / "chart.json"
@@ -195,7 +205,9 @@ def write_report_files(out_dir: Path, records, include_chart: bool) -> list[Path
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    seed = args.seed if args.seed is not None else config.base_seed
+    seed = _seed_flag(args.seed)
+    if seed is None:
+        seed = config.base_seed
     method = Method(args.method)
     situation = ViewingSituation(args.situation)
     trace = TraceWriter(sys.stdout)
@@ -216,8 +228,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    if args.seed is not None:
-        config = replace(config, base_seed=args.seed)
+    seed = _seed_flag(args.seed)
+    if seed is not None:
+        config = replace(config, base_seed=seed)
     out_dir = Path(args.out if args.out is not None else config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     trace_dir = out_dir / "traces" if (args.trace or config.trace) else None
@@ -225,7 +238,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     results_path = out_dir / "results.csv"
     write_records_csv(results_path, records)
     written = [results_path]
-    written += write_report_files(out_dir, records, include_chart=False)
+    written += write_report_files(
+        out_dir, records, stats_payload(records), include_chart=False
+    )
     for path in written:
         print(f"wrote {path}")
     return 0
@@ -276,6 +291,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 def _cmd_track_demo(args: argparse.Namespace) -> int:
     if args.runs < 1 or args.frames < 31:
         raise ConfigError("track-demo needs --runs >= 1 and --frames >= 31")
+    _seed_flag(args.seed)
     scenario = default_scenario()
     seat = scenario.human_seat
     sensor = scenario.sensor_pose
@@ -340,7 +356,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if not records:
         raise ConfigError(f"{csv_path}: no records")
     out_dir = Path(args.out) if args.out is not None else csv_path.parent
-    for path in write_report_files(out_dir, records, include_chart=True):
+    for path in write_report_files(
+        out_dir, records, stats_payload(records), include_chart=True
+    ):
         print(f"wrote {path}")
     return 0
 

@@ -43,6 +43,10 @@ class RunConfig:
             raise ConfigError("situations: must not be empty")
         if self.n_per_cell < 1:
             raise ConfigError(f"n_per_cell: must be >= 1, got {self.n_per_cell}")
+        if self.base_seed < 0:
+            raise ConfigError(
+                f"base_seed: expected a non-negative integer, got {self.base_seed}"
+            )
 
 
 def _require_keys(obj: Mapping[str, Any], allowed: set[str], path: str) -> None:

@@ -12,7 +12,10 @@ so a trial's decisions are identical whichever engine runs it:
            head camera; no laser or filter.
 - "event": closed-form timeline of the same protocol; no ticks at all.
            Decisions and latencies are drawn from the same per-decision
-           streams, so records match the tick engines.
+           streams, so records match the tick engines. The trials of a
+           (method, situation) cell run as one batch: their seeds and
+           draws are computed over arrays, bit for bit the values of the
+           per-trial streams.
 """
 from __future__ import annotations
 
@@ -22,6 +25,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Literal, NamedTuple
+
+import numpy as np
 
 from .body_tracker import BodyTracker, FilterConfig, body_orientation_for_srm
 from .config import ConfigError, RunConfig
@@ -51,9 +56,12 @@ from .head_tracker import observe_head
 from .human import (
     BODY_TURN_SPEED_DEG_S,
     HEAD_TURN_SPEED_DEG_S,
+    LATENCY_MAX_S,
+    LATENCY_MIN_S,
     ROBOT_TARGET,
     ResponseTable,
     derive_response_table,
+    draw_gaze,
     gaze_bearing_to,
     gaze_duration,
     human_step,
@@ -69,7 +77,9 @@ from .seeding import (
     STREAM_INIT,
     STREAM_LASER,
     STREAM_RESPOND,
+    derive_rngs,
     derive_seed,
+    derive_seeds,
 )
 from .situation import (
     CENTRAL_HALF_WIDTH_DEG,
@@ -101,7 +111,7 @@ class TrialAbortError(RuntimeError):
     startup budget: the scenario is miscalibrated, not the protocol."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialRecord:
     trial_id: int
     method: Method
@@ -174,7 +184,12 @@ def run_trial_detailed(
     if mode not in TRIAL_MODES:
         raise ValueError(f"unknown trial mode {mode!r}")
     if mode == "event":
-        return _run_event(scenario, method, situation, seed, trial_id, trace)
+        seeds = np.asarray([seed])
+        batch = _run_event_batch(scenario, method, situation, seeds, trial_id)
+        events = tuple(batch.events(0))
+        if trace:
+            _trace_events(trace, events)
+        return TrialDetail(record=batch.records[0], events=events, ticks=None)
     return _run_ticks(
         scenario, method, situation, seed, mode, trial_id, trace, collect_ticks
     )
@@ -182,10 +197,11 @@ def run_trial_detailed(
 
 def _plan_response(
     window_start_s: float,
-    latency_s: float,
+    latency_s: float | np.ndarray,
     bearing_to_robot_deg: float,
-) -> tuple[float, float]:
-    """When the visitor starts turning and when the face gate opens.
+) -> tuple[np.ndarray, np.ndarray]:
+    """When the visitor starts turning and when the face gate opens, for
+    one latency draw or an array of them.
 
     The latency draw is the time from window start until the eyes land on
     the robot, so the turn is scheduled backward from that arrival. The
@@ -194,7 +210,7 @@ def _plan_response(
     """
     b0 = abs(bearing_to_robot_deg)
     turn_s = b0 / HEAD_TURN_SPEED_DEG_S
-    arrival_s = window_start_s + max(latency_s, turn_s)
+    arrival_s = window_start_s + np.maximum(latency_s, turn_s)
     fire_s = arrival_s - turn_s
     detect_s = arrival_s - min(b0, FACE_TOLERANCE_DEG) / HEAD_TURN_SPEED_DEG_S
     return fire_s, detect_s
@@ -352,7 +368,7 @@ def _run_ticks(
                     latency,
                     gaze_bearing_to(human, robot.position),
                 )
-                schedule_response(human, fire_s, drawn_gaze_s)
+                schedule_response(human, float(fire_s), drawn_gaze_s)
 
         for event in events:
             if event.kind is EventKind.FACE_DETECTED:
@@ -404,14 +420,21 @@ def _analytic_confirm_s(situation: ViewingSituation) -> float:
     return stable_s + PERSISTENCE_FRAMES / 30.0
 
 
-def _run_event(
-    scenario: Scenario,
-    method: Method,
-    situation: ViewingSituation,
-    seed: int,
-    trial_id: int,
-    trace: TraceWriter | None,
-) -> TrialDetail:
+class _EventCell(NamedTuple):
+    """The closed-form timeline of one (method, situation) cell. The robot's
+    moves up to each prompt's response window depend on no draw, because a
+    prompt is only reached when every earlier window expired."""
+
+    method: Method
+    situation: ViewingSituation
+    prompts: tuple[tuple[RobotEvent, ...], ...]  # each prompt up to its window
+    window_starts: tuple[float, ...]
+    gaze_offset_deg: float
+
+
+def _event_cell(
+    scenario: Scenario, method: Method, situation: ViewingSituation, trial_id: int
+) -> _EventCell:
     painting = scenario.painting_for(situation)
     settled = settled_instant(scenario, painting)
     if settled is not situation:
@@ -428,74 +451,145 @@ def _run_event(
     )
     target_pan_deg = clamp_pan(relative_bearing(robot, seat.position))
 
-    events: list[RobotEvent] = []
     t = _analytic_confirm_s(situation)
     pan = 0.0
-    responded = False
-    responding_action: RobotAction | None = None
-    latency_s: float | None = None
-    gaze_s: float | None = None
-
-    for cursor, action in enumerate(method.capture_plan):
+    prompts = []
+    window_starts = []
+    for action in method.capture_plan:
         if action is RobotAction.HT:
-            events.append(RobotEvent(t, EventKind.HEAD_TURN_START))
+            start = RobotEvent(t, EventKind.HEAD_TURN_START)
             t += abs(target_pan_deg - pan) / TURN_SPEED_DEG_S
             pan = target_pan_deg
-            events.append(RobotEvent(t, EventKind.HEAD_TURN_END))
-            window_start = t
+            prompts.append((start, RobotEvent(t, EventKind.HEAD_TURN_END)))
         elif action is RobotAction.HS:
-            events.append(RobotEvent(t, EventKind.HEAD_SHAKE_START))
+            start = RobotEvent(t, EventKind.HEAD_SHAKE_START)
             t += 4.0 * SHAKE_HALF_SWING_DEG / SHAKE_SPEED_DEG_S
-            events.append(RobotEvent(t, EventKind.HEAD_SHAKE_END))
-            window_start = t
+            prompts.append((start, RobotEvent(t, EventKind.HEAD_SHAKE_END)))
         else:
-            events.append(RobotEvent(t, EventKind.UTTERANCE, UTTERANCE_TEXT))
+            prompts.append((RobotEvent(t, EventKind.UTTERANCE, UTTERANCE_TEXT),))
             t += UTTERANCE_DURATION_S
-            window_start = t
-        ok, latency = respond(
-            action, situation, _table(), derive_seed(seed, STREAM_RESPOND, cursor)
-        )
-        if ok:
-            assert latency is not None
-            gaze_s = gaze_duration(method.ensure_blink, derive_seed(seed, STREAM_GAZE))
-            _, detect_s = _plan_response(window_start, latency, gaze_offset_deg)
-            latency_s = detect_s - window_start
-            events.append(RobotEvent(detect_s, EventKind.FACE_DETECTED))
-            if method.ensure_blink:
-                for i in range(3):
-                    events.append(
-                        RobotEvent(detect_s + float(i), EventKind.BLINK_PULSE)
-                    )
-            events.append(RobotEvent(detect_s + 3.0, EventKind.SUCCESS))
-            responded = True
-            responding_action = action
-            break
-        t = window_start + RESPONSE_WINDOW_S
-        events.append(RobotEvent(t, EventKind.WINDOW_EXPIRED))
-    if not responded:
-        events.append(RobotEvent(t, EventKind.FAILURE))
-
-    if trace:
-        for event in events:
-            trace.emit(event.time_s, "ctrl", event.kind.value, event.detail)
-
-    record = TrialRecord(
-        trial_id=trial_id,
-        method=method,
-        situation=situation,
-        responded=responded,
-        responding_action=responding_action,
-        response_latency_s=latency_s,
-        gaze_time_s=gaze_s,
-        seed=seed,
+        window_starts.append(t)
+        t += RESPONSE_WINDOW_S
+    return _EventCell(
+        method, situation, tuple(prompts), tuple(window_starts), gaze_offset_deg
     )
-    return TrialDetail(record=record, events=tuple(events), ticks=None)
+
+
+def _event_outcomes(
+    cell: _EventCell, seeds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every trial of a cell at once: the index of the prompt each trial
+    responds to (-1 when none does), when the face gate opens, and the
+    gaze span. The draws are those of `respond` and `gaze_duration` on
+    the same streams, computed over arrays."""
+    n = len(seeds)
+    cursor = np.full(n, -1)
+    detect_s = np.full(n, math.nan)
+    gaze_s = np.full(n, math.nan)
+    pending = np.arange(n)
+    for k, action in enumerate(cell.method.capture_plan):
+        rngs = derive_rngs(derive_seeds(seeds[pending], STREAM_RESPOND, k))
+        ok = rngs.random() < _table().probability(action, cell.situation)
+        latency_s = rngs.uniform(LATENCY_MIN_S, LATENCY_MAX_S)[ok]
+        hit = pending[ok]
+        cursor[hit] = k
+        _, detect_s[hit] = _plan_response(
+            cell.window_starts[k], latency_s, cell.gaze_offset_deg
+        )
+        pending = pending[~ok]
+        if not len(pending):
+            break
+    hit = np.flatnonzero(cursor >= 0)
+    if len(hit):
+        # The ziggurat normal stays scalar: one generator takes each
+        # trial's gaze stream state in turn.
+        bit_generator = np.random.PCG64(0)
+        rng = np.random.Generator(bit_generator)
+        blinked = cell.method.ensure_blink
+        gaze = []
+        for state in derive_rngs(derive_seeds(seeds[hit], STREAM_GAZE)).states():
+            bit_generator.state = state
+            gaze.append(draw_gaze(blinked, rng))
+        gaze_s[hit] = gaze
+    return cursor, detect_s, gaze_s
+
+
+class _EventBatch(NamedTuple):
+    """The trials of one cell run by the event engine."""
+
+    cell: _EventCell
+    records: list[TrialRecord]
+    cursor: np.ndarray
+    detect_s: np.ndarray
+
+    def events(self, i: int) -> list[RobotEvent]:
+        return _event_timeline(self.cell, int(self.cursor[i]), float(self.detect_s[i]))
+
+
+def _run_event_batch(
+    scenario: Scenario,
+    method: Method,
+    situation: ViewingSituation,
+    seeds: np.ndarray,
+    first_trial_id: int,
+) -> _EventBatch:
+    """Trials of one cell with consecutive ids, from their seeds."""
+    cell = _event_cell(scenario, method, situation, first_trial_id)
+    cursor, detect_s, gaze_s = _event_outcomes(cell, seeds)
+    latency_s = detect_s - np.asarray(cell.window_starts)[np.maximum(cursor, 0)]
+    plan = method.capture_plan
+    records = [
+        TrialRecord(
+            first_trial_id + i, method, situation, True, plan[k], latency, gaze, seed
+        )
+        if k >= 0
+        else TrialRecord(
+            first_trial_id + i, method, situation, False, None, None, None, seed
+        )
+        for i, (seed, k, latency, gaze) in enumerate(
+            zip(seeds.tolist(), cursor.tolist(), latency_s.tolist(), gaze_s.tolist())
+        )
+    ]
+    return _EventBatch(cell, records, cursor, detect_s)
+
+
+def _event_timeline(cell: _EventCell, cursor: int, detect_s: float) -> list[RobotEvent]:
+    """One trial's events, from the prompt it responded to and when."""
+    events: list[RobotEvent] = []
+    for k, prompt in enumerate(cell.prompts):
+        events.extend(prompt)
+        if k == cursor:
+            events.append(RobotEvent(detect_s, EventKind.FACE_DETECTED))
+            if cell.method.ensure_blink:
+                for i in range(3):
+                    events.append(RobotEvent(detect_s + float(i), EventKind.BLINK_PULSE))
+            events.append(RobotEvent(detect_s + 3.0, EventKind.SUCCESS))
+            return events
+        events.append(
+            RobotEvent(cell.window_starts[k] + RESPONSE_WINDOW_S, EventKind.WINDOW_EXPIRED)
+        )
+    events.append(RobotEvent(events[-1].time_s, EventKind.FAILURE))
+    return events
+
+
+def _trace_events(trace: TraceWriter, events: Iterable[RobotEvent]) -> None:
+    for event in events:
+        trace.emit(event.time_s, "ctrl", event.kind.value, event.detail)
 
 
 def trial_seed(base_seed: int, method: Method, situation: ViewingSituation, rep: int) -> int:
     """Per-trial seed, stable under subsetting methods or situations."""
     return derive_seed(
         base_seed, METHODS.index(method), SITUATIONS.index(situation), rep
+    )
+
+
+def trial_seeds(
+    base_seed: int, method: Method, situation: ViewingSituation, n: int
+) -> np.ndarray:
+    """`trial_seed` of reps 0..n-1, as uint64."""
+    return derive_seeds(
+        base_seed, METHODS.index(method), SITUATIONS.index(situation), np.arange(n)
     )
 
 
@@ -526,6 +620,10 @@ def _trial_worker(
         )
 
 
+def _trace_path(trace_dir: Path | None, trial_id: int) -> str | None:
+    return str(trace_dir / f"trial_{trial_id:06d}.jsonl") if trace_dir else None
+
+
 def run_experiment(
     config: RunConfig,
     mode: TrialMode = "event",
@@ -536,8 +634,10 @@ def run_experiment(
 
     Seeds depend only on (base_seed, method, situation, rep), so a subset
     run reproduces the corresponding records of the full design exactly,
-    and workers can run trials in any order. The pool never holds more
-    workers than there are cores or trials.
+    and workers can run trials in any order. Event mode runs each cell as
+    one batch in this process, whatever `jobs` says. The tick modes run
+    trial by trial on a pool that never holds more workers than there are
+    cores or trials.
     """
     if config.n_per_cell < 1:
         raise ValueError("n_per_cell must be at least 1")
@@ -548,32 +648,38 @@ def run_experiment(
     if trace_dir is not None:
         trace_dir = Path(trace_dir)
         trace_dir.mkdir(parents=True, exist_ok=True)
-    tasks = []
-    for method in config.methods:
-        for situation in config.situations:
-            for rep in range(config.n_per_cell):
-                tid = trial_identifier(method, situation, rep, config.n_per_cell)
-                trace_path = (
-                    str(trace_dir / f"trial_{tid:06d}.jsonl") if trace_dir else None
-                )
-                tasks.append(
-                    (
-                        config.scenario,
-                        method,
-                        situation,
-                        trial_seed(config.base_seed, method, situation, rep),
-                        mode,
-                        tid,
-                        trace_path,
-                    )
-                )
-    workers = min(jobs, os.cpu_count() or 1, len(tasks))
-    if workers > 1:
-        chunk = max(1, len(tasks) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_trial_worker, tasks, chunksize=chunk))
+    n = config.n_per_cell
+    cells = [
+        (method, situation, trial_identifier(method, situation, 0, n),
+         trial_seeds(config.base_seed, method, situation, n))
+        for method in config.methods
+        for situation in config.situations
+    ]
+    records: list[TrialRecord] = []
+    if mode == "event":
+        for method, situation, first_id, seeds in cells:
+            batch = _run_event_batch(config.scenario, method, situation, seeds, first_id)
+            records += batch.records
+            if trace_dir is None:
+                continue
+            for i in range(len(seeds)):
+                path = _trace_path(trace_dir, first_id + i)
+                with open(path, "w", encoding="utf-8") as fp:
+                    _trace_events(TraceWriter(fp), batch.events(i))
     else:
-        records = [_trial_worker(task) for task in tasks]
+        tasks = [
+            (config.scenario, method, situation, seed, mode, first_id + rep,
+             _trace_path(trace_dir, first_id + rep))
+            for method, situation, first_id, seeds in cells
+            for rep, seed in enumerate(seeds.tolist())
+        ]
+        workers = min(jobs, os.cpu_count() or 1, len(tasks))
+        if workers > 1:
+            chunk = max(1, len(tasks) // (workers * 8))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                records = list(pool.map(_trial_worker, tasks, chunksize=chunk))
+        else:
+            records = [_trial_worker(task) for task in tasks]
     records.sort(key=lambda r: r.trial_id)
     return records
 

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from .controller import Method, RobotAction
 from .geometry import HeadPose, Pose2, bearing_to, move_toward_angle, normalize_angle
 from .scenario import Scenario
@@ -162,12 +164,16 @@ def respond(
 
 def gaze_duration(blinked: bool, seed: int) -> float:
     """How long the person keeps looking at the robot after gaze crossing."""
+    return draw_gaze(blinked, derive_rng(seed))
+
+
+def draw_gaze(blinked: bool, rng: np.random.Generator) -> float:
+    """`gaze_duration`'s draw from a generator already on the gaze stream."""
     mean, var = (
         (GAZE_MEAN_BLINK_S, GAZE_VAR_BLINK)
         if blinked
         else (GAZE_MEAN_PLAIN_S, GAZE_VAR_PLAIN)
     )
-    rng = derive_rng(seed)
     sd = math.sqrt(var)
     while True:
         draw = float(rng.normal(mean, sd))

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
-from scipy.stats import f as f_distribution
+from scipy.special import fdtrc
 
 from .controller import METHODS, Method
 from .harness import TrialRecord
@@ -173,7 +173,7 @@ def anova_two_way(
         elif f_value == 0.0:
             p_value = 1.0
         else:
-            p_value = float(f_distribution.sf(f_value, df, df_within))
+            p_value = float(fdtrc(df, df_within, f_value))
         eta_squared = ss / ss_total if ss_total > 0 else 0.0
         return {
             "F": f_value,

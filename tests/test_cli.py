@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from gazesim import harness
-from gazesim.cli import main
+from gazesim.cli import main, stats_payload
 from gazesim.config import scenario_to_dict
 from gazesim.harness import RESULTS_CSV_HEADER
 from gazesim.scenario import default_scenario
@@ -231,6 +231,28 @@ class TestExperiment:
         assert code == 1
         assert "cannot read" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment", "--seed", "-1"],
+            ["experiment", "--config", "{config}"],
+            ["simulate", "--seed", "-1", "--mode", "event"],
+            ["track-demo", "--seed", "-1", "--runs", "1", "--frames", "40"],
+        ],
+    )
+    def test_negative_seed_exits_one(self, tmp_path, capsys, argv):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"base_seed": -5, "n_per_cell": 1}))
+        argv = [arg.format(config=config_path) for arg in argv]
+        if argv[0] == "experiment":
+            argv += ["--out", str(tmp_path / "out")]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert "expected a non-negative integer" in err
+        assert "Traceback" not in err
+        assert out == ""
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exits_one(self, tmp_path, capsys, jobs):
         code, _, err = run_cli(
@@ -261,7 +283,8 @@ class TestExperiment:
         self, tmp_path, capsys, monkeypatch, situations, jobs, workers
     ):
         # A stand-in pool records its size and runs the trials in-process,
-        # so no worker process is started whatever --jobs says.
+        # so no worker process is started whatever --jobs says. Only the
+        # tick modes use the pool.
         sizes = []
 
         class RecordingPool:
@@ -292,6 +315,8 @@ class TestExperiment:
                 str(tmp_path / "out"),
                 "--jobs",
                 jobs,
+                "--mode",
+                "ideal",
             ],
             capsys,
         )
@@ -368,6 +393,30 @@ class TestReproduceScript:
         assert code == 1
         assert err.startswith("reproduce_results: jobs must be at least 1")
         assert "Traceback" not in err
+
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code = load_reproduce_script().main(
+            ["--n-per-cell", "2", "--seed", "-1", "--out", str(out_dir)]
+        )
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err.startswith("reproduce_results: base_seed: expected a non-negative")
+        assert "Traceback" not in err
+        assert out == ""
+        assert not out_dir.exists()
+
+    def test_statistics_computed_once(self, tmp_path, capsys, monkeypatch):
+        script = load_reproduce_script()
+        calls = []
+
+        def counting_payload(records):
+            calls.append(len(records))
+            return stats_payload(records)
+
+        monkeypatch.setattr(script, "stats_payload", counting_payload)
+        assert script.main(["--n-per-cell", "2", "--out", str(tmp_path / "out")]) == 0
+        assert calls == [32]
 
     def test_stats_json_has_the_cli_schema(self, tmp_path, capsys):
         script_out = tmp_path / "script"

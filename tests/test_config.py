@@ -51,6 +51,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="n_per_cell"):
             parse_config('{"n_per_cell": 0}')
 
+    def test_negative_base_seed_rejected(self):
+        with pytest.raises(ConfigError, match="base_seed: expected a non-negative integer"):
+            parse_config('{"base_seed": -5}')
+        with pytest.raises(ConfigError, match="base_seed"):
+            RunConfig(base_seed=-1)
+
     def test_bool_is_not_an_int(self):
         with pytest.raises(ConfigError, match="n_per_cell"):
             parse_config('{"n_per_cell": true}')

@@ -18,6 +18,8 @@ FULL_M4_SEED42 = "53f3f2f0ec5f526e06816ae10c74c60ae2ea6d343e92340237b0f243d2d253
 EVENT_N1000_SEED42 = "8b56f3a611b02213e0ef477e8c38492a8a19f2f2b1918a2ae681b6b120d5f13e"
 IDEAL_N10_SEED42 = "df4569188143a78459eb0a32f564ad8b9b28a462de294088eeba3722afc5e0da"
 IDEAL_TIMELINE_SEED42 = "c067f7ff02fb8629725079f56f9e548f67eef89f28e3b4473538901306e14f8b"
+EVENT_TIMELINE_SEED42 = "78ded016282fbac97f349a9cb5bdc5b8bf1d42a79929e2534bb9253217b8e3fd"
+EVENT_N1000_STATS_SEED42 = "79c2dbe57055f95d6c66524afc8cd414d957b0852cead2519fc15dd72c5ad0f5"
 TIMELINE_REPS = 8
 ALL_METHODS = ["M1", "M2", "M3", "M4"]
 
@@ -75,3 +77,38 @@ def test_tick_engine_event_timeline():
                 digest.update(b"\n")
     assert kinds == set(EventKind)
     assert digest.hexdigest() == IDEAL_TIMELINE_SEED42
+
+
+def test_event_engine_timeline(tmp_path, capsys):
+    """Full-precision event-mode outputs, which results.csv rounds to six
+    decimals: every event (time, kind, detail) and each record's latency
+    and gaze over 8 trials of each of the 16 cells, and the stats.json of
+    the n=1000 design."""
+    scenario = default_scenario()
+    digest = hashlib.sha256()
+    for method in METHODS:
+        for situation in SITUATIONS:
+            for rep in range(TIMELINE_REPS):
+                detail = run_trial_detailed(
+                    scenario,
+                    method,
+                    situation,
+                    trial_seed(42, method, situation, rep),
+                    mode="event",
+                )
+                for event in detail.events:
+                    line = f"{event.time_s!r} {event.kind.value} {event.detail!r}\n"
+                    digest.update(line.encode())
+                record = detail.record
+                line = f"{record.response_latency_s!r} {record.gaze_time_s!r}\n\n"
+                digest.update(line.encode())
+    assert digest.hexdigest() == EVENT_TIMELINE_SEED42
+
+    config_path = tmp_path / "config.json"
+    config_path.write_text(
+        json.dumps({"methods": ALL_METHODS, "n_per_cell": 1000, "base_seed": 42})
+    )
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(config_path), "--out", str(out)]) == 0
+    stats_digest = hashlib.sha256((out / "stats.json").read_bytes()).hexdigest()
+    assert stats_digest == EVENT_N1000_STATS_SEED42

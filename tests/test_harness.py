@@ -1,10 +1,20 @@
 import dataclasses
 import io
+import math
+import pickle
 
 import pytest
 
+from gazesim import harness
 from gazesim.config import RunConfig
-from gazesim.controller import METHODS, TICK_S, EventKind, Method, RobotAction
+from gazesim.controller import (
+    FACE_TOLERANCE_DEG,
+    METHODS,
+    TICK_S,
+    EventKind,
+    Method,
+    RobotAction,
+)
 from gazesim.harness import (
     RESULTS_CSV_HEADER,
     TrialAbortError,
@@ -16,9 +26,17 @@ from gazesim.harness import (
     run_trial_detailed,
     trial_identifier,
     trial_seed,
+    trial_seeds,
     write_records_csv,
 )
+from gazesim.human import (
+    HEAD_TURN_SPEED_DEG_S,
+    derive_response_table,
+    gaze_duration,
+    respond,
+)
 from gazesim.scenario import default_scenario
+from gazesim.seeding import STREAM_GAZE, STREAM_RESPOND, derive_seed
 from gazesim.situation import SITUATIONS, ViewingSituation
 
 CFOV = ViewingSituation.CFOV
@@ -42,6 +60,14 @@ class TestTrialRecordInvariants:
         TrialRecord(0, Method.M1, CFOV, False, None, None, None, 42)
 
 
+    def test_pickles_and_converts_to_a_dict(self):
+        record = TrialRecord(3, Method.M4, OFOV, True, RobotAction.RT, 1.25, 2.5, 2**64 - 1)
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert dataclasses.asdict(record)["seed"] == 2**64 - 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.seed = 0
+
+
 class TestSeedDiscipline:
     def test_trial_seed_depends_on_all_inputs(self):
         base = trial_seed(42, Method.M1, CFOV, 0)
@@ -57,6 +83,56 @@ class TestSeedDiscipline:
         assert trial_identifier(Method.M1, NPFOV, 0, n) == 10
         assert trial_identifier(Method.M2, CFOV, 3, n) == 43
         assert trial_identifier(Method.M4, OFOV, 9, n) == 159
+
+
+def scalar_outcome(cell, seed):
+    """One trial drawn decision by decision with `respond` and
+    `gaze_duration`, the per-trial path the cell engine batches: the
+    responding prompt (-1 for none), the face-gate time and the gaze."""
+    table = derive_response_table()
+    for k, action in enumerate(cell.method.capture_plan):
+        ok, latency = respond(
+            action, cell.situation, table, derive_seed(seed, STREAM_RESPOND, k)
+        )
+        if ok:
+            b0 = abs(cell.gaze_offset_deg)
+            turn_s = b0 / HEAD_TURN_SPEED_DEG_S
+            arrival_s = cell.window_starts[k] + max(latency, turn_s)
+            detect_s = arrival_s - min(b0, FACE_TOLERANCE_DEG) / HEAD_TURN_SPEED_DEG_S
+            gaze_s = gaze_duration(cell.method.ensure_blink, derive_seed(seed, STREAM_GAZE))
+            return k, detect_s, gaze_s
+    return -1, math.nan, math.nan
+
+
+class TestEventEngine:
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("situation", SITUATIONS)
+    def test_cell_outcomes_equal_per_trial_draws(self, method, situation):
+        seeds = trial_seeds(42, method, situation, 200)
+        cell = harness._event_cell(SC, method, situation, 0)
+        cursor, detect_s, gaze_s = harness._event_outcomes(cell, seeds)
+        batched = list(zip(cursor.tolist(), detect_s.tolist(), gaze_s.tolist()))
+        expected = [scalar_outcome(cell, seed) for seed in seeds.tolist()]
+        # NaN marks a trial without response; compare it as None.
+        def nan_free(rows):
+            return [tuple(None if v != v else v for v in row) for row in rows]
+
+        assert nan_free(batched) == nan_free(expected)
+        assert (cursor >= 0).any()
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**63 + 7, 2**64 - 1, 2**64, 2**70 + 3])
+    def test_single_trial_seeds_of_any_width(self, seed):
+        for method in METHODS:
+            cell = harness._event_cell(SC, method, OFOV, 0)
+            k, detect_s, gaze_s = scalar_outcome(cell, seed)
+            record = run_trial(SC, method, OFOV, seed, mode="event")
+            assert record.seed == seed
+            if k < 0:
+                assert not record.responded
+                continue
+            assert record.responding_action is method.capture_plan[k]
+            assert record.response_latency_s == detect_s - cell.window_starts[k]
+            assert record.gaze_time_s == gaze_s
 
 
 def assert_same_outcome(ticked, ev):
@@ -166,7 +242,29 @@ class TestRunExperiment:
 
     def test_parallel_equals_serial(self):
         config = RunConfig(n_per_cell=2, base_seed=5)
+        assert run_experiment(config, mode="ideal", jobs=2) == run_experiment(
+            config, mode="ideal", jobs=1
+        )
+
+    def test_event_mode_starts_no_process(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("event mode started a process pool")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        config = RunConfig(n_per_cell=4, base_seed=5)
         assert run_experiment(config, jobs=2) == run_experiment(config, jobs=1)
+
+    @pytest.mark.parametrize("base", [0, 2**32, 2**64 + 1, 2**128 + 3])
+    def test_design_batches_equal_single_trials(self, base):
+        records = run_experiment(RunConfig(n_per_cell=3, base_seed=base))
+        for record in records:
+            rep = record.trial_id % 3
+            assert record.seed == trial_seed(base, record.method, record.situation, rep)
+            single = run_trial(
+                SC, record.method, record.situation, record.seed, mode="event",
+                trial_id=record.trial_id,
+            )
+            assert single == record
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.stats import f as f_distribution
 
 from gazesim.controller import Method, RobotAction
 from gazesim.harness import TrialRecord
@@ -203,6 +209,40 @@ class TestAnova:
         }
         with pytest.raises(ValueError):
             anova_two_way(cells)
+
+
+    def test_p_values_equal_scipy_stats_f_sf(self):
+        # anova_two_way computes the F tail with scipy.special.fdtrc; the
+        # scipy.stats F distribution is the reference.
+        rng = np.random.default_rng(3)
+        compared = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 300))
+            methods, situations = rng.integers(2, 5, size=2)
+            rates = rng.uniform(0.05, 0.95, (methods, situations))
+            cells = {
+                (m, s): (rng.random(n) < rates[i, j]).astype(float).tolist()
+                for i, m in enumerate(list(Method)[:methods])
+                for j, s in enumerate(SITUATIONS[:situations])
+            }
+            result = anova_two_way(cells)
+            for effect in ("method", "situation", "interaction"):
+                row = result[effect]
+                if 0.0 < row["F"] < math.inf:
+                    expected = float(f_distribution.sf(row["F"], *row["df"]))
+                    assert row["p"] == expected
+                    compared += 1
+        assert compared >= 100
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        probe = "import sys, gazesim; print('scipy.stats' in sys.modules)"
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+            check=True, timeout=120,
+        )
+        assert result.stdout.strip() == "False"
 
 
 class TestBonferroni:
