@@ -25,7 +25,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from gazesim.cli import stats_payload, write_report_files
 from gazesim.config import ConfigError, RunConfig
 from gazesim.controller import METHODS, Method
-from gazesim.harness import TRIAL_MODES, run_experiment, write_records_csv
+from gazesim.harness import (
+    TRIAL_MODES,
+    TrialAbortError,
+    run_experiment,
+    write_records_csv,
+)
 from gazesim.human import REFERENCE_SUCCESS_RATES
 from gazesim.situation import SITUATIONS
 from gazesim.stats import gaze_stats, success_ratio
@@ -46,6 +51,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"reproduce_results: {exc}", file=sys.stderr)
         return 1
+    except TrialAbortError as exc:
+        print(f"reproduce_results: aborted: {exc}", file=sys.stderr)
+        return 2
 
 
 def _run(args: argparse.Namespace) -> int:

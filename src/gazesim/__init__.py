@@ -71,6 +71,7 @@ from .laser import (
     scan_to_points,
     synthesize_scan,
 )
+from .records import Records
 from .scenario import (
     Painting,
     Scenario,

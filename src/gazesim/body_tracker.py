@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import Pose2, normalize_angle
-from .laser import BEAM_ANGLES_DEG, MAX_RANGE_M, LaserScan, scan_to_points
+from .laser import LaserScan, scan_to_points
 from .seeding import derive_rng
 
 MIN_WEIGHT = 1e-300
@@ -235,9 +235,7 @@ def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nda
     return np.searchsorted(cumulative, positions)
 
 
-def _estimate(
-    states: np.ndarray, weights: np.ndarray, sensor: Pose2, converged: bool
-) -> BodyEstimate:
+def _estimate(states: np.ndarray, weights: np.ndarray, sensor: Pose2) -> BodyEstimate:
     w = weights
     x = float(np.dot(w, states[:, 0]))
     y = float(np.dot(w, states[:, 1]))
@@ -252,20 +250,8 @@ def _estimate(
         theta_deg=normalize_angle(theta),
         distance_m=sensor.distance_to((x, y)),
         n_effective=n_eff,
-        converged=converged,
+        converged=True,
     )
-
-
-def _reinit_over_field(scan: LaserScan, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform hypotheses over the sensor's fan, used on track loss."""
-    rel = rng.uniform(BEAM_ANGLES_DEG[0], BEAM_ANGLES_DEG[-1], n)
-    rad = np.radians(scan.sensor_pose.heading_deg + rel)
-    r = rng.uniform(0.2, MAX_RANGE_M, n)
-    states = np.empty((n, 3))
-    states[:, 0] = scan.sensor_pose.x + r * np.cos(rad)
-    states[:, 1] = scan.sensor_pose.y + r * np.sin(rad)
-    states[:, 2] = rng.uniform(-180.0, 180.0, n)
-    return states
 
 
 def filter_step(
@@ -277,10 +263,9 @@ def filter_step(
     """One diffuse/weight/estimate/resample cycle on a uniformly weighted
     set; returns the resampled set and the estimate.
 
-    On total weight underflow (no hypothesis explains the scan) the set
-    is reinitialized uniformly over the sensor's field and the returned
-    estimate is flagged converged=False. Otherwise converged=True here;
-    BodyTracker additionally requires a warmup streak.
+    Every weight is floored at MIN_WEIGHT, so the total weight is positive
+    and finite and the set never needs reinitializing. The estimate is
+    flagged converged; BodyTracker clears the flag during its warmup.
     """
     rng = derive_rng(seed)
     n = len(states)
@@ -296,14 +281,8 @@ def filter_step(
     alphas = _batch_likelihoods(states, np.array([sensor.x, sensor.y]), scan_points, config)
     # Not alphas / n: the product rounds differently.
     weights = uniform * alphas
-    total = float(weights.sum())
-
-    if not math.isfinite(total) or total <= 0.0:
-        states = _reinit_over_field(scan, n, rng)
-        return states, _estimate(states, uniform, sensor, converged=False)
-
-    weights = weights / total
-    estimate = _estimate(states, weights, sensor, converged=True)
+    weights = weights / float(weights.sum())
+    estimate = _estimate(states, weights, sensor)
     idx = systematic_resample(weights, rng)
     return states[idx], estimate
 
@@ -312,7 +291,7 @@ def body_orientation_for_srm(estimate: BodyEstimate, robot: Pose2) -> float | No
     """Body facing relative to the body-to-robot direction, or None.
 
     None signals that the estimate is not ready to feed the situation
-    rules (filter still warming up or freshly reinitialized).
+    rules: the tracker is still in its warmup frames.
     """
     if not estimate.converged:
         return None
@@ -326,11 +305,11 @@ class BodyTracker:
     def __init__(self, config: FilterConfig, guess: Pose2, seed: int) -> None:
         self.config = config
         self.particles = init_particles(config, guess, seed)
-        self._healthy_streak = 0
+        self._frames = 0
 
     def step(self, scan: LaserScan, seed: int) -> BodyEstimate:
         self.particles, estimate = filter_step(self.particles, scan, self.config, seed)
-        self._healthy_streak = self._healthy_streak + 1 if estimate.converged else 0
-        if self._healthy_streak < self.config.warmup_frames:
+        self._frames += 1
+        if self._frames < self.config.warmup_frames:
             estimate = replace(estimate, converged=False)
         return estimate

@@ -150,13 +150,21 @@ def scenario_from_dict(obj: Any, path: str = "scenario") -> Scenario:
     for key in _POSE_KEYS:
         kwargs[key] = _parse_pose(obj[key], f"{path}.{key}")
     try:
-        return Scenario(
+        scenario = Scenario(
             paintings=tuple(paintings),
             situation_map=situation_map,
             **kwargs,
         )
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    # The body turns on the seat, so any point this close can end up inside it.
+    reach = scenario.body_semi_major_m
+    if scenario.sensor_pose.distance_to(scenario.human_seat.position) <= reach:
+        raise ConfigError(
+            f"{path}.sensor_pose: lies within body_semi_major_m ({reach} m) of "
+            "human_seat, inside the visitor's body"
+        )
+    return scenario
 
 
 def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:

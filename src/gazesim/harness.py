@@ -15,7 +15,7 @@ so a trial's decisions are identical whichever engine runs it:
            streams, so records match the tick engines. The trials of a
            (method, situation) cell run as one batch: their seeds and
            draws are computed over arrays, bit for bit the values of the
-           per-trial streams.
+           per-trial streams, and their records fill `Records` columns.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Literal, NamedTuple
+from typing import Iterable, Literal, NamedTuple
 
 import numpy as np
 
@@ -70,6 +70,12 @@ from .human import (
     schedule_response,
 )
 from .laser import EllipseBody, synthesize_scan
+from .records import ACTIONS, Records, TrialRecord
+from .records import (  # noqa: F401  re-exported: the CSV form of the records
+    RESULTS_CSV_HEADER,
+    read_records_csv,
+    write_records_csv,
+)
 from .scenario import Scenario, settled_instant
 from .seeding import (
     STREAM_FILTER,
@@ -100,38 +106,11 @@ TRIAL_TIME_CAP_S = 60.0
 TrialMode = Literal["full", "ideal", "event"]
 TRIAL_MODES = ("full", "ideal", "event")
 
-RESULTS_CSV_HEADER = (
-    "trial_id,method,situation,responded,responding_action,"
-    "response_latency_s,gaze_time_s,seed"
-)
-
-
 class TrialAbortError(RuntimeError):
-    """The recognizer never confirmed the intended situation within the
-    startup budget: the scenario is miscalibrated, not the protocol."""
-
-
-@dataclass(frozen=True, slots=True)
-class TrialRecord:
-    trial_id: int
-    method: Method
-    situation: ViewingSituation
-    responded: bool
-    responding_action: RobotAction | None
-    response_latency_s: float | None
-    gaze_time_s: float | None
-    seed: int
-
-    def __post_init__(self) -> None:
-        present = (
-            self.responding_action is not None,
-            self.response_latency_s is not None,
-            self.gaze_time_s is not None,
-        )
-        if self.responded and not all(present):
-            raise ValueError("responded trial must carry action, latency and gaze")
-        if not self.responded and any(present):
-            raise ValueError("failed trial must not carry action, latency or gaze")
+    """A trial cannot finish: the recognizer never confirmed the intended
+    situation within the startup budget (the scenario is miscalibrated,
+    not the protocol), or a tick-mode trial passed the trial time cap
+    without a terminal event."""
 
 
 class TickSample(NamedTuple):
@@ -257,8 +236,9 @@ def _run_ticks(
     while True:
         t = frame / 30.0
         if t > TRIAL_TIME_CAP_S:
-            raise RuntimeError(
-                f"trial exceeded {TRIAL_TIME_CAP_S} s without a terminal event"
+            raise TrialAbortError(
+                f"trial exceeded {TRIAL_TIME_CAP_S} s without a terminal event "
+                f"(trial {trial_id}, {method.value})"
             )
         human_step(human, scenario, t, TICK_S)
         if trace and human.attending != prev_attending:
@@ -518,7 +498,7 @@ class _EventBatch(NamedTuple):
     """The trials of one cell run by the event engine."""
 
     cell: _EventCell
-    records: list[TrialRecord]
+    records: Records
     cursor: np.ndarray
     detect_s: np.ndarray
 
@@ -536,20 +516,18 @@ def _run_event_batch(
     """Trials of one cell with consecutive ids, from their seeds."""
     cell = _event_cell(scenario, method, situation, first_trial_id)
     cursor, detect_s, gaze_s = _event_outcomes(cell, seeds)
-    latency_s = detect_s - np.asarray(cell.window_starts)[np.maximum(cursor, 0)]
-    plan = method.capture_plan
-    records = [
-        TrialRecord(
-            first_trial_id + i, method, situation, True, plan[k], latency, gaze, seed
-        )
-        if k >= 0
-        else TrialRecord(
-            first_trial_id + i, method, situation, False, None, None, None, seed
-        )
-        for i, (seed, k, latency, gaze) in enumerate(
-            zip(seeds.tolist(), cursor.tolist(), latency_s.tolist(), gaze_s.tolist())
-        )
-    ]
+    # Cursor -1, no response, takes the trailing -1.
+    plan = np.array([ACTIONS.index(a) for a in method.capture_plan] + [-1], np.int8)
+    n = len(seeds)
+    records = Records(
+        trial_id=np.arange(first_trial_id, first_trial_id + n, dtype=np.int64),
+        method=np.full(n, METHODS.index(method), np.int8),
+        situation=np.full(n, SITUATIONS.index(situation), np.int8),
+        action=plan[cursor],
+        latency=detect_s - np.asarray(cell.window_starts)[np.maximum(cursor, 0)],
+        gaze=gaze_s,
+        seed=seeds,
+    )
     return _EventBatch(cell, records, cursor, detect_s)
 
 
@@ -629,7 +607,7 @@ def run_experiment(
     mode: TrialMode = "event",
     jobs: int = 1,
     trace_dir: str | Path | None = None,
-) -> list[TrialRecord]:
+) -> Records:
     """All trials of the crossed design, sorted by trial id.
 
     Seeds depend only on (base_seed, method, situation, rep), so a subset
@@ -649,108 +627,41 @@ def run_experiment(
         trace_dir = Path(trace_dir)
         trace_dir.mkdir(parents=True, exist_ok=True)
     n = config.n_per_cell
-    cells = [
-        (method, situation, trial_identifier(method, situation, 0, n),
-         trial_seeds(config.base_seed, method, situation, n))
-        for method in config.methods
-        for situation in config.situations
-    ]
-    records: list[TrialRecord] = []
+    # In trial id order: each cell's ids are one consecutive block.
+    cells = sorted(
+        [
+            (trial_identifier(method, situation, 0, n), method, situation,
+             trial_seeds(config.base_seed, method, situation, n))
+            for method in config.methods
+            for situation in config.situations
+        ],
+        key=lambda cell: cell[0],
+    )
     if mode == "event":
-        for method, situation, first_id, seeds in cells:
+        parts = []
+        for first_id, method, situation, seeds in cells:
             batch = _run_event_batch(config.scenario, method, situation, seeds, first_id)
-            records += batch.records
+            parts.append(batch.records)
             if trace_dir is None:
                 continue
             for i in range(len(seeds)):
                 path = _trace_path(trace_dir, first_id + i)
                 with open(path, "w", encoding="utf-8") as fp:
                     _trace_events(TraceWriter(fp), batch.events(i))
+        records = Records.concat(parts)
     else:
         tasks = [
             (config.scenario, method, situation, seed, mode, first_id + rep,
              _trace_path(trace_dir, first_id + rep))
-            for method, situation, first_id, seeds in cells
+            for first_id, method, situation, seeds in cells
             for rep, seed in enumerate(seeds.tolist())
         ]
         workers = min(jobs, os.cpu_count() or 1, len(tasks))
         if workers > 1:
             chunk = max(1, len(tasks) // (workers * 8))
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                records = list(pool.map(_trial_worker, tasks, chunksize=chunk))
+                rows = list(pool.map(_trial_worker, tasks, chunksize=chunk))
         else:
-            records = [_trial_worker(task) for task in tasks]
-    records.sort(key=lambda r: r.trial_id)
-    return records
-
-
-def _fmt_opt_float(value: float | None) -> str:
-    return "" if value is None else f"{value:.6f}"
-
-
-def format_record_row(record: TrialRecord) -> str:
-    return ",".join(
-        (
-            str(record.trial_id),
-            record.method.value,
-            record.situation.value,
-            "true" if record.responded else "false",
-            record.responding_action.value if record.responding_action else "",
-            _fmt_opt_float(record.response_latency_s),
-            _fmt_opt_float(record.gaze_time_s),
-            str(record.seed),
-        )
-    )
-
-
-def write_records_csv(path: str | Path | IO[str], records: Iterable[TrialRecord]) -> None:
-    if hasattr(path, "write"):
-        _write_records(path, records)  # type: ignore[arg-type]
-        return
-    with open(path, "w", encoding="utf-8", newline="") as fp:
-        _write_records(fp, records)
-
-
-def _write_records(fp: IO[str], records: Iterable[TrialRecord]) -> None:
-    fp.write(RESULTS_CSV_HEADER + "\n")
-    for record in records:
-        fp.write(format_record_row(record) + "\n")
-
-
-def read_records_csv(path: str | Path | IO[str]) -> list[TrialRecord]:
-    if hasattr(path, "read"):
-        return _read_records(path)  # type: ignore[arg-type]
-    with open(path, "r", encoding="utf-8", newline="") as fp:
-        return _read_records(fp)
-
-
-def _read_records(fp: IO[str]) -> list[TrialRecord]:
-    header = fp.readline().rstrip("\n")
-    if header != RESULTS_CSV_HEADER:
-        raise ValueError(f"unexpected results header: {header!r}")
-    records = []
-    for line_no, line in enumerate(fp, start=2):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 8:
-            raise ValueError(f"line {line_no}: expected 8 fields, got {len(parts)}")
-        (tid, method, situation, responded, action, latency, gaze, seed) = parts
-        if responded not in ("true", "false"):
-            raise ValueError(
-                f"line {line_no}: responded must be true or false, got {responded!r}"
-            )
-        records.append(
-            TrialRecord(
-                trial_id=int(tid),
-                method=Method(method),
-                situation=ViewingSituation(situation),
-                responded=responded == "true",
-                responding_action=RobotAction(action) if action else None,
-                response_latency_s=float(latency) if latency else None,
-                gaze_time_s=float(gaze) if gaze else None,
-                seed=int(seed),
-            )
-        )
+            rows = [_trial_worker(task) for task in tasks]
+        records = Records.from_rows(rows)
     return records

@@ -5,6 +5,10 @@ a balanced fixed-effects two-way ANOVA on the binary outcomes, and
 Bonferroni-corrected pairwise two-proportion z-tests between methods.
 Degenerate inputs (a zero within-cell variance with a real effect)
 produce an infinite F, reported as the string "inf" when serialized.
+
+The statistics reduce the columns of `Records`. Each sum is formed left
+to right in record order, as a running sum over Python floats forms it,
+so the results are the same to the last bit.
 """
 from __future__ import annotations
 
@@ -12,13 +16,16 @@ import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
+import numpy as np
 from scipy.special import fdtrc
 
 from .controller import METHODS, Method
-from .harness import TrialRecord
+from .records import Records, TrialRecord, as_records
 from .situation import SITUATIONS, ViewingSituation
 
 SUMMARY_CSV_HEADER = "method,situation,n,mean_success,sd_success"
+
+RecordsLike = Records | Iterable[TrialRecord]
 
 
 @dataclass(frozen=True)
@@ -36,28 +43,46 @@ class CellStats:
             raise ValueError(f"mean out of range: {self.mean_success}")
 
 
-def _cell_key(record: TrialRecord) -> tuple[Method, ViewingSituation]:
-    return (record.method, record.situation)
+def _total(values: np.ndarray) -> float:
+    """sum(values) over Python floats: a running sum, not numpy's pairwise one."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
+def _squares(values: np.ndarray) -> np.ndarray:
+    """Each value ** 2 as a Python float rounds it. That is C pow, which
+    differs from values * values in the last bit on about one value in a
+    thousand. Deviations of 0/1 outcomes take two values: two pows."""
+    lo, hi = values.min(), values.max()
+    if np.all((values == lo) | (values == hi)):
+        return np.where(values == lo, float(lo) ** 2, float(hi) ** 2)
+    return np.array([v**2 for v in values.tolist()])
 
 
 def records_to_cells(
-    records: Iterable[TrialRecord],
-) -> dict[tuple[Method, ViewingSituation], list[float]]:
-    cells: dict[tuple[Method, ViewingSituation], list[float]] = {}
-    for record in records:
-        cells.setdefault(_cell_key(record), []).append(1.0 if record.responded else 0.0)
-    return cells
+    records: RecordsLike,
+) -> dict[tuple[Method, ViewingSituation], np.ndarray]:
+    """Each cell's outcomes (1.0 responded, 0.0 not) in record order, with
+    the cells in order of first appearance."""
+    records = as_records(records)
+    cells = records.method.astype(np.intp) * len(SITUATIONS) + records.situation
+    members = [cells == c for c in range(len(METHODS) * len(SITUATIONS))]
+    first = sorted((int(m.argmax()), c) for c, m in enumerate(members) if m.any())
+    return {
+        (METHODS[c // len(SITUATIONS)], SITUATIONS[c % len(SITUATIONS)]):
+        records.responded[members[c]].astype(float)
+        for _, c in first
+    }
 
 
-def _sample_sd(values: Sequence[float]) -> float:
+def _sample_sd(values: np.ndarray) -> float:
     n = len(values)
     if n < 2:
         return 0.0
-    mean = sum(values) / n
-    return math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1))
+    mean = _total(values) / n
+    return math.sqrt(_total(_squares(values - mean)) / (n - 1))
 
 
-def success_ratio(records: Iterable[TrialRecord]) -> list[CellStats]:
+def success_ratio(records: RecordsLike) -> list[CellStats]:
     """Per-cell success mean and sample standard deviation, in canonical
     method-then-situation order over the cells that appear."""
     cells = records_to_cells(records)
@@ -69,7 +94,7 @@ def success_ratio(records: Iterable[TrialRecord]) -> list[CellStats]:
             outcomes = cells.get((method, situation))
             if outcomes is None:
                 continue
-            mean = sum(outcomes) / len(outcomes)
+            mean = _total(outcomes) / len(outcomes)
             out.append(
                 CellStats(
                     method=method,
@@ -82,32 +107,31 @@ def success_ratio(records: Iterable[TrialRecord]) -> list[CellStats]:
     return out
 
 
-def overall_ratio(records: Iterable[TrialRecord], method: Method) -> float:
+def overall_ratio(records: RecordsLike, method: Method) -> float:
     """Pooled success for one method, weighting the four situations equally."""
-    cells = records_to_cells(r for r in records if r.method is method)
-    missing = [s.value for s in SITUATIONS if (method, s) not in cells]
+    records = as_records(records)
+    mine = records.method == METHODS.index(method)
+    trials = np.bincount(records.situation[mine], minlength=len(SITUATIONS)).tolist()
+    won = mine & records.responded
+    wins = np.bincount(records.situation[won], minlength=len(SITUATIONS)).tolist()
+    missing = [s.value for s, n in zip(SITUATIONS, trials) if not n]
     if missing:
         raise ValueError(
             f"{method.value}: records missing situations {', '.join(missing)}"
         )
-    means = [
-        sum(cells[(method, s)]) / len(cells[(method, s)]) for s in SITUATIONS
-    ]
+    means = [float(w) / n for w, n in zip(wins, trials)]
     return sum(means) / len(means)
 
 
-def gaze_stats(records: Iterable[TrialRecord], method: Method) -> tuple[float, float]:
+def gaze_stats(records: RecordsLike, method: Method) -> tuple[float, float]:
     """Mean and variance of gaze time over the method's successful trials."""
-    times = [
-        r.gaze_time_s
-        for r in records
-        if r.method is method and r.responded and r.gaze_time_s is not None
-    ]
-    if not times:
+    records = as_records(records)
+    times = records.gaze[(records.method == METHODS.index(method)) & records.responded]
+    if not len(times):
         raise ValueError(f"{method.value}: no successful trials with gaze times")
     n = len(times)
-    mean = sum(times) / n
-    variance = sum((t - mean) ** 2 for t in times) / n
+    mean = _total(times) / n
+    variance = _total(_squares(times - mean)) / n
     return mean, variance
 
 
@@ -122,6 +146,7 @@ def anova_two_way(
     """
     if not cells:
         raise ValueError("empty grid")
+    cells = {key: np.asarray(v, dtype=float) for key, v in cells.items()}
     methods = [m for m in METHODS if any(key[0] is m for key in cells)]
     situations = [s for s in SITUATIONS if any(key[1] is s for key in cells)]
     expected = {(m, s) for m in methods for s in situations}
@@ -136,22 +161,18 @@ def anova_two_way(
 
     a, b = len(methods), len(situations)
     total = a * b * n
-    grand = sum(sum(v) for v in cells.values()) / total
-    row_means = {
-        m: sum(sum(cells[(m, s)]) for s in situations) / (b * n) for m in methods
-    }
-    col_means = {
-        s: sum(sum(cells[(m, s)]) for m in methods) / (a * n) for s in situations
-    }
-    cell_means = {key: sum(v) / n for key, v in cells.items()}
+    sums = {key: _total(v) for key, v in cells.items()}
+    grand = sum(sums.values()) / total
+    row_means = {m: sum(sums[(m, s)] for s in situations) / (b * n) for m in methods}
+    col_means = {s: sum(sums[(m, s)] for m in methods) / (a * n) for s in situations}
+    cell_means = {key: sums[key] / n for key in cells}
 
     ss_method = b * n * sum((row_means[m] - grand) ** 2 for m in methods)
     ss_situation = a * n * sum((col_means[s] - grand) ** 2 for s in situations)
     ss_cells = n * sum((cell_means[key] - grand) ** 2 for key in cells)
     ss_interaction = max(ss_cells - ss_method - ss_situation, 0.0)
     ss_within = sum(
-        sum((x - cell_means[key]) ** 2 for x in values)
-        for key, values in cells.items()
+        _total(_squares(values - cell_means[key])) for key, values in cells.items()
     )
     ss_total = ss_method + ss_situation + ss_interaction + ss_within
 
@@ -202,14 +223,14 @@ def _two_proportion_z(successes_1: int, n_1: int, successes_2: int, n_2: int) ->
 
 
 def bonferroni_pairwise(
-    records: Iterable[TrialRecord], alpha: float = 0.05
+    records: RecordsLike, alpha: float = 0.05
 ) -> list[dict[str, Any]]:
     """All method pairs, two-proportion z-test on pooled success, p values
     Bonferroni-corrected by the number of pairs."""
-    counts: dict[Method, tuple[int, int]] = {}
-    for record in records:
-        wins, n = counts.get(record.method, (0, 0))
-        counts[record.method] = (wins + (1 if record.responded else 0), n + 1)
+    records = as_records(records)
+    trials = np.bincount(records.method, minlength=len(METHODS)).tolist()
+    wins = np.bincount(records.method[records.responded], minlength=len(METHODS)).tolist()
+    counts = {m: (wins[i], trials[i]) for i, m in enumerate(METHODS) if trials[i]}
     methods = [m for m in METHODS if m in counts]
     if len(methods) < 2:
         raise ValueError("need at least two methods to compare")

@@ -7,6 +7,7 @@ three checks.
 """
 import hashlib
 import io
+import json
 import math
 import time
 
@@ -20,6 +21,7 @@ from gazesim.body_tracker import (
     FilterConfig,
     likelihood,
 )
+from gazesim.cli import _chart_payload, stats_payload
 from gazesim.config import RunConfig
 from gazesim.controller import (
     EventKind,
@@ -57,7 +59,15 @@ from gazesim.situation import (
     classify_instant,
     srm_update,
 )
-from gazesim.stats import anova_two_way, gaze_stats, overall_ratio, records_to_cells
+from gazesim.stats import (
+    anova_two_way,
+    gaze_stats,
+    overall_ratio,
+    records_to_cells,
+    success_ratio,
+    to_jsonable,
+    write_summary_csv,
+)
 
 SC = default_scenario()
 
@@ -65,6 +75,10 @@ N_PER_CELL = 10_000
 TIME_BUDGET_S = 120.0
 # sha256 of results.csv for the big run (event mode, all methods, seed 42).
 BIG_RUN_DIGEST = "61ad38a1d40cd6311b29ae8f9b21134c0380a40ba5aa96a0299ec4ac4528b9df"
+# sha256 of the big run's summary.csv, stats.json and chart.json documents.
+BIG_RUN_SUMMARY_DIGEST = "c3c5f2634697d4715af3dcf87ef079a48d49f59637250e65b35eef6715fc31a3"
+BIG_RUN_STATS_DIGEST = "50a3f0264488fe7b7b90da8d0cdcbe49853f16c29ba641a04f6932fd9d48543c"
+BIG_RUN_CHART_DIGEST = "f4b7fe02a4cbff4d7c3cfd1b36471eca3d66b95565a0bd3ee83363b1d5cb75f2"
 
 
 def report(number, ok, text):
@@ -113,6 +127,22 @@ def test_big_run_results_digest(big_run):
     write_records_csv(buf, records)
     digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
     assert digest == BIG_RUN_DIGEST
+
+
+def test_big_run_report_digests(big_run):
+    records, _ = big_run
+    buf = io.StringIO()
+    write_summary_csv(buf, success_ratio(records))
+    assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == (
+        BIG_RUN_SUMMARY_DIGEST
+    )
+    for payload, pinned in (
+        (stats_payload(records), BIG_RUN_STATS_DIGEST),
+        (_chart_payload(records), BIG_RUN_CHART_DIGEST),
+    ):
+        buf = io.StringIO()
+        buf.write(json.dumps(to_jsonable(payload), indent=2) + "\n")
+        assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == pinned
 
 
 def test_criterion_02_overall_ratios(big_run):

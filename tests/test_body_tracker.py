@@ -12,7 +12,6 @@ from gazesim.body_tracker import (
     FilterConfig,
     _batch_likelihoods,
     _contour_local,
-    _reinit_over_field,
     body_orientation_for_srm,
     init_particles,
     likelihood,
@@ -20,7 +19,13 @@ from gazesim.body_tracker import (
     visible_evaluation_points,
 )
 from gazesim.geometry import Pose2, normalize_angle
-from gazesim.laser import EllipseBody, scan_to_points, synthesize_scan
+from gazesim.laser import (
+    BEAM_ANGLES_DEG,
+    MAX_RANGE_M,
+    EllipseBody,
+    scan_to_points,
+    synthesize_scan,
+)
 from gazesim.scenario import default_scenario
 
 
@@ -200,6 +205,19 @@ def seat_scan(heading_offset_deg, seed):
         SCENE.body_semi_minor_m,
     )
     return synthesize_scan(SCENE.sensor_pose, body, seed=seed)
+
+
+def _reinit_over_field(scan, n, rng):
+    """Uniform hypotheses over the sensor's fan: particle sets far from any
+    body, on which the batched likelihood must still match the scalar one."""
+    rel = rng.uniform(BEAM_ANGLES_DEG[0], BEAM_ANGLES_DEG[-1], n)
+    rad = np.radians(scan.sensor_pose.heading_deg + rel)
+    r = rng.uniform(0.2, MAX_RANGE_M, n)
+    states = np.empty((n, 3))
+    states[:, 0] = scan.sensor_pose.x + r * np.cos(rad)
+    states[:, 1] = scan.sensor_pose.y + r * np.sin(rad)
+    states[:, 2] = rng.uniform(-180.0, 180.0, n)
+    return states
 
 
 def scalar_likelihoods(states, scan_points, cfg):

@@ -124,6 +124,30 @@ class TestSimulate:
         assert "aborted" in err
 
 
+    def test_sensor_on_the_seat_exits_one(self, tmp_path, capsys):
+        scenario = scenario_to_dict(default_scenario())
+        scenario["sensor_pose"] = list(scenario["human_seat"])
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"scenario": scenario}))
+        code, out, err = run_cli(
+            ["simulate", "--config", str(config_path), "--mode", "full"], capsys
+        )
+        assert code == 1
+        assert "scenario.sensor_pose" in err
+        assert "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("mode", ["ideal", "full"])
+    def test_trial_time_cap_exits_two(self, capsys, monkeypatch, mode):
+        monkeypatch.setattr(harness, "TRIAL_TIME_CAP_S", 0.5)
+        code, _, err = run_cli(
+            ["simulate", "--method", "M4", "--situation", "OFOV", "--mode", mode], capsys
+        )
+        assert code == 2
+        assert "aborted: trial exceeded 0.5 s without a terminal event" in err
+        assert "Traceback" not in err
+
+
 class TestExperiment:
     def test_writes_all_outputs(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
@@ -404,6 +428,18 @@ class TestReproduceScript:
         assert err.startswith("reproduce_results: base_seed: expected a non-negative")
         assert "Traceback" not in err
         assert out == ""
+        assert not out_dir.exists()
+
+    def test_trial_time_cap_exits_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "TRIAL_TIME_CAP_S", 0.5)
+        out_dir = tmp_path / "out"
+        code = load_reproduce_script().main(
+            ["--n-per-cell", "1", "--mode", "ideal", "--out", str(out_dir)]
+        )
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.startswith("reproduce_results: aborted: trial exceeded 0.5 s")
+        assert "Traceback" not in out + err
         assert not out_dir.exists()
 
     def test_statistics_computed_once(self, tmp_path, capsys, monkeypatch):

@@ -57,6 +57,19 @@ class TestValidation:
         with pytest.raises(ConfigError, match="base_seed"):
             RunConfig(base_seed=-1)
 
+    @pytest.mark.parametrize("offset, accepted", [(0.0, False), (0.25, False), (0.26, True)])
+    def test_sensor_must_clear_the_turning_body(self, offset, accepted):
+        # The default body's semi-major axis is 0.25 m.
+        scenario = scenario_to_dict(default_scenario())
+        seat = scenario["human_seat"]
+        scenario["sensor_pose"] = [seat[0] + offset, seat[1], 0.0]
+        text = json.dumps({"scenario": scenario})
+        if accepted:
+            parse_config(text)
+            return
+        with pytest.raises(ConfigError, match=r"^scenario\.sensor_pose: lies within"):
+            parse_config(text)
+
     def test_bool_is_not_an_int(self):
         with pytest.raises(ConfigError, match="n_per_cell"):
             parse_config('{"n_per_cell": true}')

@@ -20,11 +20,21 @@ IDEAL_N10_SEED42 = "df4569188143a78459eb0a32f564ad8b9b28a462de294088eeba3722afc5
 IDEAL_TIMELINE_SEED42 = "c067f7ff02fb8629725079f56f9e548f67eef89f28e3b4473538901306e14f8b"
 EVENT_TIMELINE_SEED42 = "78ded016282fbac97f349a9cb5bdc5b8bf1d42a79929e2534bb9253217b8e3fd"
 EVENT_N1000_STATS_SEED42 = "79c2dbe57055f95d6c66524afc8cd414d957b0852cead2519fc15dd72c5ad0f5"
+# `report` on the n=1000 event design's results.csv.
+EVENT_N1000_REPORT_SUMMARY_SEED42 = "a4dfd3356a4052ea144116ca0510412b8fb3e3160231c5b2538fe476d9c7e93e"
+EVENT_N1000_REPORT_CHART_SEED42 = "79fa4aa422774d9ea16601f1e8a520ff70a01892d6c5874ea5f38397311c2801"
+IDEAL_N10_SUMMARY_SEED42 = "cb391211ca29923e8180882779dae01d92bf19ba8d6749bec7e02d5f4b026ca5"
+IDEAL_N10_STATS_SEED42 = "1fa04ab30bc81836e16c6333e2ac16ac9b4fb3a94e683bdcb61181eb16621ad6"
 TIMELINE_REPS = 8
 ALL_METHODS = ["M1", "M2", "M3", "M4"]
 
 
-def results_digest(tmp_path, config, mode):
+def file_digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run_design(tmp_path, config, mode):
+    """The output directory of `gazesim experiment` on `config`."""
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     out = tmp_path / "out"
@@ -32,22 +42,31 @@ def results_digest(tmp_path, config, mode):
         ["experiment", "--config", str(config_path), "--out", str(out), "--mode", mode]
     )
     assert code == 0
-    return hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
+    return out
 
 
 def test_full_mode_m4_on_each_situation(tmp_path, capsys):
     config = {"methods": ["M4"], "n_per_cell": 1, "base_seed": 42}
-    assert results_digest(tmp_path, config, "full") == FULL_M4_SEED42
+    out = run_design(tmp_path, config, "full")
+    assert file_digest(out / "results.csv") == FULL_M4_SEED42
 
 
 def test_event_mode_all_methods(tmp_path, capsys):
     config = {"methods": ALL_METHODS, "n_per_cell": 1000, "base_seed": 42}
-    assert results_digest(tmp_path, config, "event") == EVENT_N1000_SEED42
+    out = run_design(tmp_path, config, "event")
+    assert file_digest(out / "results.csv") == EVENT_N1000_SEED42
+    report = tmp_path / "report"
+    assert main(["report", str(out / "results.csv"), "--out", str(report)]) == 0
+    assert file_digest(report / "summary.csv") == EVENT_N1000_REPORT_SUMMARY_SEED42
+    assert file_digest(report / "chart.json") == EVENT_N1000_REPORT_CHART_SEED42
 
 
 def test_ideal_mode_all_methods(tmp_path, capsys):
     config = {"methods": ALL_METHODS, "n_per_cell": 10, "base_seed": 42}
-    assert results_digest(tmp_path, config, "ideal") == IDEAL_N10_SEED42
+    out = run_design(tmp_path, config, "ideal")
+    assert file_digest(out / "results.csv") == IDEAL_N10_SEED42
+    assert file_digest(out / "summary.csv") == IDEAL_N10_SUMMARY_SEED42
+    assert file_digest(out / "stats.json") == IDEAL_N10_STATS_SEED42
 
 
 def test_tick_engine_event_timeline():

@@ -19,7 +19,6 @@ from gazesim.harness import (
     RESULTS_CSV_HEADER,
     TrialAbortError,
     TrialRecord,
-    format_record_row,
     read_records_csv,
     run_experiment,
     run_trial,
@@ -228,6 +227,14 @@ class TestRunExperiment:
         assert records[0].method is Method.M1 and records[0].situation is CFOV
         assert records[-1].method is Method.M4 and records[-1].situation is OFOV
 
+    @pytest.mark.parametrize("mode", ["event", "ideal"])
+    def test_trial_id_order_whatever_the_config_order(self, mode):
+        config = RunConfig(
+            n_per_cell=2, base_seed=4, methods=(Method.M4, Method.M1), situations=(OFOV, CFOV)
+        )
+        ids = [r.trial_id for r in run_experiment(config, mode=mode)]
+        assert ids == sorted(ids) and len(set(ids)) == 8
+
     def test_deterministic(self):
         config = RunConfig(n_per_cell=2, base_seed=7)
         assert run_experiment(config) == run_experiment(config)
@@ -303,12 +310,19 @@ class TestCsvRoundTrip:
         assert buf2.getvalue() == first
         assert read_records_csv(io.StringIO(buf2.getvalue())) == loaded
 
+    @staticmethod
+    def written_row(record):
+        buf = io.StringIO()
+        write_records_csv(buf, [record])
+        header, row = buf.getvalue().splitlines()
+        return row
+
     def test_format_row_for_failed_trial(self):
-        row = format_record_row(TrialRecord(4, Method.M2, OFOV, False, None, None, None, 9))
+        row = self.written_row(TrialRecord(4, Method.M2, OFOV, False, None, None, None, 9))
         assert row == "4,M2,OFOV,false,,,,9"
 
     def test_format_row_for_responded_trial(self):
-        row = format_record_row(
+        row = self.written_row(
             TrialRecord(1, Method.M4, CFOV, True, RobotAction.HT, 1.25, 2.5, 3)
         )
         assert row == "1,M4,CFOV,true,HT,1.250000,2.500000,3"
