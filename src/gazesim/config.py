@@ -14,7 +14,7 @@ from typing import Any, Mapping
 
 from .controller import METHODS, Method
 from .geometry import Pose2
-from .scenario import Painting, Scenario, default_scenario
+from .scenario import Painting, Scenario, default_scenario, map_consistency_errors
 from .situation import SITUATIONS, ViewingSituation
 
 DEFAULT_N_PER_CELL = 12
@@ -47,6 +47,10 @@ class RunConfig:
             raise ConfigError(
                 f"base_seed: expected a non-negative integer, got {self.base_seed}"
             )
+        # A painting the recognizer cannot confirm would abort its cells mid-run.
+        errors = map_consistency_errors(self.scenario)
+        if errors:
+            raise ConfigError("; ".join(f"scenario.situation_map.{e}" for e in errors))
 
 
 def _require_keys(obj: Mapping[str, Any], allowed: set[str], path: str) -> None:

@@ -61,9 +61,9 @@ from .human import (
     ROBOT_TARGET,
     ResponseTable,
     derive_response_table,
-    draw_gaze,
     gaze_bearing_to,
     gaze_duration,
+    gaze_durations,
     human_step,
     make_human,
     respond,
@@ -481,16 +481,9 @@ def _event_outcomes(
             break
     hit = np.flatnonzero(cursor >= 0)
     if len(hit):
-        # The ziggurat normal stays scalar: one generator takes each
-        # trial's gaze stream state in turn.
-        bit_generator = np.random.PCG64(0)
-        rng = np.random.Generator(bit_generator)
-        blinked = cell.method.ensure_blink
-        gaze = []
-        for state in derive_rngs(derive_seeds(seeds[hit], STREAM_GAZE)).states():
-            bit_generator.state = state
-            gaze.append(draw_gaze(blinked, rng))
-        gaze_s[hit] = gaze
+        gaze_s[hit] = gaze_durations(
+            cell.method.ensure_blink, derive_rngs(derive_seeds(seeds[hit], STREAM_GAZE))
+        )
     return cursor, detect_s, gaze_s
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .controller import Method, RobotAction
 from .geometry import HeadPose, Pose2, bearing_to, move_toward_angle, normalize_angle
 from .scenario import Scenario
-from .seeding import derive_rng
+from .seeding import PCG64Streams, derive_rng
 from .situation import SITUATIONS, ViewingSituation
 
 HEAD_TURN_SPEED_DEG_S = 90.0
@@ -162,23 +162,35 @@ def respond(
     return True, float(rng.uniform(LATENCY_MIN_S, LATENCY_MAX_S))
 
 
+def _gaze_normal(blinked: bool) -> tuple[float, float]:
+    """Mean and standard deviation of the untruncated gaze span."""
+    if blinked:
+        return GAZE_MEAN_BLINK_S, math.sqrt(GAZE_VAR_BLINK)
+    return GAZE_MEAN_PLAIN_S, math.sqrt(GAZE_VAR_PLAIN)
+
+
 def gaze_duration(blinked: bool, seed: int) -> float:
     """How long the person keeps looking at the robot after gaze crossing."""
-    return draw_gaze(blinked, derive_rng(seed))
-
-
-def draw_gaze(blinked: bool, rng: np.random.Generator) -> float:
-    """`gaze_duration`'s draw from a generator already on the gaze stream."""
-    mean, var = (
-        (GAZE_MEAN_BLINK_S, GAZE_VAR_BLINK)
-        if blinked
-        else (GAZE_MEAN_PLAIN_S, GAZE_VAR_PLAIN)
-    )
-    sd = math.sqrt(var)
+    mean, sd = _gaze_normal(blinked)
+    rng = derive_rng(seed)
     while True:
         draw = float(rng.normal(mean, sd))
         if draw > GAZE_MIN_S:
             return draw
+
+
+def gaze_durations(blinked: bool, streams: PCG64Streams) -> np.ndarray:
+    """`gaze_duration` on every stream at once: streams whose draw is at
+    or below GAZE_MIN_S draw again, and only they, until none is."""
+    mean, sd = _gaze_normal(blinked)
+    gaze = streams.normal(mean, sd)
+    redo = np.flatnonzero(gaze <= GAZE_MIN_S)
+    while len(redo):
+        again = streams.take(redo)
+        gaze[redo] = again.normal(mean, sd)
+        streams.hi[redo], streams.lo[redo] = again.hi, again.lo
+        redo = redo[gaze[redo] <= GAZE_MIN_S]
+    return gaze
 
 
 @dataclass

@@ -92,7 +92,8 @@ def settled_instant(scenario: Scenario, painting: Painting) -> ViewingSituation 
 
 
 def map_consistency_errors(scenario: Scenario) -> list[str]:
-    """Check that every mapped painting classifies to its mapped situation."""
+    """Check that every mapped painting classifies to its mapped situation.
+    Each error starts with the painting id and a colon."""
     errors = []
     for p in scenario.paintings:
         expected = scenario.situation_map.get(p.painting_id)
@@ -101,8 +102,8 @@ def map_consistency_errors(scenario: Scenario) -> list[str]:
         got = settled_instant(scenario, p)
         if got is not expected:
             errors.append(
-                f"{p.painting_id} (bearing {p.bearing_deg:+.1f} deg) classifies as "
-                f"{got} but is mapped to {expected}"
+                f"{p.painting_id}: bearing {p.bearing_deg:+.1f} deg classifies as "
+                f"{got.value if got else 'unknown'}, but the map says {expected.value}"
             )
     return errors
 

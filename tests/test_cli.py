@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import json
 from pathlib import Path
@@ -6,7 +7,7 @@ import pytest
 
 from gazesim import harness
 from gazesim.cli import main, stats_payload
-from gazesim.config import scenario_to_dict
+from gazesim.config import RunConfig, scenario_from_dict, scenario_to_dict
 from gazesim.harness import RESULTS_CSV_HEADER
 from gazesim.scenario import default_scenario
 from gazesim.stats import SUMMARY_CSV_HEADER
@@ -22,6 +23,14 @@ def run_cli(argv, capsys):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def moved_camera_room():
+    """The default room with the head camera moved to (0.4, -0.3): from
+    there P1, P4 and P5 no longer classify as their mapped situations."""
+    scenario = scenario_to_dict(default_scenario())
+    scenario["camera_pose"][:2] = [0.4, -0.3]
+    return scenario
 
 
 class TestCalibrate:
@@ -92,7 +101,7 @@ class TestSimulate:
         )
         assert code == 1
 
-    def test_inconsistent_scene_exits_two(self, tmp_path, capsys):
+    def test_inconsistent_scene_exits_one(self, tmp_path, capsys):
         scenario = scenario_to_dict(default_scenario())
         # Swap the labels of the central and far-side paintings.
         swapped = {}
@@ -106,7 +115,7 @@ class TestSimulate:
         scenario["situation_map"] = swapped
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"scenario": scenario}))
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             [
                 "simulate",
                 "--config",
@@ -120,9 +129,10 @@ class TestSimulate:
             ],
             capsys,
         )
-        assert code == 2
-        assert "aborted" in err
-
+        assert code == 1
+        assert err.startswith("gazesim: scenario.situation_map.P1: ")
+        assert "scenario.situation_map.P6: " in err
+        assert "Traceback" not in out + err
 
     def test_sensor_on_the_seat_exits_one(self, tmp_path, capsys):
         scenario = scenario_to_dict(default_scenario())
@@ -247,6 +257,21 @@ class TestExperiment:
         assert err.startswith("gazesim: scenario.")
         assert "finite" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_unreachable_situation_map_exits_one(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"scenario": moved_camera_room()}))
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            ["experiment", "--config", str(config_path), "--out", str(out_dir)], capsys
+        )
+        assert code == 1
+        assert err.startswith("gazesim: scenario.situation_map.P1: ")
+        for pid in ("P4", "P5"):
+            assert f"scenario.situation_map.{pid}: " in err
+        assert "Traceback" not in out + err
+        assert out == ""
+        assert not out_dir.exists()
 
     def test_missing_config_exits_one(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -440,6 +465,19 @@ class TestReproduceScript:
         assert code == 2
         assert err.startswith("reproduce_results: aborted: trial exceeded 0.5 s")
         assert "Traceback" not in out + err
+        assert not out_dir.exists()
+
+    def test_unreachable_situation_map_exits_one(self, tmp_path, capsys, monkeypatch):
+        script = load_reproduce_script()
+        room = scenario_from_dict(moved_camera_room())
+        monkeypatch.setattr(script, "RunConfig", functools.partial(RunConfig, scenario=room))
+        out_dir = tmp_path / "out"
+        code = script.main(["--n-per-cell", "2", "--out", str(out_dir)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err.startswith("reproduce_results: scenario.situation_map.P1: ")
+        assert "Traceback" not in out + err
+        assert out == ""
         assert not out_dir.exists()
 
     def test_statistics_computed_once(self, tmp_path, capsys, monkeypatch):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gazesim import human
 from gazesim.controller import Method, RobotAction
 from gazesim.geometry import bearing_to, normalize_angle
 from gazesim.human import (
@@ -20,12 +21,14 @@ from gazesim.human import (
     escalation_success,
     gaze_bearing_to,
     gaze_duration,
+    gaze_durations,
     human_step,
     make_human,
     respond,
     schedule_response,
 )
 from gazesim.scenario import default_scenario
+from gazesim.seeding import derive_rng, derive_rngs
 from gazesim.situation import SITUATIONS, ViewingSituation
 
 CFOV = ViewingSituation.CFOV
@@ -136,6 +139,30 @@ class TestGazeDuration:
 
     def test_deterministic(self):
         assert gaze_duration(True, seed=7) == gaze_duration(True, seed=7)
+
+    @pytest.mark.parametrize("blinked", [True, False])
+    def test_batched_redraws_match_the_scalar_loop(self, blinked, monkeypatch):
+        # With the bound at the mean about half of every round of draws is
+        # rejected, so the redraw loop runs a dozen rounds or more; with
+        # the real bound (6.7 and 10 sd below the means) it never runs.
+        mean, var = (
+            (GAZE_MEAN_BLINK_S, GAZE_VAR_BLINK) if blinked else (GAZE_MEAN_PLAIN_S, GAZE_VAR_PLAIN)
+        )
+        monkeypatch.setattr(human, "GAZE_MIN_S", mean)
+        keys = np.arange(3000, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        streams = derive_rngs(keys)
+        batched = gaze_durations(blinked, streams)
+        rounds = []
+        for i, key in enumerate(keys.tolist()):
+            rng = derive_rng(key)
+            draws = 1
+            while (draw := float(rng.normal(mean, math.sqrt(var)))) <= mean:
+                draws += 1
+            rounds.append(draws)
+            assert batched[i] == draw
+            state = rng.bit_generator.state["state"]["state"]
+            assert (int(streams.hi[i]) << 64 | int(streams.lo[i])) == state
+        assert sum(r > 1 for r in rounds) > 1000 and max(rounds) >= 8
 
 
 class TestHumanMotion:

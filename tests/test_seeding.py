@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gazesim.seeding import (
+    _ZIGGURAT_KI,
     _seed_sequence_state,
     STREAM_FILTER,
     STREAM_GAZE,
@@ -155,6 +156,28 @@ class TestBatchedSeeding:
             assert np.random.Generator(bit_generator).normal(2.51, 0.36) == (
                 derive_rng(key).normal(2.51, 0.36)
             )
+
+    def test_normal_matches_live_numpy(self):
+        # 1000 streams, half of them on 1-word seeds, 1000 draws each: 1e6
+        # draws, about 15k of them missing the ziggurat's core rectangle.
+        rng = np.random.default_rng(11)
+        keys = rng.integers(0, 2**64, 1000, dtype=np.uint64)
+        keys[::2] >>= 32
+        loc, scale = 2.51, 0.36
+        streams = derive_rngs(keys, STREAM_GAZE)
+        draws = np.empty((len(keys), 1000))
+        every = np.arange(len(keys))
+        slow = 0
+        for j in range(1000):
+            r = streams.take(every).next64()
+            slow += int((((r >> 9) & 0x000FFFFFFFFFFFFF) >= _ZIGGURAT_KI[r & 0xFF]).sum())
+            draws[:, j] = streams.normal(loc, scale)
+        assert slow >= 10_000
+        for i, key in enumerate(keys.tolist()):
+            live = derive_rng(key, STREAM_GAZE)
+            assert (live.normal(loc, scale, size=1000) == draws[i]).all()
+            state = live.bit_generator.state["state"]["state"]
+            assert (int(streams.hi[i]) << 64 | int(streams.lo[i])) == state
 
     @pytest.mark.parametrize("base", [0, 42, 2**32, 2**64 + 1, 2**128 + 3])
     def test_wide_and_zero_base_seeds(self, base):
