@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from .controller import METHODS, Method
+from .controller import FACE_RANGE_M, METHODS, Method
 from .geometry import Pose2
 from .scenario import Painting, Scenario, default_scenario, map_consistency_errors
 from .situation import SITUATIONS, ViewingSituation
@@ -163,10 +163,18 @@ def scenario_from_dict(obj: Any, path: str = "scenario") -> Scenario:
         raise ConfigError(f"{path}: {exc}") from exc
     # The body turns on the seat, so any point this close can end up inside it.
     reach = scenario.body_semi_major_m
-    if scenario.sensor_pose.distance_to(scenario.human_seat.position) <= reach:
+    seat = scenario.human_seat.position
+    for key in ("sensor_pose", "camera_pose"):
+        if getattr(scenario, key).distance_to(seat) <= reach:
+            raise ConfigError(
+                f"{path}.{key}: lies within body_semi_major_m ({reach} m) of "
+                "human_seat, inside the visitor's body"
+            )
+    # Beyond this range the robot never detects the visitor's face.
+    if scenario.robot_pose.distance_to(seat) > FACE_RANGE_M:
         raise ConfigError(
-            f"{path}.sensor_pose: lies within body_semi_major_m ({reach} m) of "
-            "human_seat, inside the visitor's body"
+            f"{path}.human_seat: lies more than the face detection range "
+            f"({FACE_RANGE_M} m) from robot_pose, too far to detect a face"
         )
     return scenario
 

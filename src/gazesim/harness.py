@@ -23,8 +23,9 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Literal, NamedTuple
+from typing import Iterable, Iterator, Literal, NamedTuple
 
 import numpy as np
 
@@ -80,6 +81,7 @@ from .scenario import Scenario, settled_instant
 from .seeding import (
     STREAM_FILTER,
     STREAM_GAZE,
+    STREAM_HEAD,
     STREAM_INIT,
     STREAM_LASER,
     STREAM_RESPOND,
@@ -102,6 +104,10 @@ from .trace import TraceWriter
 
 ABORT_BUDGET_S = 10.0
 TRIAL_TIME_CAP_S = 60.0
+# Frames in the first block of a tick-mode trial's per-frame draws, a bit
+# more than the ~280 frames of an average trial: each block costs about
+# half a millisecond of NumPy call overhead whatever its length.
+FRAME_BLOCK = 320
 
 TrialMode = Literal["full", "ideal", "event"]
 TRIAL_MODES = ("full", "ideal", "event")
@@ -195,6 +201,30 @@ def _plan_response(
     return fire_s, detect_s
 
 
+def _frame_draws(
+    seed: int, full: bool
+) -> Iterator[tuple[tuple[float, float], int | None, int | None]]:
+    """Each frame's draws of a tick-mode trial, from frame 0 on: the head
+    tracker's yaw and pitch standard normals, then in full mode the laser
+    and filter seeds (None in ideal mode). They are those of the scalar
+    streams (seed, STREAM_HEAD, frame) and derive_seed(seed, STREAM_LASER
+    or STREAM_FILTER, frame), computed over a block of frames at a time.
+    The first block has FRAME_BLOCK frames; each later one is as long as
+    the trial so far, so a long trial needs few blocks."""
+    start = 0
+    while True:
+        frames = np.arange(start, start + max(FRAME_BLOCK, start))
+        head = derive_rngs(seed, STREAM_HEAD, frames)
+        noise = zip(head.normal(0.0, 1.0).tolist(), head.normal(0.0, 1.0).tolist())
+        if full:
+            laser = derive_seeds(seed, STREAM_LASER, frames).tolist()
+            filter_ = derive_seeds(seed, STREAM_FILTER, frames).tolist()
+            yield from zip(noise, laser, filter_)
+        else:
+            yield from zip(noise, repeat(None), repeat(None))
+        start += len(frames)
+
+
 def _run_ticks(
     scenario: Scenario,
     method: Method,
@@ -212,7 +242,9 @@ def _run_ticks(
     robot = scenario.robot_pose
     seat = scenario.human_seat
     seat_to_robot_deg = bearing_to(seat.position, robot.position)
+    seat_bearing_deg = relative_bearing(robot, seat.position)
     robot_distance_m = math.hypot(seat.x - robot.x, seat.y - robot.y)
+    draws = _frame_draws(seed, full=mode == "full")
 
     tracker: BodyTracker | None = None
     if mode == "full":
@@ -240,6 +272,7 @@ def _run_ticks(
                 f"trial exceeded {TRIAL_TIME_CAP_S} s without a terminal event "
                 f"(trial {trial_id}, {method.value})"
             )
+        head_noise, laser_seed, filter_seed = next(draws)
         human_step(human, scenario, t, TICK_S)
         if trace and human.attending != prev_attending:
             trace.emit(t, "human", "attending", {"target": human.attending})
@@ -254,9 +287,9 @@ def _run_ticks(
                     semi_major_m=scenario.body_semi_major_m,
                     semi_minor_m=scenario.body_semi_minor_m,
                 ),
-                seed=derive_seed(seed, STREAM_LASER, frame),
+                seed=laser_seed,
             )
-            estimate = tracker.step(scan, seed=derive_seed(seed, STREAM_FILTER, frame))
+            estimate = tracker.step(scan, seed=filter_seed)
             theta_rel = body_orientation_for_srm(estimate, robot)
             if trace:
                 trace.emit(
@@ -278,7 +311,7 @@ def _run_ticks(
             theta_rel = normalize_angle(human.body_theta_deg - seat_to_robot_deg)
 
         observation = observe_head(
-            human.head, scenario.camera_pose, seed=seed, frame=frame
+            human.head, scenario.camera_pose, frame=frame, noise=head_noise
         )
         if trace:
             trace.emit(
@@ -315,7 +348,7 @@ def _run_ticks(
         if estimate is not None and estimate.converged:
             bearing_input = relative_bearing(robot, (estimate.x, estimate.y))
         else:
-            bearing_input = relative_bearing(robot, seat.position)
+            bearing_input = seat_bearing_deg
 
         prev_phase = cstate.phase
         cstate, events = controller_step(

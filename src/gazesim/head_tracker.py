@@ -45,16 +45,22 @@ def observe_head(
     noise_sigma: float = DEFAULT_NOISE_SIGMA_DEG,
     seed: int = 0,
     frame: int = 0,
+    noise: tuple[float, float] | None = None,
 ) -> HeadObservation:
-    """Observe one frame. Identical (seed, frame) pairs give identical output."""
+    """Observe one frame. `noise` is the frame's yaw and pitch draws from
+    the standard normal, the first two of stream (seed, STREAM_HEAD,
+    frame); without it they are drawn here. Either way the added noise is
+    `Generator.normal(0.0, noise_sigma)` on that stream, bit for bit, so
+    identical (seed, frame) pairs give identical output."""
     rel = relative_yaw_deg(true_head, camera)
     if abs(rel) > TRACKING_LIMIT_DEG:
         return HeadObservation(frame=frame, valid=False)
-    rng = derive_rng(seed, STREAM_HEAD, frame)
-    noise = rng.normal(0.0, noise_sigma, size=2)
+    if noise is None:
+        noise = derive_rng(seed, STREAM_HEAD, frame).standard_normal(2).tolist()
+    yaw_z, pitch_z = noise
     return HeadObservation(
         frame=frame,
         valid=True,
-        yaw_deg=normalize_angle(rel + noise[0]),
-        pitch_deg=normalize_angle(true_head.pitch_deg + noise[1]),
+        yaw_deg=normalize_angle(rel + (0.0 + noise_sigma * yaw_z)),
+        pitch_deg=normalize_angle(true_head.pitch_deg + (0.0 + noise_sigma * pitch_z)),
     )

@@ -67,7 +67,8 @@ def derive_seed(seed: int, *keys: int) -> int:
 def derive_seeds(seed, *keys) -> np.ndarray:
     """`derive_seed` over arrays: element i is derive_seed(seed[i], key[i],
     ...). Each argument is a non-negative int or a 1-D integer array; ints
-    and length-1 arrays broadcast. Returns uint64."""
+    and length-1 arrays broadcast, and an empty array gives an empty
+    result. Returns uint64."""
     words = _seed_sequence_state([seed, *keys], 2).astype(np.uint64)
     return words[:, 0] | (words[:, 1] << 32)
 
@@ -247,9 +248,11 @@ def _mix_entropy(entropy: np.ndarray) -> np.ndarray:
 def _seed_sequence_state(args: list, n_words: int) -> np.ndarray:
     """SeedSequence([a[i] for a in args]).generate_state(n_words) for each
     i, as an (n, n_words) uint32 array. Rows whose integers split into
-    different numbers of words are mixed separately."""
+    different numbers of words are mixed separately. An empty array gives
+    no rows, whatever the other arguments."""
     split = [_words(np.atleast_1d(np.asarray(arg))) for arg in args]
-    n = max(len(words) for words, _ in split)
+    lengths = [len(words) for words, _ in split]
+    n = max(lengths) if min(lengths) else 0
     xor, mult = _hash_constants(_INIT_B, _MULT_B, n_words)
     state = np.empty((n, n_words), np.uint32)
     for widths in itertools.product(*(np.unique(counts) for _, counts in split)):

@@ -147,6 +147,24 @@ class TestSimulate:
         assert "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("camera_pose", None), ("human_seat", [3.5, 0.0, 180.0])],
+        ids=["camera_on_the_seat", "seat_beyond_face_range"],
+    )
+    def test_impossible_geometry_exits_one(self, tmp_path, capsys, key, value):
+        scenario = scenario_to_dict(default_scenario())
+        scenario[key] = value or list(scenario["human_seat"])  # None: on the seat
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"scenario": scenario}))
+        code, out, err = run_cli(
+            ["simulate", "--config", str(config_path), "--mode", "ideal"], capsys
+        )
+        assert code == 1
+        assert err.startswith(f"gazesim: scenario.{key}: ")
+        assert "Traceback" not in err
+        assert out == ""
+
     @pytest.mark.parametrize("mode", ["ideal", "full"])
     def test_trial_time_cap_exits_two(self, capsys, monkeypatch, mode):
         monkeypatch.setattr(harness, "TRIAL_TIME_CAP_S", 0.5)

@@ -70,6 +70,28 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"^scenario\.sensor_pose: lies within"):
             parse_config(text)
 
+    @pytest.mark.parametrize("offset, accepted", [(0.0, False), (0.25, False), (0.26, True)])
+    def test_camera_must_clear_the_turning_body(self, offset, accepted):
+        scenario = scenario_to_dict(default_scenario())
+        seat = scenario["human_seat"]
+        scenario["camera_pose"] = [seat[0] + offset, seat[1], 0.0]
+        if accepted:
+            scenario_from_dict(scenario)
+            return
+        with pytest.raises(ConfigError, match=r"^scenario\.camera_pose: lies within"):
+            scenario_from_dict(scenario)
+
+    @pytest.mark.parametrize("distance, accepted", [(3.0, True), (3.01, False)])
+    def test_seat_must_be_within_face_range_of_the_robot(self, distance, accepted):
+        # The default robot stands at the origin; FACE_RANGE_M is 3 m.
+        scenario = scenario_to_dict(default_scenario())
+        scenario["human_seat"] = [distance, 0.0, 180.0]
+        if accepted:
+            scenario_from_dict(scenario)
+            return
+        with pytest.raises(ConfigError, match=r"^scenario\.human_seat: lies more than"):
+            scenario_from_dict(scenario)
+
     def test_bool_is_not_an_int(self):
         with pytest.raises(ConfigError, match="n_per_cell"):
             parse_config('{"n_per_cell": true}')

@@ -8,6 +8,7 @@ trajectory are pinned separately.
 import hashlib
 import json
 
+from gazesim import harness
 from gazesim.cli import main
 from gazesim.controller import METHODS, EventKind
 from gazesim.harness import run_trial_detailed, trial_seed
@@ -96,6 +97,25 @@ def test_tick_engine_event_timeline():
                 digest.update(b"\n")
     assert kinds == set(EventKind)
     assert digest.hexdigest() == IDEAL_TIMELINE_SEED42
+
+
+def test_tick_engine_pins_hold_across_frame_block_refills(tmp_path, capsys, monkeypatch):
+    """The ideal-mode pins again, with the per-frame draws made 7 frames at
+    a time at first, so that every trial refills its block several times."""
+    blocks = []
+    derive_rngs = harness.derive_rngs
+
+    def counted(*args):
+        blocks.append(args)
+        return derive_rngs(*args)
+
+    monkeypatch.setattr(harness, "FRAME_BLOCK", 7)
+    monkeypatch.setattr(harness, "derive_rngs", counted)
+    test_ideal_mode_all_methods(tmp_path, capsys)
+    test_tick_engine_event_timeline()
+    # Blocks of 7, 7, 14 and 28 frames cover only the first 56 frames.
+    trials = len(METHODS) * len(SITUATIONS) * (10 + TIMELINE_REPS)
+    assert len(blocks) >= 5 * trials
 
 
 def test_event_engine_timeline(tmp_path, capsys):

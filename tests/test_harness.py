@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import itertools
 import math
 import pickle
 
@@ -34,8 +35,18 @@ from gazesim.human import (
     gaze_duration,
     respond,
 )
+from gazesim.geometry import HeadPose, Pose2, normalize_angle
+from gazesim.head_tracker import observe_head, relative_yaw_deg
 from gazesim.scenario import default_scenario
-from gazesim.seeding import STREAM_GAZE, STREAM_RESPOND, derive_seed
+from gazesim.seeding import (
+    STREAM_FILTER,
+    STREAM_GAZE,
+    STREAM_HEAD,
+    STREAM_LASER,
+    STREAM_RESPOND,
+    derive_rng,
+    derive_seed,
+)
 from gazesim.situation import SITUATIONS, ViewingSituation
 
 CFOV = ViewingSituation.CFOV
@@ -132,6 +143,39 @@ class TestEventEngine:
             assert record.responding_action is method.capture_plan[k]
             assert record.response_latency_s == detect_s - cell.window_starts[k]
             assert record.gaze_time_s == gaze_s
+
+
+class TestFrameDraws:
+    # 2600 frames take the first block and three refills (at 320, 640 and
+    # 1280), more frames than a trial reaches before the 60 s cap.
+    FRAMES = 2600
+
+    @pytest.mark.parametrize("seed", [12_345, 2**32 - 1, 2**32, 2**64 - 59])
+    def test_blocks_equal_the_per_frame_streams(self, seed):
+        sigma = 1.7
+        head = HeadPose(2.0, 0.0, yaw_deg=170.0, pitch_deg=3.0)
+        camera = Pose2(0.0, 0.0, 0.0)
+        rel = relative_yaw_deg(head, camera)
+        draws = itertools.islice(harness._frame_draws(seed, full=True), self.FRAMES)
+        for frame, (noise, laser_seed, filter_seed) in enumerate(draws):
+            live = derive_rng(seed, STREAM_HEAD, frame).normal(0.0, sigma, size=2)
+            assert [0.0 + sigma * z for z in noise] == live.tolist()
+            assert laser_seed == derive_seed(seed, STREAM_LASER, frame)
+            assert filter_seed == derive_seed(seed, STREAM_FILTER, frame)
+            obs = observe_head(head, camera, sigma, frame=frame, noise=noise)
+            assert (obs.yaw_deg, obs.pitch_deg) == (
+                normalize_angle(rel + live[0]),
+                normalize_angle(head.pitch_deg + live[1]),
+            )
+            assert obs == observe_head(head, camera, sigma, seed=seed, frame=frame)
+        assert frame == self.FRAMES - 1
+
+    def test_ideal_mode_draws_no_laser_or_filter_seeds(self):
+        draws = itertools.islice(harness._frame_draws(7, full=False), 400)
+        full = itertools.islice(harness._frame_draws(7, full=True), 400)
+        for (noise, laser_seed, filter_seed), (full_noise, _, _) in zip(draws, full):
+            assert noise == full_noise
+            assert laser_seed is filter_seed is None
 
 
 def assert_same_outcome(ticked, ev):

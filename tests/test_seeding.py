@@ -190,6 +190,17 @@ class TestBatchedSeeding:
         draws = streams.random()
         assert draws.tolist() == [derive_rng(base, 1, rep).random() for rep in range(50)]
 
+    @pytest.mark.parametrize("empty_first", [True, False])
+    def test_empty_key_array_gives_no_rows(self, empty_first):
+        # An int key has one entropy word; it must not make a row of its own.
+        keys = (np.array([], np.uint64), 2)
+        if not empty_first:
+            keys = keys[::-1]
+        assert derive_seeds(*keys).shape == (0,)
+        streams = derive_rngs(*keys)
+        assert streams.hi.shape == streams.inc_lo.shape == (0,)
+        assert streams.normal(0.0, 1.0).shape == (0,)
+
     def test_seeds_beyond_64_bits_in_an_array(self):
         keys = np.array([2**70 + 5, 3, 2**64], dtype=object)
         assert derive_seeds(keys, STREAM_GAZE).tolist() == [
