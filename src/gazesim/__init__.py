@@ -12,7 +12,6 @@ from .body_tracker import (
     init_particles,
     likelihood,
     systematic_resample,
-    visible_evaluation_points,
 )
 from .config import (
     ConfigError,
@@ -74,6 +73,7 @@ from .laser import (
 from .records import Records
 from .scenario import (
     Painting,
+    RoomError,
     Scenario,
     default_scenario,
     map_consistency_errors,

@@ -114,43 +114,20 @@ def _contour_local(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, normals
 
 
-def visible_evaluation_points(
-    state: tuple[float, float, float] | np.ndarray,
-    sensor: Pose2,
-    config: FilterConfig,
-) -> np.ndarray:
-    """Contour points of one hypothesis facing the sensor, shape (k, 2)."""
-    x, y, theta = float(state[0]), float(state[1]), float(state[2])
-    local_pts, local_nrm = _contour_local(
-        config.body_semi_major_m, config.body_semi_minor_m, config.n_eval_points
-    )
-    axis = math.radians(theta + 90.0)  # major axis direction
-    c, s = math.cos(axis), math.sin(axis)
-    rot = np.array([[c, -s], [s, c]])
-    pts = local_pts @ rot.T + [x, y]
-    nrm = local_nrm @ rot.T
-    to_sensor = np.array([sensor.x, sensor.y]) - pts
-    visible = np.einsum("ij,ij->i", nrm, to_sensor) > 0.0
-    return pts[visible]
-
-
 def likelihood(
     eval_points: np.ndarray,
     scan_points: np.ndarray,
     sigma_floor_m2: float,
     min_weight: float = MIN_WEIGHT,
 ) -> float:
-    """Score one hypothesis's visible contour against the scan returns."""
+    """Score one hypothesis's visible contour against the scan returns: one
+    row of the filter's batched weights."""
     eval_points = np.asarray(eval_points, dtype=float)
     scan_points = np.asarray(scan_points, dtype=float)
     if len(eval_points) == 0 or len(scan_points) == 0:
         return min_weight
-    diff = eval_points[:, None, :] - scan_points[None, :, :]
-    d = np.sqrt(np.min(np.einsum("ijk,ijk->ij", diff, diff), axis=1))
-    d_max = float(np.max(d))
-    sigma_d = max(float(np.var(d)), sigma_floor_m2)
-    alpha = math.exp(-(d_max * d_max) / sigma_d)
-    return max(alpha, min_weight)
+    d = _nearest_return_distances(eval_points[:, 0], eval_points[:, 1], scan_points)[None]
+    return float(_reduce_likelihoods(d, np.ones_like(d, bool), sigma_floor_m2, min_weight)[0])
 
 
 def _nearest_return_distances(
@@ -183,15 +160,11 @@ def _batch_likelihoods(
     scan_points: np.ndarray,
     config: FilterConfig,
 ) -> np.ndarray:
-    """Vectorized likelihood over all particles; matches the scalar path.
+    """The likelihood of every particle, one row per particle.
 
     Distances are computed only for visible contour points (about half of
     them) and scattered back into an (n, n_eval_points) array padded with
-    zeros. The padding cannot raise a row maximum, because distances are
-    non-negative, and the variance below takes np.nanvar's steps on the
-    same rows (row sum, mean, masked squared deviations, row sum), so the
-    weights are bit-identical to reducing NaN-padded rows with
-    np.nanmax and np.nanvar.
+    zeros for `_reduce_likelihoods`.
     """
     n = len(states)
     if len(scan_points) == 0:
@@ -211,18 +184,35 @@ def _batch_likelihoods(
 
     d = np.zeros(px.shape)
     d[visible] = _nearest_return_distances(px[visible], py[visible], scan_points)
+    return _reduce_likelihoods(d, visible, config.sigma_floor_m2)
 
+
+def _reduce_likelihoods(
+    d: np.ndarray,
+    visible: np.ndarray,
+    sigma_floor_m2: float,
+    min_weight: float = MIN_WEIGHT,
+) -> np.ndarray:
+    """alpha = exp(-d_max^2 / sigma_d) per row of nearest-return distances,
+    over the entries that `visible` keeps; `d` holds 0 elsewhere.
+
+    The zero padding cannot raise a row maximum, because distances are
+    non-negative, and the variance takes np.nanvar's steps on the same
+    rows (row sum, mean, masked squared deviations, row sum), so the
+    weights are bit-identical to reducing NaN-padded rows with np.nanmax
+    and np.nanvar.
+    """
     counts = visible.sum(axis=1)
-    # Rows without a visible point get MIN_WEIGHT below; dividing them by 1
+    # Rows without a visible point get min_weight below; dividing them by 1
     # only keeps their discarded arithmetic finite.
     divisor = np.maximum(counts, 1)
     d_max = d.max(axis=1)
     dev = d - d.sum(axis=1, keepdims=True) / divisor[:, None]
     dev[~visible] = 0.0
     dev *= dev
-    sigma_d = np.maximum(dev.sum(axis=1) / divisor, config.sigma_floor_m2)
-    alphas = np.maximum(np.exp(-(d_max * d_max) / sigma_d), MIN_WEIGHT)
-    alphas[counts == 0] = MIN_WEIGHT
+    sigma_d = np.maximum(dev.sum(axis=1) / divisor, sigma_floor_m2)
+    alphas = np.maximum(np.exp(-(d_max * d_max) / sigma_d), min_weight)
+    alphas[counts == 0] = min_weight
     return alphas
 
 

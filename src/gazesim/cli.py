@@ -27,6 +27,7 @@ from .geometry import Pose2, normalize_angle
 from .harness import (
     TrialAbortError,
     TRIAL_MODES,
+    _frame_draws,
     read_records_csv,
     run_experiment,
     run_trial,
@@ -40,7 +41,7 @@ from .human import (
 )
 from .laser import EllipseBody, synthesize_scan
 from .scenario import default_scenario
-from .seeding import STREAM_FILTER, STREAM_INIT, STREAM_LASER, derive_seed
+from .seeding import STREAM_INIT, derive_seed
 from .situation import SITUATIONS, ViewingSituation
 from .stats import (
     anova_two_way,
@@ -210,6 +211,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         seed = config.base_seed
     method = Method(args.method)
     situation = ViewingSituation(args.situation)
+    # The design check: the room must map a painting to the situation.
+    config = replace(config, situations=(situation,))
     trace = TraceWriter(sys.stdout)
     record = run_trial(
         config.scenario, method, situation, seed, mode=args.mode, trace=trace
@@ -306,7 +309,8 @@ def _cmd_track_demo(args: argparse.Namespace) -> int:
         base = derive_seed(args.seed, run)
         tracker = BodyTracker(config, guess=seat, seed=derive_seed(base, STREAM_INIT))
         heading = seat.heading_deg
-        for frame in range(args.frames):
+        draws = zip(range(args.frames), _frame_draws(base, full=True))
+        for frame, (_, laser_seed, filter_seed) in draws:
             if args.motion == "turn" and frame >= 30:
                 heading = normalize_angle(heading + 60.0 / 30.0)
             body = EllipseBody(
@@ -314,12 +318,8 @@ def _cmd_track_demo(args: argparse.Namespace) -> int:
                 semi_major_m=scenario.body_semi_major_m,
                 semi_minor_m=scenario.body_semi_minor_m,
             )
-            scan = synthesize_scan(
-                sensor,
-                body,
-                seed=derive_seed(base, STREAM_LASER, frame),
-            )
-            estimate = tracker.step(scan, seed=derive_seed(base, STREAM_FILTER, frame))
+            scan = synthesize_scan(sensor, body, seed=laser_seed)
+            estimate = tracker.step(scan, seed=filter_seed)
             if frame >= 30:
                 theta_errors.append(
                     abs(normalize_angle(estimate.theta_deg - heading))

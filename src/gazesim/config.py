@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
 
-from .controller import FACE_RANGE_M, METHODS, Method
+from .controller import METHODS, Method
 from .geometry import Pose2
-from .scenario import Painting, Scenario, default_scenario, map_consistency_errors
+from .scenario import Painting, RoomError, Scenario, default_scenario
 from .situation import SITUATIONS, ViewingSituation
 
 DEFAULT_N_PER_CELL = 12
@@ -47,10 +47,13 @@ class RunConfig:
             raise ConfigError(
                 f"base_seed: expected a non-negative integer, got {self.base_seed}"
             )
-        # A painting the recognizer cannot confirm would abort its cells mid-run.
-        errors = map_consistency_errors(self.scenario)
-        if errors:
-            raise ConfigError("; ".join(f"scenario.situation_map.{e}" for e in errors))
+        mapped = set(self.scenario.situation_map.values())
+        unmapped = [s.value for s in self.situations if s not in mapped]
+        if unmapped:
+            raise ConfigError(
+                f"scenario.situation_map: maps no painting to {', '.join(unmapped)}, "
+                "which situations lists"
+            )
 
 
 def _require_keys(obj: Mapping[str, Any], allowed: set[str], path: str) -> None:
@@ -102,17 +105,7 @@ def _pose_to_list(pose: Pose2) -> list[float]:
 
 
 _POSE_KEYS = ("robot_pose", "sensor_pose", "camera_pose", "human_seat")
-_SCENARIO_KEYS = {
-    "robot_pose",
-    "sensor_pose",
-    "camera_pose",
-    "human_seat",
-    "paintings",
-    "situation_map",
-    "body_semi_major_m",
-    "body_semi_minor_m",
-    "painting_pitch_deg",
-}
+_SCENARIO_KEYS = {f.name for f in fields(Scenario)}
 
 
 def scenario_from_dict(obj: Any, path: str = "scenario") -> Scenario:
@@ -154,29 +147,9 @@ def scenario_from_dict(obj: Any, path: str = "scenario") -> Scenario:
     for key in _POSE_KEYS:
         kwargs[key] = _parse_pose(obj[key], f"{path}.{key}")
     try:
-        scenario = Scenario(
-            paintings=tuple(paintings),
-            situation_map=situation_map,
-            **kwargs,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    # The body turns on the seat, so any point this close can end up inside it.
-    reach = scenario.body_semi_major_m
-    seat = scenario.human_seat.position
-    for key in ("sensor_pose", "camera_pose"):
-        if getattr(scenario, key).distance_to(seat) <= reach:
-            raise ConfigError(
-                f"{path}.{key}: lies within body_semi_major_m ({reach} m) of "
-                "human_seat, inside the visitor's body"
-            )
-    # Beyond this range the robot never detects the visitor's face.
-    if scenario.robot_pose.distance_to(seat) > FACE_RANGE_M:
-        raise ConfigError(
-            f"{path}.human_seat: lies more than the face detection range "
-            f"({FACE_RANGE_M} m) from robot_pose, too far to detect a face"
-        )
-    return scenario
+        return Scenario(paintings=tuple(paintings), situation_map=situation_map, **kwargs)
+    except RoomError as exc:
+        raise ConfigError("; ".join(f"{path}.{e}" for e in exc.errors)) from exc
 
 
 def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
@@ -229,15 +202,7 @@ def _parse_name_list(value: Any, path: str, parser, canonical) -> tuple:
     return tuple(item for item in canonical if item in parsed)
 
 
-_CONFIG_KEYS = {
-    "scenario",
-    "methods",
-    "situations",
-    "n_per_cell",
-    "base_seed",
-    "output_dir",
-    "trace",
-}
+_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:

@@ -77,7 +77,7 @@ from .records import (  # noqa: F401  re-exported: the CSV form of the records
     read_records_csv,
     write_records_csv,
 )
-from .scenario import Scenario, settled_instant
+from .scenario import Scenario
 from .seeding import (
     STREAM_FILTER,
     STREAM_GAZE,
@@ -113,10 +113,9 @@ TrialMode = Literal["full", "ideal", "event"]
 TRIAL_MODES = ("full", "ideal", "event")
 
 class TrialAbortError(RuntimeError):
-    """A trial cannot finish: the recognizer never confirmed the intended
-    situation within the startup budget (the scenario is miscalibrated,
-    not the protocol), or a tick-mode trial passed the trial time cap
-    without a terminal event."""
+    """A tick-mode trial cannot finish: the recognizer never confirmed the
+    intended situation within the startup budget, or the trial passed the
+    trial time cap without a terminal event."""
 
 
 class TickSample(NamedTuple):
@@ -446,16 +445,9 @@ class _EventCell(NamedTuple):
 
 
 def _event_cell(
-    scenario: Scenario, method: Method, situation: ViewingSituation, trial_id: int
+    scenario: Scenario, method: Method, situation: ViewingSituation
 ) -> _EventCell:
     painting = scenario.painting_for(situation)
-    settled = settled_instant(scenario, painting)
-    if settled is not situation:
-        raise TrialAbortError(
-            f"scenario cannot reach {situation.value}: settled viewer on "
-            f"{painting.painting_id} classifies as "
-            f"{settled.value if settled else 'unknown'} (trial {trial_id})"
-        )
     robot = scenario.robot_pose
     seat = scenario.human_seat
     seat_to_robot_deg = bearing_to(seat.position, robot.position)
@@ -540,7 +532,7 @@ def _run_event_batch(
     first_trial_id: int,
 ) -> _EventBatch:
     """Trials of one cell with consecutive ids, from their seeds."""
-    cell = _event_cell(scenario, method, situation, first_trial_id)
+    cell = _event_cell(scenario, method, situation)
     cursor, detect_s, gaze_s = _event_outcomes(cell, seeds)
     # Cursor -1, no response, takes the trailing -1.
     plan = np.array([ACTIONS.index(a) for a in method.capture_plan] + [-1], np.int8)
@@ -643,8 +635,6 @@ def run_experiment(
     trial by trial on a pool that never holds more workers than there are
     cores or trials.
     """
-    if config.n_per_cell < 1:
-        raise ValueError("n_per_cell must be at least 1")
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     if mode not in TRIAL_MODES:

@@ -16,7 +16,6 @@ from gazesim.body_tracker import (
     init_particles,
     likelihood,
     systematic_resample,
-    visible_evaluation_points,
 )
 from gazesim.geometry import Pose2, normalize_angle
 from gazesim.laser import (
@@ -80,6 +79,23 @@ def broadcast_batch_likelihoods(states, sensor_xy, scan_points, config):
         sigma_d = np.maximum(var, config.sigma_floor_m2)
         alphas[ok] = np.maximum(np.exp(-(d_max * d_max) / sigma_d), MIN_WEIGHT)
     return alphas
+
+
+def visible_evaluation_points(state, sensor, config):
+    """Contour points of one hypothesis facing the sensor, shape (k, 2): the
+    documented model of the visible contour that the batched kernel masks."""
+    x, y, theta = float(state[0]), float(state[1]), float(state[2])
+    local_pts, local_nrm = _contour_local(
+        config.body_semi_major_m, config.body_semi_minor_m, config.n_eval_points
+    )
+    axis = math.radians(theta + 90.0)  # major axis direction
+    c, s = math.cos(axis), math.sin(axis)
+    rot = np.array([[c, -s], [s, c]])
+    pts = local_pts @ rot.T + [x, y]
+    nrm = local_nrm @ rot.T
+    to_sensor = np.array([sensor.x, sensor.y]) - pts
+    visible = np.einsum("ij,ij->i", nrm, to_sensor) > 0.0
+    return pts[visible]
 
 
 class TestFilterConfig:

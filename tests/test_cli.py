@@ -1,4 +1,3 @@
-import functools
 import importlib.util
 import json
 from pathlib import Path
@@ -23,6 +22,13 @@ def run_cli(argv, capsys):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def room_without_ofov():
+    """The default room with P6, its one OFOV painting, left out of the map."""
+    scenario = scenario_to_dict(default_scenario())
+    del scenario["situation_map"]["P6"]
+    return scenario
 
 
 def moved_camera_room():
@@ -133,6 +139,21 @@ class TestSimulate:
         assert err.startswith("gazesim: scenario.situation_map.P1: ")
         assert "scenario.situation_map.P6: " in err
         assert "Traceback" not in out + err
+
+    def test_unmapped_situation_exits_one(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(
+            json.dumps({"scenario": room_without_ofov(), "situations": ["CFOV"]})
+        )
+        argv = ["simulate", "--config", str(config_path), "--mode", "event"]
+        code, out, err = run_cli(argv + ["--situation", "OFOV"], capsys)
+        assert code == 1
+        assert err.startswith("gazesim: scenario.situation_map: maps no painting to OFOV")
+        assert "Traceback" not in out + err
+        assert out == ""
+        code, _, err = run_cli(argv + ["--situation", "CFOV"], capsys)
+        assert code == 0
+        assert "situation=CFOV" in err
 
     def test_sensor_on_the_seat_exits_one(self, tmp_path, capsys):
         scenario = scenario_to_dict(default_scenario())
@@ -290,6 +311,24 @@ class TestExperiment:
         assert "Traceback" not in out + err
         assert out == ""
         assert not out_dir.exists()
+
+    def test_unmapped_situation_exits_one(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"scenario": room_without_ofov()}))
+        out_dir = tmp_path / "out"
+        argv = ["experiment", "--config", str(config_path), "--out", str(out_dir)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert err.startswith("gazesim: scenario.situation_map: maps no painting to OFOV")
+        assert "Traceback" not in out + err
+        assert out == ""
+        assert not out_dir.exists()
+        config_path.write_text(
+            json.dumps({"scenario": room_without_ofov(), "situations": ["CFOV"], "n_per_cell": 2})
+        )
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert (out_dir / "results.csv").read_text().count(",CFOV,") == 8
 
     def test_missing_config_exits_one(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -487,8 +526,12 @@ class TestReproduceScript:
 
     def test_unreachable_situation_map_exits_one(self, tmp_path, capsys, monkeypatch):
         script = load_reproduce_script()
-        room = scenario_from_dict(moved_camera_room())
-        monkeypatch.setattr(script, "RunConfig", functools.partial(RunConfig, scenario=room))
+
+        def moved_camera_config(**kwargs):
+            # The room cannot be built, so the config fails inside main().
+            return RunConfig(scenario=scenario_from_dict(moved_camera_room()), **kwargs)
+
+        monkeypatch.setattr(script, "RunConfig", moved_camera_config)
         out_dir = tmp_path / "out"
         code = script.main(["--n-per-cell", "2", "--out", str(out_dir)])
         out, err = capsys.readouterr()
@@ -549,6 +592,19 @@ class TestTrackDemo:
         assert code == 0
         assert "orientation error" in out
         assert "throughput" in out
+
+    def test_turn_statistics_are_pinned(self, capsys):
+        code, out, _ = run_cli(
+            ["track-demo", "--seed", "42", "--runs", "3", "--frames", "100", "--motion", "turn"],
+            capsys,
+        )
+        assert code == 0
+        assert out.splitlines()[:3] == [
+            "runs=3 frames=100 motion=turn",
+            "orientation error: median 2.68 deg, p95 8.16 deg, max 10.52 deg, "
+            "share under 6 deg 0.771",
+            "position error: median 0.014 m, p95 0.032 m, max 0.038 m",
+        ]
 
     def test_too_few_frames_exits_one(self, capsys):
         code, _, err = run_cli(["track-demo", "--frames", "10"], capsys)

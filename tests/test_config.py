@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -72,9 +73,15 @@ class TestValidation:
 
     @pytest.mark.parametrize("offset, accepted", [(0.0, False), (0.25, False), (0.26, True)])
     def test_camera_must_clear_the_turning_body(self, offset, accepted):
+        # Along the seat's heading, toward the robot, so that an accepted
+        # camera still sees every painting in its mapped band.
         scenario = scenario_to_dict(default_scenario())
-        seat = scenario["human_seat"]
-        scenario["camera_pose"] = [seat[0] + offset, seat[1], 0.0]
+        x, y, heading = scenario["human_seat"]
+        scenario["camera_pose"] = [
+            x + offset * math.cos(math.radians(heading)),
+            y + offset * math.sin(math.radians(heading)),
+            0.0,
+        ]
         if accepted:
             scenario_from_dict(scenario)
             return
@@ -91,6 +98,16 @@ class TestValidation:
             return
         with pytest.raises(ConfigError, match=r"^scenario\.human_seat: lies more than"):
             scenario_from_dict(scenario)
+
+    def test_situation_without_a_painting_rejected(self):
+        room = scenario_to_dict(default_scenario())
+        del room["situation_map"]["P6"]
+        with pytest.raises(
+            ConfigError, match=r"^scenario\.situation_map: maps no painting to OFOV"
+        ):
+            parse_config(json.dumps({"scenario": room}))
+        config = parse_config(json.dumps({"scenario": room, "situations": ["CFOV"]}))
+        assert config.situations == (ViewingSituation.CFOV,)
 
     def test_bool_is_not_an_int(self):
         with pytest.raises(ConfigError, match="n_per_cell"):

@@ -5,9 +5,10 @@ import math
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gazesim import harness
-from gazesim.config import RunConfig
+from gazesim.config import ConfigError, RunConfig, scenario_from_dict, scenario_to_dict
 from gazesim.controller import (
     FACE_TOLERANCE_DEG,
     METHODS,
@@ -119,7 +120,7 @@ class TestEventEngine:
     @pytest.mark.parametrize("situation", SITUATIONS)
     def test_cell_outcomes_equal_per_trial_draws(self, method, situation):
         seeds = trial_seeds(42, method, situation, 200)
-        cell = harness._event_cell(SC, method, situation, 0)
+        cell = harness._event_cell(SC, method, situation)
         cursor, detect_s, gaze_s = harness._event_outcomes(cell, seeds)
         batched = list(zip(cursor.tolist(), detect_s.tolist(), gaze_s.tolist()))
         expected = [scalar_outcome(cell, seed) for seed in seeds.tolist()]
@@ -133,7 +134,7 @@ class TestEventEngine:
     @pytest.mark.parametrize("seed", [0, 2**32, 2**63 + 7, 2**64 - 1, 2**64, 2**70 + 3])
     def test_single_trial_seeds_of_any_width(self, seed):
         for method in METHODS:
-            cell = harness._event_cell(SC, method, OFOV, 0)
+            cell = harness._event_cell(SC, method, OFOV)
             k, detect_s, gaze_s = scalar_outcome(cell, seed)
             record = run_trial(SC, method, OFOV, seed, mode="event")
             assert record.seed == seed
@@ -242,24 +243,70 @@ class TestTrialModes:
         assert all(s.tilt_deg == 0.0 for s in detail.ticks)
 
 
-class TestAbortOnInconsistentScene:
+class TestRecognizerAbort:
+    def test_ideal_mode_aborts_when_the_recognizer_never_confirms(self, monkeypatch):
+        # Every valid room confirms its situations, so stand in a recognizer
+        # that labels every frame unknown.
+        monkeypatch.setattr(harness, "classify_instant", lambda head, theta_rel: None)
+        with pytest.raises(TrialAbortError, match="did not confirm CFOV within 10 s"):
+            run_trial(SC, Method.M1, CFOV, seed=0, mode="ideal")
+
+
+ROOM_OFFSET_M = st.floats(-0.5, 0.5)
+ROOM_TURN_DEG = st.floats(-20.0, 20.0)
+
+
+class TestPerturbedRooms:
+    """The room property: a room moved away from the default one is
+    rejected when it is built, or runs every cell in event and ideal mode
+    alike. The first-event and last-event bounds of
+    test_event_mode_matches_ideal_mode are left out: the event engine's
+    confirm time comes from the band constants, not from the room."""
+
     @staticmethod
-    def bad_scenario():
-        sc = default_scenario()
-        bad_map = dict(sc.situation_map)
-        far = sc.painting_for(OFOV)
-        central = sc.painting_for(CFOV)
-        bad_map[central.painting_id] = ViewingSituation.OFOV
-        bad_map[far.painting_id] = ViewingSituation.CFOV
-        return dataclasses.replace(sc, situation_map=bad_map)
+    def room(robot, camera, sensor, seat, bearings):
+        """The default room as a config object, each pose moved by its
+        (dx, dy[, dheading]) offset and each painting turned by its own."""
+        room = scenario_to_dict(SC)
+        for key, offset in (
+            ("robot_pose", robot),
+            ("camera_pose", camera),
+            ("sensor_pose", sensor),
+            ("human_seat", seat),
+        ):
+            moved = itertools.zip_longest(room[key], offset, fillvalue=0.0)
+            room[key] = [value + delta for value, delta in moved]
+        for painting, turn in zip(room["paintings"], bearings):
+            painting["bearing_deg"] += turn
+        return room
 
-    def test_event_mode_aborts(self):
-        with pytest.raises(TrialAbortError):
-            run_trial(self.bad_scenario(), Method.M1, CFOV, seed=0, mode="event")
+    def test_rejected_at_construction_or_alike_in_event_and_ideal_mode(self):
+        ran = []
 
-    def test_ideal_mode_aborts(self):
-        with pytest.raises(TrialAbortError):
-            run_trial(self.bad_scenario(), Method.M1, CFOV, seed=0, mode="ideal")
+        @settings(max_examples=80, derandomize=True, deadline=None)
+        @given(
+            st.tuples(ROOM_OFFSET_M, ROOM_OFFSET_M, ROOM_TURN_DEG),
+            st.tuples(ROOM_OFFSET_M, ROOM_OFFSET_M),
+            st.tuples(ROOM_OFFSET_M, ROOM_OFFSET_M),
+            st.tuples(ROOM_OFFSET_M, ROOM_OFFSET_M, ROOM_TURN_DEG),
+            st.lists(st.floats(-10.0, 10.0), min_size=7, max_size=7),
+        )
+        def check(robot, camera, sensor, seat, bearings):
+            try:
+                room = scenario_from_dict(self.room(robot, camera, sensor, seat, bearings))
+            except ConfigError:
+                return
+            config = RunConfig(scenario=room, n_per_cell=2)
+            event = run_experiment(config, mode="event")
+            ideal = run_experiment(config, mode="ideal")
+            assert len(event) == len(ideal) == 32
+            for ticked, ev in zip(ideal, event):
+                assert_same_outcome(ticked, ev)
+            ran.append(room)
+
+        check()
+        # Not only rejections: the property held on rooms that ran.
+        assert len(ran) >= 5
 
 
 class TestRunExperiment:
