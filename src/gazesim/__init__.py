@@ -76,7 +76,6 @@ from .scenario import (
     RoomError,
     Scenario,
     default_scenario,
-    map_consistency_errors,
     settled_instant,
 )
 from .seeding import derive_rng, derive_seed

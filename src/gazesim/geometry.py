@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 def normalize_angle(deg: float) -> float:
     """Wrap an angle in degrees onto (-180, +180]."""
+    if -180.0 < deg <= 180.0:
+        return deg + 0.0  # what fmod gives: deg itself, -0.0 -> 0.0
     if not math.isfinite(deg):
         raise ValueError(f"angle must be finite, got {deg!r}")
     wrapped = math.fmod(deg, 360.0)

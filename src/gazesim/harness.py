@@ -573,17 +573,12 @@ def _trace_events(trace: TraceWriter, events: Iterable[RobotEvent]) -> None:
         trace.emit(event.time_s, "ctrl", event.kind.value, event.detail)
 
 
-def trial_seed(base_seed: int, method: Method, situation: ViewingSituation, rep: int) -> int:
-    """Per-trial seed, stable under subsetting methods or situations."""
-    return derive_seed(
-        base_seed, METHODS.index(method), SITUATIONS.index(situation), rep
-    )
-
-
 def trial_seeds(
     base_seed: int, method: Method, situation: ViewingSituation, n: int
 ) -> np.ndarray:
-    """`trial_seed` of reps 0..n-1, as uint64."""
+    """Per-trial seeds of reps 0..n-1, as uint64: element i is
+    derive_seed(base_seed, method index, situation index, i), so a seed is
+    stable under subsetting methods or situations."""
     return derive_seeds(
         base_seed, METHODS.index(method), SITUATIONS.index(situation), np.arange(n)
     )

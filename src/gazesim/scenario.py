@@ -83,7 +83,7 @@ class Scenario:
                 f"({FACE_RANGE_M} m) from robot_pose, too far to detect a face"
             )
         # A painting the recognizer cannot confirm would abort its cells mid-run.
-        errors = map_consistency_errors(self)
+        errors = _map_consistency_errors(self)
         if errors:
             raise RoomError(*(f"situation_map.{e}" for e in errors))
 
@@ -132,7 +132,7 @@ def settled_instant(scenario: Scenario, painting: Painting) -> ViewingSituation 
     return classify_instant(*_settled_view(scenario, painting))
 
 
-def map_consistency_errors(scenario: Scenario) -> list[str]:
+def _map_consistency_errors(scenario: Scenario) -> list[str]:
     """Check that every mapped painting classifies to its mapped situation,
     and still does with its settled head yaw or pitch moved by
     NOISE_MARGIN_DEG either way. Each error starts with the painting id and

@@ -10,7 +10,9 @@ run in parallel.
 states for whole arrays of keys at once. They repeat NumPy's SeedSequence
 hash and PCG64 seeding in fixed-width integer arithmetic, so every value
 is bit-identical to the scalar functions; the tests hold them to
-NumPy's own reference vectors and to live `np.random`. `PCG64Streams`
+NumPy's own reference vectors and to live `np.random`. The hash holds
+each pool word as a uint32 vector over the rows, or as a Python int
+while it is the same on every row (a purpose tag, say). `PCG64Streams`
 draws from all those generators at once, normals included.
 """
 from __future__ import annotations
@@ -69,20 +71,16 @@ def derive_seeds(seed, *keys) -> np.ndarray:
     ...). Each argument is a non-negative int or a 1-D integer array; ints
     and length-1 arrays broadcast, and an empty array gives an empty
     result. Returns uint64."""
-    words = _seed_sequence_state([seed, *keys], 2).astype(np.uint64)
-    return words[:, 0] | (words[:, 1] << 32)
+    return _state64([seed, *keys], 1)[:, 0]
 
 
 def derive_rngs(seed, *keys) -> PCG64Streams:
     """`derive_rng` over arrays: the PCG64 states of derive_rng(seed[i],
     key[i], ...), with the arguments of `derive_seeds`."""
-    words = _seed_sequence_state([seed, *keys], 8).astype(np.uint64)
     # generate_state(4, uint64) is (state high, state low, seq high, seq
     # low); pcg64_set_seed sets inc = seq << 1 | 1, steps from state 0,
     # adds the initial state and steps again.
-    state_hi, state_lo, seq_hi, seq_lo = (
-        words[:, i] | (words[:, i + 1] << 32) for i in range(0, 8, 2)
-    )
+    state_hi, state_lo, seq_hi, seq_lo = _state64([seed, *keys], 4).T
     inc_hi = (seq_hi << 1) | (seq_lo >> 63)
     inc_lo = (seq_lo << 1) | 1
     lo = inc_lo + state_lo
@@ -90,6 +88,12 @@ def derive_rngs(seed, *keys) -> PCG64Streams:
     streams = PCG64Streams(hi, lo, inc_hi, inc_lo)
     streams.step()
     return streams
+
+
+def _state64(args: list, n_words: int) -> np.ndarray:
+    """generate_state(n_words, np.uint64) for each row, read as NumPy does."""
+    state = _seed_sequence_state(args, 2 * n_words).astype("<u4", copy=False)
+    return state.view("<u8").astype(np.uint64, copy=False)
 
 
 @dataclass
@@ -180,68 +184,65 @@ def _mul_hi64(a: np.ndarray, b: int) -> np.ndarray:
     return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
 
 
-def _words(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The little-endian 32-bit words SeedSequence splits each integer
-    into, zero-padded to the widest, and how many words each has."""
-    if (values < 0).any():
+def _split(arg) -> tuple[list, list]:
+    """The little-endian 32-bit words SeedSequence splits an argument into
+    (Python ints for an int or a length-1 array, else uint32 vectors, zero
+    where a row has fewer words), and its (word count, rows) groups, rows
+    None when every row has all the words."""
+    values = np.asarray(arg)
+    if values.dtype.kind != "u" and (values < 0).any():
         raise ValueError("expected non-negative integer")
-    words = []
-    counts = np.ones(len(values), np.int64)
-    while True:
+    if values.size == 1:
+        value = int(values.item())
+        words = [value >> s & _MASK32 for s in range(0, max(value.bit_length(), 1), 32)]
+        return words, [(len(words), None)]
+    words = [(values & _MASK32).astype(np.uint32)]
+    while (values := values >> 32).any():
         words.append((values & _MASK32).astype(np.uint32))
-        values = values >> 32
-        more = values != 0
-        if not more.any():
-            return np.stack(words, axis=1), counts
-        counts += more
+    if len(words) == 1 or words[-1].all():
+        return words, [(len(words), None)]
+    counts = np.ones(len(values), np.intp)
+    for count, word in enumerate(words[1:], 2):
+        counts[word != 0] = count
+    return words, [(w, counts == w) for w in np.flatnonzero(np.bincount(counts))]
 
 
-def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The hash constant each of `count` successive hashmix calls XORs in,
-    and the one it multiplies by."""
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts[:-1], np.uint32), np.array(consts[1:], np.uint32)
+def _hash_constants(init: int, mult: int) -> Iterator[tuple[int, int]]:
+    """The constant each successive hashmix call XORs in, and the one it
+    multiplies by."""
+    while True:
+        xor, init = init, init * mult & _MASK32
+        yield xor, init
 
 
-def _hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    values = (values ^ xor) * mult
-    return values ^ (values >> _XSHIFT)
+def _wrap(x):
+    """x modulo 2**32: masks an int; uint32 vectors wrap by themselves."""
+    return x & _MASK32 if isinstance(x, int) else x
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+def _hashmix(value, xor: int, mult: int):
+    value = _wrap((value ^ xor) * mult)
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x, y):
+    result = _wrap(_wrap(x * _MIX_MULT_L) - _wrap(y * _MIX_MULT_R))
     return result ^ (result >> _XSHIFT)
 
 
-def _mix_entropy(entropy: np.ndarray) -> np.ndarray:
-    """SeedSequence.mix_entropy on each row of an (n, L) uint32 entropy
-    array: the (n, 4) pools. The hash constant advances once per hashmix
-    call in a fixed order, so each loop of the scalar code becomes one
-    array operation."""
-    n, length = entropy.shape
-    extra = max(length - _POOL_SIZE, 0)
-    xor, mult = _hash_constants(
-        _INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * extra
-    )
-    pool = np.zeros((n, _POOL_SIZE), np.uint32)
-    pool[:, : min(length, _POOL_SIZE)] = entropy[:, :_POOL_SIZE]
-    pool = _hashmix(pool, xor[:_POOL_SIZE], mult[:_POOL_SIZE])
-    k = _POOL_SIZE
+def _mix_entropy(entropy: list) -> list:
+    """SeedSequence.mix_entropy on a list of words, each a Python int (the
+    same on every row) or a uint32 vector: the pool's four words."""
+    consts = _hash_constants(_INIT_A, _MULT_A)
+    padded = entropy[:_POOL_SIZE] + [0] * (_POOL_SIZE - len(entropy))
+    pool = [_hashmix(word, *next(consts)) for word in padded]
     for src in range(_POOL_SIZE):
-        dst = [i for i in range(_POOL_SIZE) if i != src]
-        hashed = _hashmix(pool[:, src : src + 1], xor[k : k + 3], mult[k : k + 3])
-        pool[:, dst] = _mix(pool[:, dst], hashed)
-        k += 3
-    for src in range(_POOL_SIZE, length):
-        hashed = _hashmix(
-            entropy[:, src : src + 1],
-            xor[k : k + _POOL_SIZE],
-            mult[k : k + _POOL_SIZE],
-        )
-        pool = _mix(pool, hashed)
-        k += _POOL_SIZE
+        for dst in range(_POOL_SIZE):
+            if dst != src:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(consts)))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, *next(consts)))
     return pool
 
 
@@ -250,23 +251,21 @@ def _seed_sequence_state(args: list, n_words: int) -> np.ndarray:
     i, as an (n, n_words) uint32 array. Rows whose integers split into
     different numbers of words are mixed separately. An empty array gives
     no rows, whatever the other arguments."""
-    split = [_words(np.atleast_1d(np.asarray(arg))) for arg in args]
-    lengths = [len(words) for words, _ in split]
-    n = max(lengths) if min(lengths) else 0
-    xor, mult = _hash_constants(_INIT_B, _MULT_B, n_words)
+    split = [_split(arg) for arg in args]
+    lengths = {len(words[0]) for words, _ in split if not isinstance(words[0], int)}
+    n = 0 if 0 in lengths else max(lengths, default=1)
     state = np.empty((n, n_words), np.uint32)
-    for widths in itertools.product(*(np.unique(counts) for _, counts in split)):
-        rows = np.ones(n, bool)
-        for (_, counts), width in zip(split, widths):
-            rows &= counts == width
-        m = int(rows.sum())
-        if not m:
-            continue
-        columns = []
-        for (words, _), width in zip(split, widths):
-            if len(words) > 1:
-                words = words[rows]
-            columns.append(np.broadcast_to(words[:, :width], (m, width)))
-        pool = _mix_entropy(np.concatenate(columns, axis=1))
-        state[rows] = _hashmix(pool[:, np.arange(n_words) % _POOL_SIZE], xor, mult)
+    if not n:
+        return state
+    for group in itertools.product(*(widths for _, widths in split)):
+        masks = [mask for _, mask in group if mask is not None]
+        rows = np.logical_and.reduce(masks) if masks else slice(None)
+        pool = _mix_entropy([
+            word if isinstance(word, int) else word[rows]
+            for (words, _), (width, _) in zip(split, group)
+            for word in words[:width]
+        ])
+        consts = _hash_constants(_INIT_B, _MULT_B)
+        for j, (xor, mult) in zip(range(n_words), consts):
+            state[rows, j] = _hashmix(pool[j % _POOL_SIZE], xor, mult)
     return state

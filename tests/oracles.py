@@ -1,9 +1,10 @@
 """Row-at-a-time reference implementations.
 
 These are the list-based CSV and statistics code that the columnar
-`Records` path replaced. The tests check the production functions against
-them: the same CSV bytes, the same parsed rows and statistics equal to the
-last bit.
+`Records` path replaced, the one-seed-per-call `trial_seed` and the
+`fmod`-only `normalize_angle`. The tests check the production functions
+against them: the same CSV bytes, the same parsed rows, seeds and angles,
+and statistics equal to the last bit.
 """
 from __future__ import annotations
 
@@ -14,8 +15,28 @@ from scipy.special import fdtrc
 
 from gazesim.controller import METHODS, Method, RobotAction
 from gazesim.records import RESULTS_CSV_HEADER, TrialRecord
+from gazesim.seeding import derive_seed
 from gazesim.situation import SITUATIONS, ViewingSituation
 from gazesim.stats import CellStats, _two_proportion_z
+
+
+def normalize_angle(deg: float) -> float:
+    """Wrap an angle in degrees onto (-180, +180] by `math.fmod` alone."""
+    if not math.isfinite(deg):
+        raise ValueError(f"angle must be finite, got {deg!r}")
+    wrapped = math.fmod(deg, 360.0)
+    if wrapped > 180.0:
+        wrapped -= 360.0
+    elif wrapped <= -180.0:
+        wrapped += 360.0
+    return wrapped + 0.0  # -0.0 -> 0.0
+
+
+def trial_seed(base_seed: int, method: Method, situation: ViewingSituation, rep: int) -> int:
+    """Per-trial seed, stable under subsetting methods or situations."""
+    return derive_seed(
+        base_seed, METHODS.index(method), SITUATIONS.index(situation), rep
+    )
 
 
 def _fmt_opt_float(value: float | None) -> str:

@@ -39,7 +39,6 @@ from gazesim.geometry import HeadPose, Pose2, normalize_angle
 from gazesim.harness import (
     run_experiment,
     run_trial_detailed,
-    trial_seed,
     write_records_csv,
 )
 from gazesim.head_tracker import HeadObservation, observe_head
@@ -68,6 +67,7 @@ from gazesim.stats import (
     to_jsonable,
     write_summary_csv,
 )
+from oracles import trial_seed
 
 SC = default_scenario()
 

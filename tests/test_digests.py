@@ -11,9 +11,10 @@ import json
 from gazesim import harness
 from gazesim.cli import main
 from gazesim.controller import METHODS, EventKind
-from gazesim.harness import run_trial_detailed, trial_seed
+from gazesim.harness import run_trial_detailed
 from gazesim.scenario import default_scenario
 from gazesim.situation import SITUATIONS
+from oracles import trial_seed
 
 FULL_M4_SEED42 = "53f3f2f0ec5f526e06816ae10c74c60ae2ea6d343e92340237b0f243d2d25370"
 EVENT_N1000_SEED42 = "8b56f3a611b02213e0ef477e8c38492a8a19f2f2b1918a2ae681b6b120d5f13e"

@@ -1,7 +1,10 @@
 import math
+import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+
+import oracles
 
 from gazesim.geometry import (
     HeadPose,
@@ -46,6 +49,34 @@ class TestNormalizeAngle:
     @given(finite_angles, st.integers(min_value=-3, max_value=3))
     def test_periodic(self, a, k):
         assert circ_close(normalize_angle(a + 360.0 * k), normalize_angle(a))
+
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False)
+        | st.integers(min_value=-(10**308), max_value=10**308)
+        | st.integers(min_value=-1000, max_value=1000)
+    )
+    @example(180.0)
+    @example(-180.0)
+    @example(0.0)
+    @example(-0.0)
+    @example(5e-324)
+    @example(-5e-324)
+    @example(2.2250738585072014e-308)
+    @example(1e308)
+    @example(-1e308)
+    @example(180)
+    @example(-180)
+    @example(math.nextafter(-180.0, 0.0))
+    @example(math.nextafter(180.0, math.inf))
+    def test_fast_path_matches_the_fmod_oracle_bit_for_bit(self, a):
+        got, expected = normalize_angle(a), oracles.normalize_angle(a)
+        assert type(got) is type(expected) is float
+        assert struct.pack("<d", got) == struct.pack("<d", expected)
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, a):
+        with pytest.raises(ValueError, match="finite"):
+            normalize_angle(a)
 
 
 class TestAngularDistance:

@@ -11,7 +11,6 @@ from gazesim.scenario import (
     RoomError,
     Scenario,
     default_scenario,
-    map_consistency_errors,
     settled_instant,
 )
 from gazesim.situation import SITUATIONS, ViewingSituation
@@ -46,9 +45,18 @@ class TestDefaultScenario:
 
     def test_situation_map_matches_settled_pipeline(self):
         sc = default_scenario()
-        assert map_consistency_errors(sc) == []
         for pid, situation in sc.situation_map.items():
             assert settled_instant(sc, sc.painting(pid)) is situation
+        # Map each painting to the situation after its own: the room no
+        # longer builds, and every mapped painting is named in the errors.
+        shifted = {
+            pid: SITUATIONS[(SITUATIONS.index(s) + 1) % len(SITUATIONS)]
+            for pid, s in sc.situation_map.items()
+        }
+        with pytest.raises(RoomError) as caught:
+            dataclasses.replace(sc, situation_map=shifted)
+        named = [e.split(":")[0] for e in caught.value.errors]
+        assert named == [f"situation_map.{pid}" for pid in sc.situation_map]
 
     def test_unmapped_painting_is_allowed(self):
         sc = default_scenario()

@@ -212,3 +212,57 @@ class TestBatchedSeeding:
             derive_seeds(-1, 2)
         with pytest.raises(ValueError, match="non-negative"):
             derive_seed(-1, 2)
+
+
+def _live_state(row: list[int], n_words: int) -> list[int]:
+    return np.random.SeedSequence(row).generate_state(n_words).tolist()
+
+
+class TestWordGroups:
+    """The hash splits each argument into 32-bit words and mixes rows with
+    different word counts separately; each case here is checked against
+    live `np.random.SeedSequence`."""
+
+    def test_two_arguments_straddling_two_to_the_32(self):
+        # Seeds and keys each below and above 2**32, crossed: four width
+        # groups in one call, plus a constant tag between them.
+        seeds = np.array([7, 2**32 + 7, 2**32 - 1, 2**40, 0, 2**64 - 1], np.uint64)
+        keys = np.array([3, 2**33, 2**33 + 1, 9, 2**32, 1], np.uint64)
+        rows = [[s, STREAM_GAZE, k] for s, k in zip(seeds.tolist(), keys.tolist())]
+        assert {(s >= 2**32, k >= 2**32) for s, _, k in rows} == {
+            (False, False), (False, True), (True, False), (True, True)
+        }
+        assert _seed_sequence_state([seeds, STREAM_GAZE, keys], 8).tolist() == [
+            _live_state(row, 8) for row in rows
+        ]
+        assert derive_seeds(seeds, STREAM_GAZE, keys).tolist() == [
+            int(np.random.SeedSequence(row).generate_state(1, np.uint64)[0])
+            for row in rows
+        ]
+        streams = derive_rngs(seeds, STREAM_GAZE, keys)
+        assert streams.random().tolist() == [
+            np.random.default_rng(row).random() for row in rows
+        ]
+
+    def test_array_keys_beyond_four_words(self):
+        # Up to six words from the key alone, with rows of every width from
+        # one to six: the extra entropy words take the later mixing rounds.
+        keys = np.array([2**160 + 3, 5, 2**96 - 1, 2**32, 2**100, 2**128 + 1], dtype=object)
+        seeds = np.array([11, 2**35, 12, 2**36, 13, 14], np.uint64)
+        rows = [[s, k, STREAM_RESPOND] for s, k in zip(seeds.tolist(), keys.tolist())]
+        assert _seed_sequence_state([seeds, keys, STREAM_RESPOND], 4).tolist() == [
+            _live_state(row, 4) for row in rows
+        ]
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1, 2**100 + 1])
+    def test_one_row_batch(self, seed):
+        # One row as length-1 arrays, as plain ints and mixed: all the same.
+        row = [seed, STREAM_HEAD, 2**33 + 4]
+        expected = [_live_state(row, 8)]
+        as_arrays = [np.array([v], dtype=object if v >= 2**64 else np.uint64) for v in row]
+        assert _seed_sequence_state(as_arrays, 8).tolist() == expected
+        assert _seed_sequence_state(row, 8).tolist() == expected
+        assert _seed_sequence_state([as_arrays[0], *row[1:]], 8).tolist() == expected
+        assert derive_rngs(*as_arrays).random().tolist() == [
+            np.random.default_rng(row).random()
+        ]
