@@ -22,7 +22,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from gazesim.cli import stats_payload, write_report_files
+from gazesim.cli import make_out_dir, stats_payload, write_report_files
 from gazesim.config import ConfigError, RunConfig
 from gazesim.controller import METHODS, Method
 from gazesim.harness import (
@@ -56,8 +56,17 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def _check_out(path: Path) -> None:
+    """Fail before the run where making `path` after it would: when the
+    nearest part of it that exists is not a directory."""
+    if not next(p for p in (path, *path.parents) if p.exists()).is_dir():
+        make_out_dir(path)  # raises, with the system's reason
+
+
 def _run(args: argparse.Namespace) -> int:
     config = RunConfig(n_per_cell=args.n_per_cell, base_seed=args.seed)
+    if args.out is not None:
+        _check_out(Path(args.out))
     t0 = time.perf_counter()
     records = run_experiment(config, mode=args.mode, jobs=args.jobs)
     elapsed = time.perf_counter() - t0
@@ -109,7 +118,7 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.out is not None:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        make_out_dir(out_dir)
         results_path = out_dir / "results.csv"
         write_records_csv(results_path, records)
         for path in [results_path] + write_report_files(

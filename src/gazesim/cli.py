@@ -121,60 +121,39 @@ def _seed_flag(seed: int | None) -> int | None:
     return seed
 
 
+def _supported(fn, *args):
+    """fn(*args), or None when the records cannot support that statistic."""
+    try:
+        return fn(*args)
+    except ValueError:
+        return None
+
+
 def stats_payload(records) -> dict:
     """The stats.json document. A statistic the records cannot support
     (a method missing a situation, fewer than two trials per cell, one
     method only) is left out or null."""
-    overall = {}
-    for method in METHODS:
-        try:
-            overall[method.value] = overall_ratio(records, method)
-        except ValueError:
-            continue
-    try:
-        anova = anova_two_way(records_to_cells(records))
-    except ValueError:
-        anova = None
-    try:
-        bonferroni = bonferroni_pairwise(records)
-    except ValueError:
-        bonferroni = None
-    return {"overall": overall, "anova": anova, "bonferroni": bonferroni}
+    return {
+        "overall": {m.value: r for m in METHODS
+                    if (r := _supported(overall_ratio, records, m)) is not None},
+        "anova": _supported(lambda: anova_two_way(records_to_cells(records))),
+        "bonferroni": _supported(bonferroni_pairwise, records),
+    }
 
 
 def _chart_payload(records) -> dict:
-    cells = success_ratio(records)
     by_method: dict[str, list] = {}
-    for cell in cells:
-        by_method.setdefault(cell.method.value, []).append(
-            {
-                "situation": cell.situation.value,
-                "mean": cell.mean_success,
-                "sd": cell.sd_success,
-                "n": cell.n,
-            }
-        )
-    overall = []
-    for method in METHODS:
-        try:
-            overall.append(
-                {"method": method.value, "ratio": overall_ratio(records, method)}
-            )
-        except ValueError:
-            continue
-    gaze = []
-    for method in METHODS:
-        try:
-            mean, variance = gaze_stats(records, method)
-        except ValueError:
-            continue
-        gaze.append({"method": method.value, "mean": mean, "variance": variance})
+    for cell in success_ratio(records):
+        by_method.setdefault(cell.method.value, []).append({
+            "situation": cell.situation.value, "mean": cell.mean_success,
+            "sd": cell.sd_success, "n": cell.n,
+        })
     return {
-        "success_by_cell": [
-            {"method": name, "points": points} for name, points in by_method.items()
-        ],
-        "overall": overall,
-        "gaze": gaze,
+        "success_by_cell": [{"method": name, "points": p} for name, p in by_method.items()],
+        "overall": [{"method": m.value, "ratio": r} for m in METHODS
+                    if (r := _supported(overall_ratio, records, m)) is not None],
+        "gaze": [{"method": m.value, "mean": g[0], "variance": g[1]} for m in METHODS
+                 if (g := _supported(gaze_stats, records, m)) is not None],
     }
 
 
@@ -184,24 +163,26 @@ def _write_json(path: Path, payload) -> None:
     )
 
 
+def make_out_dir(path: Path, name: str = "--out") -> None:
+    """mkdir -p `path`, with an OSError as a ConfigError naming `name`."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{name}: {path}: {exc.strerror or exc}") from exc
+
+
 def write_report_files(
     out_dir: Path, records, stats: dict, include_chart: bool
 ) -> list[Path]:
     """Write summary.csv, stats.json (`stats`, from `stats_payload(records)`)
     and optionally chart.json."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    summary_path = out_dir / "summary.csv"
-    write_summary_csv(summary_path, success_ratio(records))
-    written.append(summary_path)
-    stats_path = out_dir / "stats.json"
-    _write_json(stats_path, stats)
-    written.append(stats_path)
+    make_out_dir(out_dir)
+    write_summary_csv(out_dir / "summary.csv", success_ratio(records))
+    _write_json(out_dir / "stats.json", stats)
     if include_chart:
-        chart_path = out_dir / "chart.json"
-        _write_json(chart_path, _chart_payload(records))
-        written.append(chart_path)
-    return written
+        _write_json(out_dir / "chart.json", _chart_payload(records))
+    names = ("summary.csv", "stats.json", "chart.json")[:3 if include_chart else 2]
+    return [out_dir / name for name in names]
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -235,7 +216,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if seed is not None:
         config = replace(config, base_seed=seed)
     out_dir = Path(args.out if args.out is not None else config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_out_dir(out_dir, "--out" if args.out is not None else "output_dir")
     trace_dir = out_dir / "traces" if (args.trace or config.trace) else None
     records = run_experiment(config, mode=args.mode, jobs=args.jobs, trace_dir=trace_dir)
     results_path = out_dir / "results.csv"

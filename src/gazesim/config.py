@@ -137,8 +137,8 @@ def scenario_from_dict(obj: Any, path: str = "scenario") -> Scenario:
         raise ConfigError(f"{path}.situation_map: expected an object")
     situation_map = {}
     for painting_id, name in map_raw.items():
-        situation_map[painting_id] = _parse_situation(
-            name, f"{path}.situation_map.{painting_id}"
+        situation_map[painting_id] = _parse_name(
+            SITUATIONS, name, f"{path}.situation_map.{painting_id}"
         )
     kwargs: dict[str, Any] = {}
     for key in ("body_semi_major_m", "body_semi_minor_m", "painting_pitch_deg"):
@@ -173,36 +173,30 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
     }
 
 
-def _parse_method(name: Any, path: str) -> Method:
-    if isinstance(name, str):
-        try:
-            return Method(name)
-        except ValueError:
-            pass
-    valid = ", ".join(m.value for m in METHODS)
+def _parse_name(canonical: tuple, name: Any, path: str):
+    """The member of `canonical`, METHODS or SITUATIONS, named `name`."""
+    for member in canonical:
+        if member.value == name:
+            return member
+    valid = ", ".join(m.value for m in canonical)
     raise ConfigError(f"{path}: expected one of {valid}, got {name!r}")
 
 
-def _parse_situation(name: Any, path: str) -> ViewingSituation:
-    if isinstance(name, str):
-        try:
-            return ViewingSituation(name)
-        except ValueError:
-            pass
-    valid = ", ".join(s.value for s in SITUATIONS)
-    raise ConfigError(f"{path}: expected one of {valid}, got {name!r}")
-
-
-def _parse_name_list(value: Any, path: str, parser, canonical) -> tuple:
+def _parse_name_list(value: Any, path: str, canonical: tuple) -> tuple:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{path}: expected a non-empty list")
-    parsed = [parser(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    parsed = [_parse_name(canonical, v, f"{path}[{i}]") for i, v in enumerate(value)]
     if len(set(parsed)) != len(parsed):
         raise ConfigError(f"{path}: duplicate entries")
     return tuple(item for item in canonical if item in parsed)
 
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
+_OPTIONAL = {  # the RunConfig keys besides `scenario`, each optional, and their parsers
+    "methods": lambda value, path: _parse_name_list(value, path, METHODS),
+    "situations": lambda value, path: _parse_name_list(value, path, SITUATIONS),
+    "n_per_cell": _as_int, "base_seed": _as_int, "output_dir": _as_str, "trace": _as_bool,
+}
 
 
 def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
@@ -234,39 +228,8 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
     else:
         scenario = scenario_from_dict(obj["scenario"])
 
-    methods = (
-        _parse_name_list(obj["methods"], "methods", _parse_method, METHODS)
-        if "methods" in obj
-        else METHODS
-    )
-    situations = (
-        _parse_name_list(obj["situations"], "situations", _parse_situation, SITUATIONS)
-        if "situations" in obj
-        else SITUATIONS
-    )
-    n_per_cell = (
-        _as_int(obj["n_per_cell"], "n_per_cell")
-        if "n_per_cell" in obj
-        else DEFAULT_N_PER_CELL
-    )
-    base_seed = (
-        _as_int(obj["base_seed"], "base_seed") if "base_seed" in obj else DEFAULT_BASE_SEED
-    )
-    output_dir = (
-        _as_str(obj["output_dir"], "output_dir")
-        if "output_dir" in obj
-        else DEFAULT_OUTPUT_DIR
-    )
-    trace = _as_bool(obj["trace"], "trace") if "trace" in obj else False
-    return RunConfig(
-        scenario=scenario,
-        methods=methods,
-        situations=situations,
-        n_per_cell=n_per_cell,
-        base_seed=base_seed,
-        output_dir=output_dir,
-        trace=trace,
-    )
+    optional = {key: parse(obj[key], key) for key, parse in _OPTIONAL.items() if key in obj}
+    return RunConfig(scenario=scenario, **optional)
 
 
 def serialize_config(config: RunConfig) -> str:

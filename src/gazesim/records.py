@@ -3,18 +3,24 @@
 A `TrialRecord` is one trial's outcome. `Records` holds the trials of a
 design as columns, one NumPy array per field, so 160k trials are seven
 arrays rather than 160k objects; it still reads as a sequence of
-`TrialRecord` rows. The CSV writer and reader move whole columns at once.
+`TrialRecord` rows. The CSV writer formats whole columns as bytes, and
+Python's '%d' or '%.6f' one value at a time outside its fast domain (ids
+>= 0; floats finite, >= +0.0 and below 2**33). The reader parses a chunk
+of lines as bytes when all are as the writer writes that domain, and any
+other chunk with `_parse` on its text.
 """
 from __future__ import annotations
 
+import io
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, product, repeat
 from pathlib import Path
-from typing import IO, ContextManager, Iterable, Iterator
+from typing import IO, Iterable, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .controller import METHODS, Method, RobotAction
 from .situation import SITUATIONS, ViewingSituation
@@ -26,21 +32,24 @@ RESULTS_CSV_HEADER = (
 ACTIONS = tuple(RobotAction)
 _DTYPES = (np.int64, np.int8, np.int8, np.int8, np.float64, np.float64, np.uint64)
 
-# One %-template per CSV row. A failed row's three empty fields still take
-# a value each, printed at width zero, so every row takes seven values.
-_ROW_TEMPLATES = np.array(
-    ["%d,%s,%s,false,%.0s,%.0s,%.0s,%d", "%d,%s,%s,true,%s,%.6f,%.6f,%d"], dtype=object
-)
-_METHOD_NAMES = np.array([m.value for m in METHODS], dtype=object)
-_SITUATION_NAMES = np.array([s.value for s in SITUATIONS], dtype=object)
-_ACTION_NAMES = np.array([a.value for a in ACTIONS] + [""], dtype=object)  # -1: ""
-_METHOD_INDEX = {m.value: i for i, m in enumerate(METHODS)}
-_SITUATION_INDEX = {s.value: i for i, s in enumerate(SITUATIONS)}
-_ACTION_INDEX = {a.value: i for i, a in enumerate(ACTIONS)} | {"": -1}
-_RESPONDED = {"true": True, "false": False}
+_HEADER = (RESULTS_CSV_HEADER + "\n").encode()
 # Rows per chunk that the CSV writer formats and the reader parses at once,
-# which bounds the strings alive at a time.
+# which bounds the bytes alive at a time.
 _CHUNK_ROWS = 16_384
+# Each (method, situation, action)'s text from the comma after the trial id to the one
+# before the latency, 0-padded to three 64-bit words, at `(m * 4 + s) * 5 + action + 1`.
+_CATEGORY_BYTES = np.array([
+    list(f",{m.value},{s.value},{'false,' if a is None else 'true,' + a.value},".encode()
+         .ljust(24, b"\0"))
+    for m, s, a in product(METHODS, SITUATIONS, (None, *ACTIONS))
+], np.uint8)
+_CATEGORY_KEYS = {bytes(text).rstrip(b"\0").decode(): k for k, text in enumerate(_CATEGORY_BYTES)}
+_MIX = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9], np.uint64)
+_HASHES = _CATEGORY_BYTES.view(np.uint64) @ _MIX  # how the reader finds a row's text
+_HASH_ORDER = np.argsort(_HASHES)
+_PAD = 24  # 0 bytes on each side of a chunk the reader parses
+_POWERS = 10.0 ** np.arange(19, -1, -1)  # exact as float64
+_SEED_HIGH, _SEED_LOW = divmod(2**64 - 1, 10**10)
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,50 +155,151 @@ def as_records(records: Records | Iterable[TrialRecord]) -> Records:
     return records if isinstance(records, Records) else Records.from_rows(records)
 
 
-def _opened(path: str | Path | IO[str], mode: str) -> ContextManager[IO[str]]:
-    """An open file at `path`, or `path` itself, left open, when it is a stream."""
-    if hasattr(path, "read" if mode == "r" else "write"):
-        return nullcontext(path)  # type: ignore[arg-type]
-    return open(path, mode, encoding="utf-8", newline="")
-
-
-def write_records_csv(
-    path: str | Path | IO[str], records: Records | Iterable[TrialRecord]
-) -> None:
-    """One %-format call per chunk of rows: each row's template and its
-    seven values, taken from the columns."""
+def write_records_csv(path: str | Path | IO, records: Records | Iterable[TrialRecord]) -> None:
+    """The CSV as bytes, a chunk of rows at a time; a text stream gets text."""
     records = as_records(records)
-    with _opened(path, "w") as fp:
-        fp.write(RESULTS_CSV_HEADER + "\n")
-        for start in range(0, len(records), _CHUNK_ROWS):
-            chunk = records[start:start + _CHUNK_ROWS]
-            values: list = [None] * (7 * len(chunk))
-            values[0::7] = chunk.trial_id.tolist()
-            values[1::7] = _METHOD_NAMES[chunk.method].tolist()
-            values[2::7] = _SITUATION_NAMES[chunk.situation].tolist()
-            values[3::7] = _ACTION_NAMES[chunk.action].tolist()
-            values[4::7] = chunk.latency.tolist()
-            values[5::7] = chunk.gaze.tolist()
-            values[6::7] = chunk.seed.tolist()
-            template = "\n".join(_ROW_TEMPLATES[chunk.responded.view(np.int8)].tolist())
-            fp.write(template % tuple(values) + "\n")
+    chunks = (records[i:i + _CHUNK_ROWS] for i in range(0, len(records), _CHUNK_ROWS))
+    with nullcontext(path) if hasattr(path, "write") else open(path, "wb") as fp:
+        text = isinstance(fp, io.TextIOBase)  # a stream is left open
+        for buf in chain([_HEADER], map(_csv_bytes, chunks)):
+            fp.write(buf.decode("ascii") if text else buf)
 
 
-def read_records_csv(path: str | Path | IO[str]) -> Records:
-    """Whole columns at a time, a chunk of lines after another. On a
-    malformed line the rows are re-scanned one by one for its error."""
-    with _opened(path, "r") as fp:
-        header = fp.readline().rstrip("\n")
-        if header != RESULTS_CSV_HEADER:
-            raise ValueError(f"unexpected results header: {header!r}")
-        body = fp.read()
-    lines = body.split("\n")
-    if "" in lines:  # blank lines are skipped
-        lines = [line for line in lines if line]
-    parts = [_parse(lines[i:i + _CHUNK_ROWS]) for i in range(0, len(lines), _CHUNK_ROWS)]
-    if None in parts:
-        raise _row_error(body)
-    return Records.concat(parts) if parts else Records.from_rows(())
+def _csv_bytes(chunk: Records) -> bytes:
+    """Fields as (width, n) byte blocks, 0 where a row's text is shorter: stacked,
+    transposed to rows, and the 0 bytes dropped with one mask."""
+    n, responded = len(chunk), chunk.responded
+    key = (chunk.method * len(SITUATIONS) + chunk.situation.astype(np.intp)) * (len(ACTIONS) + 1)
+    comma = np.full((1, n), 44, np.uint8)
+    high = chunk.seed // np.uint64(10**10)  # int64 halves: uint64 // costs 3x more
+    low = (chunk.seed - high * np.uint64(10**10)).astype(np.int64)
+    high = high.astype(np.int64)
+    rows = np.concatenate((
+        _block(chunk.trial_id, True, "%d"), _CATEGORY_BYTES[key + chunk.action + 1].T,
+        _block(chunk.latency, responded, "%.6f"), comma,
+        _block(chunk.gaze, responded, "%.6f"), comma,
+        _digits(high, 10, 0, high), _digits(low, 10, 1, low + (high > 0) * 10**10),
+        np.full((1, n), 10, np.uint8),
+    )).T
+    return rows[rows != 0].tobytes()
+
+
+def _block(x: np.ndarray, shown, fmt: str) -> np.ndarray:
+    """`fmt % value` in shown rows, empty in others; by Python outside the fast domain."""
+    point = fmt == "%.6f"
+    fast = shown & ~np.signbit(x) & (x < 2**33)  # NaN fails `<`
+    slow = np.flatnonzero(shown & ~fast)
+    texts = [fmt % v for v in x[slow].tolist()]
+    r = _fixed6(np.where(fast, x, 0.0)) if point else np.where(fast, x, 0)
+    least = 7 if point else 1
+    block = _digits(r, max(least, len(str(r.max())), *(len(t) - point for t in texts)), least, r)
+    if point:
+        block = np.concatenate((block[:-6], np.full((1, len(x)), 46, np.uint8), block[-6:]))
+    block *= fast
+    for column, text in zip(slow.tolist(), texts):
+        block[len(block) - len(text):, column] = list(text.encode())
+    return block
+
+
+def _fixed6(x: np.ndarray) -> np.ndarray:
+    """x * 1e6 rounded half to even, as int64: the digits '%.6f' prints for
+    0 <= x < 2**33. Dekker's two-product (a Veltkamp split, no FMA) gives
+    the exact error e of p = x * 1e6. With r = rint(p), only a tie of p
+    (p - r is a half) can leave r: then the sign of e decides. (A half in
+    e comes only with an even integer p, the product's own tie.)"""
+    p = x * 1e6
+    c = x * 134217729.0
+    high = c - (c - x)
+    e = (high * 1e6 - p) + (x - high) * 1e6
+    r = np.rint(p)
+    h = p - r
+    return r.astype(np.int64) + ((h == 0.5) & (e > 0)) - ((h == -0.5) & (e < 0))
+
+
+def _digits(values: np.ndarray, width: int, shown: int, magnitude: np.ndarray) -> np.ndarray:
+    """The ASCII digits of int64 `values` >= 0 right-aligned in a (width, n) block; a
+    digit above the last `shown` is a 0 byte where its place exceeds `magnitude`."""
+    out = np.empty((width, len(values)), np.uint8)
+    for row in range(width - 1, -1, -1):
+        tens = values // 10
+        out[row] = values - tens * 10 + 48
+        values = tens
+    least = int(magnitude.min())
+    for row, place in enumerate(10**k for k in range(width - 1, shown - 1, -1)):
+        if place > least:  # comparing with powers of ten finds the leading zeros
+            out[row] *= magnitude >= place
+    return out
+
+
+def read_records_csv(path: str | Path | IO) -> Records:
+    """A chunk of lines at a time: by `_columns` when all are canonical, else by
+    `_parse` on its text, and a malformed line is reported with its number."""
+    data = path.read() if hasattr(path, "read") else Path(path).read_bytes()
+    data = data.encode("utf-8") if isinstance(data, str) else data
+    header, _, body = data.partition(b"\n")
+    if header + b"\n" != _HEADER:
+        raise ValueError(f"unexpected results header: {header.decode('utf-8')!r}")
+    ends = np.flatnonzero(np.frombuffer(body, np.uint8) == 10) + 1
+    cuts = [0, *ends[_CHUNK_ROWS - 1::_CHUNK_ROWS].tolist(), len(body)]
+    parts = [_columns(body[lo:hi]) if lo < hi else Records.from_rows(())
+             for lo, hi in zip(cuts, cuts[1:])]
+    lines = None
+    for k in (k for k, part in enumerate(parts) if part is None):
+        lines = lines or data.decode("utf-8").split("\n")[1:]  # whole: errors give file offsets
+        rows = lines[k * _CHUNK_ROWS:(k + 1) * _CHUNK_ROWS]
+        parts[k] = _parse([line for line in rows if line]) if any(rows) else Records.from_rows(())
+        if parts[k] is None:  # the earlier chunks parsed, so the first error is in this one
+            raise _row_error(rows, first=k * _CHUNK_ROWS + 2)
+    return Records.concat(parts)
+
+
+def _columns(chunk: bytes) -> Records | None:
+    """The records of a chunk of canonical lines, or None. A '%.6f' field reads as
+    its digits' integer N / 1e6: both exact doubles, the quotient equals float(text)."""
+    newline = b"" if chunk.endswith(b"\n") else b"\n"  # a last line without its own
+    a = np.frombuffer(bytes(_PAD) + chunk + newline + bytes(_PAD), np.uint8)
+    ends = np.flatnonzero(a == 10)
+    c = np.flatnonzero(a == 44)
+    if len(c) != 7 * len(ends):
+        return None
+    c = c.reshape(-1, 7).T
+    span = c[4] + 1 - c[0]  # ",method,situation,responded,action,", at most 21 bytes if valid
+    text = sliding_window_view(a, _PAD)[c[0]] * (np.arange(_PAD) < span[:, None])
+    index = np.searchsorted(_HASHES, text.view(np.uint64) @ _MIX, sorter=_HASH_ORDER)
+    key = _HASH_ORDER[index.clip(max=len(_HASHES) - 1)]
+    mid = np.maximum(c[6] + 1, ends - 10)  # the seed in two halves, each exact
+    numbers = [_number(a, np.r_[_PAD, ends[:-1] + 1], c[0], 1, 15),
+               _number(a, c[4] + 1, c[5], 0, 17, True), _number(a, c[5] + 1, c[6], 0, 17, True),
+               _number(a, c[6] + 1, mid, 0, 10), _number(a, mid, ends, 1, 10)]
+    if any(number is None for number in numbers):
+        return None
+    tid, latency, gaze, high, low = numbers
+    responded = key % (len(ACTIONS) + 1) > 0
+    point = np.where(responded, a[c[5:7] - 7] == 46, c[5:7] == c[4:6] + 1)  # or empty
+    if not (point.all() and (_CATEGORY_BYTES[key] == text).all()
+            and max(latency.max(), gaze.max()) < 2**53
+            and ((high < _SEED_HIGH) | (high == _SEED_HIGH) & (low <= _SEED_LOW)).all()):
+        return None
+    return _from_keys(
+        tid.astype(np.int64), key,
+        np.where(responded, latency / 1e6, np.nan), np.where(responded, gaze / 1e6, np.nan),
+        high.astype(np.uint64) * np.uint64(10**10) + low.astype(np.uint64),
+    )
+
+
+def _number(a: np.ndarray, lo: np.ndarray, hi: np.ndarray, least: int, most: int, point=False):
+    """The digits of each field a[lo:hi] as a float64 integer, or None unless each has `least`
+    to `most` bytes, all digits but, with `point`, the '.' 7th from the right."""
+    length = hi - lo
+    if length.min() < least or length.max() > most:
+        return None
+    width = max(8 if point else 1, int(length.max()))
+    d = sliding_window_view(a, width)[hi - width] - np.uint8(48)
+    d *= np.arange(width) >= (width - length)[:, None]  # the bytes before the field
+    if point:
+        d[:, -7] = 0
+    powers = _POWERS[point - width:]
+    return None if (d > 9).any() else d @ (np.insert(powers, width - 7, 0.0) if point else powers)
 
 
 def _parse(lines: list[str]) -> Records | None:
@@ -199,20 +309,26 @@ def _parse(lines: list[str]) -> Records | None:
         return None
     fields = ",".join(lines).split(",")
     try:
-        responded = np.fromiter(map(_RESPONDED.__getitem__, fields[3::8]), bool, n)
-        records = Records(
+        texts = map(",{},{},{},{},".format, *(fields[f::8] for f in range(1, 5)))
+        records = _from_keys(
             np.array(list(map(int, fields[0::8])), dtype=np.int64),
-            np.fromiter(map(_METHOD_INDEX.__getitem__, fields[1::8]), np.int8, n),
-            np.fromiter(map(_SITUATION_INDEX.__getitem__, fields[2::8]), np.int8, n),
-            np.fromiter(map(_ACTION_INDEX.__getitem__, fields[4::8]), np.int8, n),
+            np.fromiter(map(_CATEGORY_KEYS.__getitem__, texts), np.intp, n),
             _floats(fields[5::8]),
             _floats(fields[6::8]),
             np.array(list(map(int, fields[7::8])), dtype=np.uint64),
         )
     except (KeyError, ValueError, OverflowError):
         return None
-    missing = (records.action < 0, np.isnan(records.latency), np.isnan(records.gaze))
-    return records if all(np.array_equal(m, ~responded) for m in missing) else None
+    missing = (np.isnan(records.latency), np.isnan(records.gaze))
+    return records if all(np.array_equal(m, records.action < 0) for m in missing) else None
+
+
+def _from_keys(trial_id, key, latency, gaze, seed) -> Records:
+    """Records whose method, situation and action are given by `_CATEGORY_BYTES` keys."""
+    category, action = np.divmod(key, len(ACTIONS) + 1)
+    method, situation = np.divmod(category, len(SITUATIONS))
+    return Records(trial_id, method.astype(np.int8), situation.astype(np.int8),
+                   (action - 1).astype(np.int8), latency, gaze, seed)
 
 
 def _floats(texts: list[str]) -> np.ndarray:
@@ -223,16 +339,16 @@ def _floats(texts: list[str]) -> np.ndarray:
     return values
 
 
-def _row_error(body: str) -> ValueError:
-    """The error of the first malformed line, with its line number."""
-    for line_no, line in enumerate(body.split("\n"), start=2):
+def _row_error(lines: list[str], first: int) -> ValueError:
+    """The error of the first malformed line, with its number; `lines[0]` is line `first`."""
+    for line_no, line in enumerate(lines, start=first):
         if not line:
             continue
         parts = line.split(",")
         if len(parts) != 8:
             return ValueError(f"line {line_no}: expected 8 fields, got {len(parts)}")
         (tid, method, situation, responded, action, latency, gaze, seed) = parts
-        if responded not in _RESPONDED:
+        if responded not in ("true", "false"):
             return ValueError(
                 f"line {line_no}: responded must be true or false, got {responded!r}"
             )

@@ -197,7 +197,20 @@ class TestSimulate:
         assert "Traceback" not in err
 
 
+# An --out that names a regular file, or a path under one.
+OUT_ON_A_FILE = [("f", "File exists"), ("f/sub", "Not a directory")]
+
+
 class TestExperiment:
+    @pytest.mark.parametrize("out, reason", OUT_ON_A_FILE)
+    def test_out_on_a_regular_file_exits_one(self, tmp_path, capsys, out, reason):
+        (tmp_path / "f").touch()
+        code, stdout, err = run_cli(["experiment", "--out", str(tmp_path / out)], capsys)
+        assert code == 1
+        assert err == f"gazesim: --out: {tmp_path / out}: {reason}\n"
+        assert "Traceback" not in err
+        assert stdout == ""
+
     def test_writes_all_outputs(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text(
@@ -458,6 +471,16 @@ class TestReport:
         assert (tmp_path / "rep" / "summary.csv").exists()
         assert (tmp_path / "rep" / "stats.json").exists()
 
+    @pytest.mark.parametrize("out, reason", OUT_ON_A_FILE)
+    def test_out_on_a_regular_file_exits_one(self, tmp_path, capsys, out, reason):
+        results = tmp_path / "results.csv"
+        results.write_text(RESULTS_CSV_HEADER + "\n0,M1,CFOV,false,,,,11\n")
+        (tmp_path / "f").touch()
+        code, _, err = run_cli(["report", str(results), "--out", str(tmp_path / out)], capsys)
+        assert code == 1
+        assert err == f"gazesim: --out: {tmp_path / out}: {reason}\n"
+        assert "Traceback" not in err
+
     def test_missing_results_exits_one(self, tmp_path, capsys):
         code, _, err = run_cli(["report", str(tmp_path / "nope.csv")], capsys)
         assert code == 1
@@ -511,6 +534,21 @@ class TestReproduceScript:
         assert "Traceback" not in err
         assert out == ""
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("out, reason", OUT_ON_A_FILE)
+    def test_out_on_a_regular_file_exits_one_before_the_run(
+        self, tmp_path, capsys, monkeypatch, out, reason
+    ):
+        script = load_reproduce_script()
+        runs = []
+        monkeypatch.setattr(script, "run_experiment", lambda *a, **k: runs.append(a))
+        (tmp_path / "f").touch()
+        code = script.main(["--n-per-cell", "2", "--out", str(tmp_path / out)])
+        stdout, err = capsys.readouterr()
+        assert code == 1
+        assert err == f"reproduce_results: --out: {tmp_path / out}: {reason}\n"
+        assert "Traceback" not in stdout + err
+        assert stdout == "" and runs == []
 
     def test_trial_time_cap_exits_two(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(harness, "TRIAL_TIME_CAP_S", 0.5)

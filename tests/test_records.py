@@ -3,17 +3,21 @@
 and line numbers, and statistics equal to the last bit."""
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import oracles
+from gazesim import records as records_module
 from gazesim import stats
-from gazesim.cli import _chart_payload, stats_payload
+from gazesim.cli import _chart_payload, main, stats_payload
 from gazesim.config import RunConfig
 from gazesim.controller import METHODS, Method, RobotAction
 from gazesim.harness import run_experiment
 from gazesim.records import (
+    _CHUNK_ROWS,
     ACTIONS,
     RESULTS_CSV_HEADER,
     Records,
@@ -228,6 +232,164 @@ class TestReader:
         text = RESULTS_CSV_HEADER + "\n" + "\n".join(lines) + "\n"
         with pytest.raises(ValueError, match="^line 2: expected 8 fields, got 16$"):
             read_records_csv(io.StringIO(text))
+
+
+def fixed6(x):
+    """'%.6f' % x from the writer's array rounding."""
+    r = int(records_module._fixed6(np.array([x], dtype=np.float64))[0])
+    return f"{r // 10**6}.{r % 10**6:06d}"
+
+
+BELOW_2_33 = float(np.nextafter(2.0**33, 0.0))
+
+
+class TestFixed6Rounding:
+    """`_fixed6` rounds x * 1e6 half to even on the exact binary value, as
+    '%.6f' does, over the whole fast domain [0, 2**33)."""
+
+    @pytest.mark.parametrize(
+        "x",
+        [0.0, 0.0078125, 1.0000005, float(np.nextafter(1.0000005, 0.0)),
+         float(np.nextafter(1.0000005, 2.0)), 5e-7, float(np.nextafter(5e-7, 1.0)),
+         2.5e-7, 4.9999995, 99.9999995, 2.0**32 + 0.5**7, BELOW_2_33],
+    )
+    def test_explicit_cases(self, x):
+        assert fixed6(x) == "%.6f" % x
+
+    def test_an_exact_binary_tie_rounds_to_even(self):
+        assert fixed6(0.0078125) == "0.007812"
+
+    @given(st.floats(0.0, 100.0))
+    def test_equals_percent_format_on_0_to_100(self, x):
+        assert fixed6(x) == "%.6f" % x
+
+    @given(st.floats(0.0, BELOW_2_33))
+    def test_equals_percent_format_on_the_fast_domain(self, x):
+        assert fixed6(x) == "%.6f" % x
+
+    def test_every_odd_multiple_of_2_to_the_minus_7_is_a_tie(self):
+        # x = odd / 128 makes x * 1e6 an exact half-integer. Below 2**45 / 1e6
+        # p holds the half and rint settles it; from 2**52 / 1e6 on p is an
+        # integer and the half is the product's error e.
+        rng = np.random.default_rng(5)
+        odd = np.concatenate([np.arange(1, 25600, 2), 2 * rng.integers(2**38, 2**39, 4000) + 1])
+        x = odd / 128.0
+        got = records_module._fixed6(x)
+        want = ["%.6f" % v for v in x.tolist()]
+        assert [f"{r // 10**6}.{r % 10**6:06d}" for r in got.tolist()] == want
+
+
+# Rows the row oracle accepts that the writer would not write.
+VARIANTS = [
+    " 007,M1,CFOV,true,HT,1e-3, 2.5 ,+12",
+    "8,M4,OFOV,false,,,,1_000",
+    "9,M3,CFOV,true,Blink,inf,0,18446744073709551615",
+    "10,M2,NPFOV,true,RT,.500000,12.50,007",
+    "11,M1,OFOV,true,HS,12345678,1.000000,5",
+    "11,M1,OFOV,true,HS,1.000000,1.0000005,5",
+    "12,M1,CFOV,true,HT,9999999999.999999,1.000000,5",
+    "13,M1,CFOV,true,HT,1.000000,-0.000000,5",
+    "0014,M1,CFOV,false,,,,00000000000000000000018",
+]
+
+
+def two_chunk_design():
+    """A design of more than one chunk, as records and as canonical CSV lines."""
+    records = run_experiment(RunConfig(n_per_cell=1100, base_seed=4))
+    assert len(records) > _CHUNK_ROWS
+    return records, written(records).split("\n")
+
+
+class TestChunkBoundaries:
+    def test_non_canonical_rows_in_the_second_chunk_read_as_the_row_oracle(self):
+        _, lines = two_chunk_design()
+        for offset, variant in enumerate(VARIANTS):
+            lines[_CHUNK_ROWS + 3 + 2 * offset] = variant
+        text = "\n".join(lines)
+        records = read_records_csv(io.StringIO(text))
+        assert list(records) == oracles.read_rows(io.StringIO(text))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_a_lone_non_canonical_row_reads_as_the_row_oracle(self, variant):
+        # Alone in its chunk, so that the byte parser alone must turn it down.
+        lines = written(run_experiment(RunConfig(n_per_cell=2, base_seed=3))).split("\n")
+        lines[5] = variant
+        text = "\n".join(lines)
+        assert list(read_records_csv(io.StringIO(text))) == oracles.read_rows(io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "1,M1,CFOV,false,,2.000000,,5",
+            "1,M1,CFOV,false,,,2.000000,5",
+            "1,M1,CFOV,true,HT,,2.000000,5",
+            "1,M1,CFOV,true,HT,2.000000,,5",
+            "1,M1,CFOV,true,,1.000000,2.000000,5",
+            "1,M1,CFOV,false,HT,,,5",
+        ],
+    )
+    def test_a_lone_row_that_breaks_the_record_rules_reports_its_line(self, bad):
+        lines = written(run_experiment(RunConfig(n_per_cell=2, base_seed=3))).split("\n")
+        lines[5] = bad
+        with pytest.raises(ValueError) as new:
+            read_records_csv(io.StringIO("\n".join(lines)))
+        with pytest.raises(ValueError) as old:
+            oracles.read_rows(io.StringIO("\n".join(lines)))
+        assert str(new.value) == "line 6: " + str(old.value).removeprefix("line 6: ")
+
+    def test_a_malformed_row_in_the_second_chunk_reports_its_line(self):
+        _, lines = two_chunk_design()
+        lines[16390 - 1] = "1,M1,CFOV,yes,HT,1.0,2.0,5"
+        with pytest.raises(ValueError) as error:
+            read_records_csv(io.StringIO("\n".join(lines)))
+        assert str(error.value) == "line 16390: responded must be true or false, got 'yes'"
+
+    @pytest.mark.parametrize("line_no", [3, 16390])
+    def test_a_non_utf8_byte_exits_one_through_report(self, tmp_path, capsys, line_no):
+        _, lines = two_chunk_design()
+        data = "\n".join(lines).encode()
+        offset = sum(len(line) + 1 for line in lines[:line_no - 1]) + 2
+        path = tmp_path / "results.csv"
+        path.write_bytes(data[:offset] + b"\xff" + data[offset + 1:])
+        assert main(["report", str(path), "--out", str(tmp_path / "rep")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        # The offset counts from the start of the file.
+        assert err == (
+            f"gazesim: {path}: 'utf-8' codec can't decode byte 0xff in position {offset}: "
+            "invalid start byte\n"
+        )
+
+    def test_fallback_values_on_both_sides_of_a_boundary_equal_the_row_oracle(self):
+        records, _ = two_chunk_design()
+        rows = list(records)
+        edits = [
+            dict(gaze_time_s=-0.0), dict(response_latency_s=math.inf), dict(gaze_time_s=1e9),
+            dict(trial_id=-3), dict(seed=2**64 - 1), dict(response_latency_s=2.0**33),
+            dict(gaze_time_s=-1e-9), dict(trial_id=2**62),
+        ]
+        for i, edit in zip([_CHUNK_ROWS - 2, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1] * 2,
+                           edits):
+            row = next(r for r in rows[i:] if r.responded)
+            rows[rows.index(row)] = replace(row, **edit)
+        text = written(Records.from_rows(rows))
+        assert text == oracle_csv(rows)
+        assert read_records_csv(io.StringIO(text)) == oracles.read_rows(io.StringIO(text))
+
+    def test_a_path_and_a_text_stream_get_the_same_text(self, tmp_path):
+        records, lines = two_chunk_design()
+        write_records_csv(tmp_path / "results.csv", records)
+        assert (tmp_path / "results.csv").read_text() == "\n".join(lines)
+        binary = io.BytesIO()
+        write_records_csv(binary, records)
+        assert binary.getvalue().decode() == "\n".join(lines)
+
+    def test_canonical_chunks_never_reach_the_text_parser(self, tmp_path, monkeypatch):
+        records, _ = two_chunk_design()
+        write_records_csv(tmp_path / "results.csv", records)
+        monkeypatch.setattr(records_module, "_parse", None)
+        back = read_records_csv(tmp_path / "results.csv")
+        assert list(back) == oracles.read_rows(io.StringIO(written(records)))
 
 
 class TestStatisticsEqualTheListOracles:
