@@ -10,7 +10,8 @@ so a trial's decisions are identical whichever engine runs it:
            noisy head camera), 30 fps tick loop.
 - "ideal": tick loop with ground-truth body orientation and the noisy
            head camera; no laser or filter.
-- "event": closed-form timeline of the same protocol; no ticks at all.
+- "event": closed-form timeline of the same protocol from the confirm tick
+           of the visitor's noise-free turn, stepped once per cell.
            Decisions and latencies are drawn from the same per-decision
            streams, so records match the tick engines. The trials of a
            (method, situation) cell run as one batch: their seeds and
@@ -55,8 +56,8 @@ from .controller import (
 from .geometry import Pose2, bearing_to, normalize_angle, relative_bearing
 from .head_tracker import observe_head
 from .human import (
-    BODY_TURN_SPEED_DEG_S,
     HEAD_TURN_SPEED_DEG_S,
+    HumanState,
     LATENCY_MAX_S,
     LATENCY_MIN_S,
     ROBOT_TARGET,
@@ -77,7 +78,7 @@ from .records import (  # noqa: F401  re-exported: the CSV form of the records
     read_records_csv,
     write_records_csv,
 )
-from .scenario import Scenario
+from .scenario import Scenario, noise_free_view
 from .seeding import (
     STREAM_FILTER,
     STREAM_GAZE,
@@ -90,9 +91,6 @@ from .seeding import (
     derive_seeds,
 )
 from .situation import (
-    CENTRAL_HALF_WIDTH_DEG,
-    NEAR_PERIPHERAL_LIMIT_DEG,
-    OUT_OF_VIEW_BODY_DEG,
     PERSISTENCE_FRAMES,
     SITUATIONS,
     SrmState,
@@ -414,22 +412,25 @@ def _run_ticks(
     )
 
 
-def _analytic_confirm_s(situation: ViewingSituation) -> float:
-    """When the recognizer settles, measured from trial start: the visitor
-    turns from facing the robot toward the painting, crossing the band
-    threshold, then the persistence counter must fill."""
-    if situation is ViewingSituation.CFOV:
-        stable_s = 0.0
-    elif situation is ViewingSituation.NPFOV:
-        stable_s = CENTRAL_HALF_WIDTH_DEG / HEAD_TURN_SPEED_DEG_S
-    elif situation is ViewingSituation.FPFOV:
-        stable_s = NEAR_PERIPHERAL_LIMIT_DEG / HEAD_TURN_SPEED_DEG_S
-    else:
-        stable_s = max(
-            OUT_OF_VIEW_BODY_DEG / HEAD_TURN_SPEED_DEG_S,
-            OUT_OF_VIEW_BODY_DEG / BODY_TURN_SPEED_DEG_S,
-        )
-    return stable_s + PERSISTENCE_FRAMES / 30.0
+def _settled_visitor(
+    scenario: Scenario, situation: ViewingSituation
+) -> tuple[float, HumanState]:
+    """The visitor of a trial without head camera noise, stepped as the tick
+    loop steps them until their turn to the painting settles (the room rules
+    make the label there the mapped situation), and when the first prompt
+    starts: a tick after the recognizer confirms, which it does on the
+    PERSISTENCE_FRAMES-th frame of the label's last unbroken run."""
+    human = make_human(scenario, scenario.painting_for(situation).painting_id)
+    first = frame = 0
+    while True:
+        before = (human.head_yaw_deg, human.head_pitch_deg, human.body_theta_deg)
+        human_step(human, scenario, frame / 30.0, TICK_S)
+        view = noise_free_view(scenario, human.head, human.body_theta_deg)
+        if classify_instant(*view) is not situation:
+            first = frame + 1
+        if (human.head_yaw_deg, human.head_pitch_deg, human.body_theta_deg) == before:
+            return (first + PERSISTENCE_FRAMES) / 30.0, human
+        frame += 1
 
 
 class _EventCell(NamedTuple):
@@ -447,16 +448,10 @@ class _EventCell(NamedTuple):
 def _event_cell(
     scenario: Scenario, method: Method, situation: ViewingSituation
 ) -> _EventCell:
-    painting = scenario.painting_for(situation)
     robot = scenario.robot_pose
-    seat = scenario.human_seat
-    seat_to_robot_deg = bearing_to(seat.position, robot.position)
-    gaze_offset_deg = normalize_angle(
-        scenario.painting_world_yaw(painting) - seat_to_robot_deg
-    )
-    target_pan_deg = clamp_pan(relative_bearing(robot, seat.position))
-
-    t = _analytic_confirm_s(situation)
+    t, human = _settled_visitor(scenario, situation)
+    gaze_offset_deg = gaze_bearing_to(human, robot.position)
+    target_pan_deg = clamp_pan(relative_bearing(robot, scenario.human_seat.position))
     pan = 0.0
     prompts = []
     window_starts = []

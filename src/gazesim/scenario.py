@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass, replace
 
 from .controller import FACE_RANGE_M
-from .geometry import Pose2, bearing_to, normalize_angle
-from .head_tracker import DEFAULT_NOISE_SIGMA_DEG, HeadObservation, TRACKING_LIMIT_DEG
+from .geometry import HeadPose, Pose2, bearing_to, normalize_angle
+from .head_tracker import DEFAULT_NOISE_SIGMA_DEG, HeadObservation, observe_head
 from .situation import ViewingSituation, classify_instant
 
 SEAT_DISTANCE_M = 2.0
@@ -55,6 +55,13 @@ class Scenario:
 
     def __post_init__(self) -> None:
         """Every rule a runnable room keeps; a broken one raises RoomError."""
+        # NaN slips past every comparison below, so this rule comes first. A
+        # pose is checked by its position: Pose2 refuses a non-finite heading.
+        for key in ("robot_pose", "sensor_pose", "camera_pose", "human_seat",
+                    "painting_pitch_deg", "body_semi_major_m", "body_semi_minor_m"):
+            value = getattr(self, key)
+            if not all(map(math.isfinite, getattr(value, "position", (value,)))):
+                raise RoomError(f"{key}: expected finite values, got {value!r}")
         ids = [p.painting_id for p in self.paintings]
         if len(self.paintings) != 7:
             raise RoomError(f"paintings: expected 7 paintings, got {len(self.paintings)}")
@@ -105,30 +112,26 @@ class Scenario:
         return normalize_angle(self.human_seat.heading_deg + painting.bearing_deg)
 
 
+def noise_free_view(
+    scenario: Scenario, head: HeadPose, body_theta_deg: float
+) -> tuple[HeadObservation, float]:
+    """The recognizer's view of the visitor without sensor noise: the head
+    camera's observation, and the body heading off the seat-to-robot bearing."""
+    to_robot = bearing_to(scenario.human_seat.position, scenario.robot_pose.position)
+    obs = observe_head(head, scenario.camera_pose, noise=(0.0, 0.0))
+    return obs, normalize_angle(body_theta_deg - to_robot)
+
+
 def _settled_view(scenario: Scenario, painting: Painting) -> tuple[HeadObservation, float]:
-    """What the recognizer sees of a viewer settled on a painting, noise-free:
-    the head relative to the camera and the body orientation relative to the
-    robot."""
-    seat = scenario.human_seat.position
+    """The noise-free view of a visitor settled on a painting."""
     yaw = scenario.painting_world_yaw(painting)
-    to_camera = bearing_to(seat, scenario.camera_pose.position)
-    rel = normalize_angle(yaw - to_camera)
-    if abs(rel) <= TRACKING_LIMIT_DEG:
-        pitch = normalize_angle(scenario.painting_pitch_deg)
-        obs = HeadObservation(frame=0, valid=True, yaw_deg=rel, pitch_deg=pitch)
-    else:
-        obs = HeadObservation(frame=0, valid=False)
-    to_robot = bearing_to(seat, scenario.robot_pose.position)
-    return obs, normalize_angle(yaw - to_robot)
+    head = HeadPose(*scenario.human_seat.position, yaw, scenario.painting_pitch_deg)
+    return noise_free_view(scenario, head, yaw)
 
 
 def settled_instant(scenario: Scenario, painting: Painting) -> ViewingSituation | None:
-    """Instantaneous label for a viewer settled on a painting, noise-free.
-
-    Runs the same geometry the live pipeline uses: head yaw relative to
-    the camera for the field-of-view bands, body orientation relative to
-    the robot for the out-of-view rule.
-    """
+    """Instantaneous label for a viewer settled on a painting, noise-free:
+    the live pipeline's head camera and classifier on the settled pose."""
     return classify_instant(*_settled_view(scenario, painting))
 
 
@@ -143,8 +146,8 @@ def _map_consistency_errors(scenario: Scenario) -> list[str]:
         expected = scenario.situation_map.get(p.painting_id)
         if expected is None:
             continue
-        got = settled_instant(scenario, p)
         head, theta_rel = _settled_view(scenario, p)
+        got = classify_instant(head, theta_rel)
         if got is not expected:
             errors.append(
                 f"{p.painting_id}: bearing {p.bearing_deg:+.1f} deg classifies as "

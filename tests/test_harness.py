@@ -3,6 +3,7 @@ import io
 import itertools
 import math
 import pickle
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -35,7 +36,7 @@ from gazesim.human import (
     gaze_duration,
     respond,
 )
-from gazesim.geometry import HeadPose, Pose2, normalize_angle
+from gazesim.geometry import HeadPose, Pose2, bearing_to, normalize_angle
 from gazesim.head_tracker import observe_head, relative_yaw_deg
 from gazesim.scenario import default_scenario
 from gazesim.seeding import (
@@ -243,6 +244,40 @@ class TestTrialModes:
         assert all(s.tilt_deg == 0.0 for s in detail.ticks)
 
 
+def noise_free_draws(seed, full):
+    """Ideal mode's frame draws with the head camera noise zeroed."""
+    return itertools.repeat(((0.0, 0.0), None, None))
+
+
+def swing_room():
+    """A room whose camera stands 1.5 m from the seat, 20 deg left of the
+    seat heading. Turning to P2 at +40 deg, the head passes through the
+    central band around the camera before it settles near-peripheral."""
+    seat = SC.human_seat
+    heading = math.radians(seat.heading_deg + 20.0)
+    x, y = seat.x + 1.5 * math.cos(heading), seat.y + 1.5 * math.sin(heading)
+    camera = Pose2(x, y, bearing_to((x, y), seat.position))
+    situation_map = {"P2": NPFOV, "P3": NPFOV, "P4": NPFOV, "P6": OFOV}
+    return dataclasses.replace(SC, camera_pose=camera, situation_map=situation_map)
+
+
+class TestNoiseFreeFirstEvent:
+    """Without head camera noise, the tick loop starts its first prompt on
+    the tick the event engine takes from the room."""
+
+    @pytest.mark.parametrize(
+        "room, situations", [(SC, SITUATIONS), (swing_room(), (NPFOV, OFOV))]
+    )
+    def test_event_and_ideal_first_events_are_equal(self, monkeypatch, room, situations):
+        monkeypatch.setattr(harness, "_frame_draws", noise_free_draws)
+        for method in METHODS:
+            for situation in situations:
+                for seed in range(3):
+                    ev = run_trial_detailed(room, method, situation, seed, mode="event")
+                    ticked = run_trial_detailed(room, method, situation, seed, mode="ideal")
+                    assert ev.events[0].time_s == ticked.events[0].time_s
+
+
 class TestRecognizerAbort:
     def test_ideal_mode_aborts_when_the_recognizer_never_confirms(self, monkeypatch):
         # Every valid room confirms its situations, so stand in a recognizer
@@ -259,9 +294,15 @@ ROOM_TURN_DEG = st.floats(-20.0, 20.0)
 class TestPerturbedRooms:
     """The room property: a room moved away from the default one is
     rejected when it is built, or runs every cell in event and ideal mode
-    alike. The first-event and last-event bounds of
-    test_event_mode_matches_ideal_mode are left out: the event engine's
-    confirm time comes from the band constants, not from the room."""
+    alike, and without head camera noise both start the first prompt on
+    the same tick. With noise the first event can be late: in a room whose
+    settled head angle lies just outside the noise margin, a noise draw
+    now and then breaks the persistence streak, and the tick loop confirms
+    some 28 ticks later. The last-event bound of
+    test_event_mode_matches_ideal_mode is left out because it fails trial
+    by trial even in the default room: a head shake takes 16 ticks in the
+    tick modes and 15 in closed form, and the visitor's fire tick and the
+    face gate round up to the next tick."""
 
     @staticmethod
     def room(robot, camera, sensor, seat, bearings):
@@ -303,12 +344,18 @@ class TestPerturbedRooms:
                 room = scenario_from_dict(self.room(robot, camera, sensor, seat, bearings))
             except ConfigError:
                 return
-            config = RunConfig(scenario=room, n_per_cell=2)
-            event = run_experiment(config, mode="event")
-            ideal = run_experiment(config, mode="ideal")
-            assert len(event) == len(ideal) == 32
-            for ticked, ev in zip(ideal, event):
-                assert_same_outcome(ticked, ev)
+            for method in METHODS:
+                for situation in SITUATIONS:
+                    with mock.patch.object(harness, "_frame_draws", noise_free_draws):
+                        first = run_trial_detailed(room, method, situation, 0, mode="ideal")
+                    seeds = trial_seeds(RunConfig().base_seed, method, situation, 2)
+                    for seed in seeds.tolist():
+                        ev = run_trial_detailed(room, method, situation, seed, mode="event")
+                        ticked = run_trial_detailed(
+                            room, method, situation, seed, mode="ideal"
+                        )
+                        assert_same_outcome(ticked.record, ev.record)
+                        assert ev.events[0].time_s == first.events[0].time_s
             ran.append(room)
 
         check()

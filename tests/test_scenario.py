@@ -138,6 +138,23 @@ class TestValidation:
         with pytest.raises(ValueError, match=rf"^{key}: lies within body_semi_major_m"):
             dataclasses.replace(sc, **{key: sc.human_seat})
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("robot_pose", Pose2(math.nan, 0.0, 0.0)),
+            ("sensor_pose", Pose2(math.nan, 0.0, 0.0)),
+            ("camera_pose", Pose2(0.0, math.inf, 0.0)),
+            ("human_seat", Pose2(-math.inf, 1.7, -120.0)),
+            ("painting_pitch_deg", math.nan),
+            ("body_semi_major_m", math.inf),
+            ("body_semi_minor_m", math.nan),
+        ],
+    )
+    def test_non_finite_value_rejected_naming_its_key(self, key, value):
+        with pytest.raises(RoomError, match=rf"^{key}: expected finite values") as caught:
+            dataclasses.replace(default_scenario(), **{key: value})
+        assert len(caught.value.errors) == 1
+
     def test_every_contradicting_painting_is_named(self):
         # From (0.4, -0.3) the camera sees P1, P4 and P5 in other bands.
         sc = default_scenario()
