@@ -151,6 +151,12 @@ class ControllerState:
     def succeeded(self) -> bool:
         return self.phase is Phase.SUCCESS
 
+    @property
+    def reads_sensors(self) -> bool:
+        """Whether this tick reads the recognizer or the body bearing: every
+        plan's one head turn begins in RECOGNIZE; later, faces alone count."""
+        return self.phase in (Phase.OBSERVE, Phase.RECOGNIZE)
+
 
 def make_controller(method: Method) -> ControllerState:
     return ControllerState(method=method)

@@ -10,6 +10,8 @@ so a trial's decisions are identical whichever engine runs it:
            noisy head camera), 30 fps tick loop.
 - "ideal": tick loop with ground-truth body orientation and the noisy
            head camera; no laser or filter.
+           Untraced, both tick modes sense only while the controller reads
+           it (`ControllerState.reads_sensors`); traced, every frame.
 - "event": closed-form timeline of the same protocol from the confirm tick
            of the visitor's noise-free turn, stepped once per cell.
            Decisions and latencies are drawn from the same per-decision
@@ -102,10 +104,11 @@ from .trace import TraceWriter
 
 ABORT_BUDGET_S = 10.0
 TRIAL_TIME_CAP_S = 60.0
-# Frames in the first block of a tick-mode trial's per-frame draws, a bit
-# more than the ~280 frames of an average trial: each block costs about
-# half a millisecond of NumPy call overhead whatever its length.
-FRAME_BLOCK = 320
+# Frames in the first block of a tick-mode trial's per-frame draws. An
+# untraced trial draws only for the frames it senses, up to the head turn:
+# 31 to 76 (median 44) in the default room, so one block covers them. Each
+# block costs about 0.3-0.5 ms of NumPy call overhead whatever its length.
+FRAME_BLOCK = 80
 
 TrialMode = Literal["full", "ideal", "event"]
 TRIAL_MODES = ("full", "ideal", "event")
@@ -269,66 +272,72 @@ def _run_ticks(
                 f"trial exceeded {TRIAL_TIME_CAP_S} s without a terminal event "
                 f"(trial {trial_id}, {method.value})"
             )
-        head_noise, laser_seed, filter_seed = next(draws)
         human_step(human, scenario, t, TICK_S)
         if trace and human.attending != prev_attending:
             trace.emit(t, "human", "attending", {"target": human.attending})
             prev_attending = human.attending
 
-        if tracker is not None:
-            body_pose = Pose2(seat.x, seat.y, human.body_theta_deg)
-            scan = synthesize_scan(
-                scenario.sensor_pose,
-                EllipseBody(
-                    body_pose,
-                    semi_major_m=scenario.body_semi_major_m,
-                    semi_minor_m=scenario.body_semi_minor_m,
-                ),
-                seed=laser_seed,
+        confirmed_input = bearing_input = None
+        if trace or cstate.reads_sensors:
+            head_noise, laser_seed, filter_seed = next(draws)
+            if tracker is not None:
+                body_pose = Pose2(seat.x, seat.y, human.body_theta_deg)
+                scan = synthesize_scan(
+                    scenario.sensor_pose,
+                    EllipseBody(
+                        body_pose,
+                        semi_major_m=scenario.body_semi_major_m,
+                        semi_minor_m=scenario.body_semi_minor_m,
+                    ),
+                    seed=laser_seed,
+                )
+                estimate = tracker.step(scan, seed=filter_seed)
+                theta_rel = body_orientation_for_srm(estimate, robot)
+                if trace:
+                    trace.emit(
+                        t,
+                        "btm",
+                        "estimate",
+                        {
+                            "frame": frame,
+                            "x": estimate.x,
+                            "y": estimate.y,
+                            "theta_deg": estimate.theta_deg,
+                            "distance_m": estimate.distance_m,
+                            "n_effective": estimate.n_effective,
+                            "converged": estimate.converged,
+                        },
+                    )
+            else:
+                estimate = None
+                theta_rel = normalize_angle(human.body_theta_deg - seat_to_robot_deg)
+
+            observation = observe_head(
+                human.head, scenario.camera_pose, frame=frame, noise=head_noise
             )
-            estimate = tracker.step(scan, seed=filter_seed)
-            theta_rel = body_orientation_for_srm(estimate, robot)
             if trace:
                 trace.emit(
                     t,
-                    "btm",
-                    "estimate",
+                    "hdtm",
+                    "observation",
                     {
                         "frame": frame,
-                        "x": estimate.x,
-                        "y": estimate.y,
-                        "theta_deg": estimate.theta_deg,
-                        "distance_m": estimate.distance_m,
-                        "n_effective": estimate.n_effective,
-                        "converged": estimate.converged,
+                        "valid": observation.valid,
+                        "yaw_deg": observation.yaw_deg,
+                        "pitch_deg": observation.pitch_deg,
                     },
                 )
-        else:
-            estimate = None
-            theta_rel = normalize_angle(human.body_theta_deg - seat_to_robot_deg)
+            instant = classify_instant(observation, theta_rel)
+            srm = srm_update(srm, instant)
+            if trace and srm.confirmed is not prev_confirmed:
+                trace.emit(t, "srm", "confirmed", {"situation": srm.confirmed})
+                prev_confirmed = srm.confirmed
+            confirmed_input = situation if srm.confirmed is situation else None
+            if estimate is not None and estimate.converged:
+                bearing_input = relative_bearing(robot, (estimate.x, estimate.y))
+            else:
+                bearing_input = seat_bearing_deg
 
-        observation = observe_head(
-            human.head, scenario.camera_pose, frame=frame, noise=head_noise
-        )
-        if trace:
-            trace.emit(
-                t,
-                "hdtm",
-                "observation",
-                {
-                    "frame": frame,
-                    "valid": observation.valid,
-                    "yaw_deg": observation.yaw_deg,
-                    "pitch_deg": observation.pitch_deg,
-                },
-            )
-        instant = classify_instant(observation, theta_rel)
-        srm = srm_update(srm, instant)
-        if trace and srm.confirmed is not prev_confirmed:
-            trace.emit(t, "srm", "confirmed", {"situation": srm.confirmed})
-            prev_confirmed = srm.confirmed
-
-        confirmed_input = situation if srm.confirmed is situation else None
         if (
             cstate.phase is Phase.OBSERVE
             and confirmed_input is None
@@ -342,11 +351,6 @@ def _run_ticks(
         face = human.attending == ROBOT_TARGET and face_detected(
             gaze_bearing_to(human, robot.position), robot_distance_m
         )
-        if estimate is not None and estimate.converged:
-            bearing_input = relative_bearing(robot, (estimate.x, estimate.y))
-        else:
-            bearing_input = seat_bearing_deg
-
         prev_phase = cstate.phase
         cstate, events = controller_step(
             cstate,

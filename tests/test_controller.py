@@ -84,6 +84,46 @@ class TestPlans:
         assert Method.M3.capture_plan == (HT, HS, RT) and not Method.M3.ensure_blink
         assert Method.M4.capture_plan == (HT, HS, RT) and Method.M4.ensure_blink
 
+    @pytest.mark.parametrize("method", list(Method))
+    def test_every_plan_turns_the_head_first_and_only_then(self, method):
+        plan = method.capture_plan
+        assert plan[0] is RobotAction.HT
+        assert RobotAction.HT not in plan[1:]
+
+    @pytest.mark.parametrize("method", list(Method))
+    @pytest.mark.parametrize(
+        "face_fn",
+        [
+            never,
+            after_event(EventKind.HEAD_TURN_END, 0.5),
+            after_event(EventKind.HEAD_SHAKE_END, 1.0),
+            after_event(EventKind.UTTERANCE, 2.0),
+        ],
+    )
+    def test_sensor_inputs_are_unread_once_the_head_turn_begins(self, method, face_fn):
+        """The premise of sensing only up to the head turn: from the tick
+        after HeadTurnStart, neither the confirmed situation nor the bearing
+        changes what the controller does."""
+        sensed = drive(method, face_fn)
+        state = make_controller(method)
+        events, pans = [], []
+        t = 0.0
+        while t <= 40.0 and not state.terminal:
+            turned = EventKind.HEAD_TURN_START in kinds(events)
+            assert state.reads_sensors is not turned
+            inputs = ControllerInputs(
+                confirmed=None if turned else CFOV,
+                face_detected=face_fn(t, events),
+                human_bearing_deg=None if turned else 60.0,
+            )
+            state, new_events = controller_step(state, inputs, t)
+            events.extend(new_events)
+            pans.append(state.pan_deg)
+            t += TICK_S
+        assert events == sensed[0]
+        assert pans == sensed[1].tolist()
+        assert state == sensed[2]
+
 
 class TestJointLimits:
     def test_clamps(self):

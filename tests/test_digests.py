@@ -8,6 +8,8 @@ trajectory are pinned separately.
 import hashlib
 import json
 
+import pytest
+
 from gazesim import harness
 from gazesim.cli import main
 from gazesim.controller import METHODS, EventKind
@@ -27,6 +29,9 @@ EVENT_N1000_REPORT_SUMMARY_SEED42 = "a4dfd3356a4052ea144116ca0510412b8fb3e316023
 EVENT_N1000_REPORT_CHART_SEED42 = "79fa4aa422774d9ea16601f1e8a520ff70a01892d6c5874ea5f38397311c2801"
 IDEAL_N10_SUMMARY_SEED42 = "cb391211ca29923e8180882779dae01d92bf19ba8d6749bec7e02d5f4b026ca5"
 IDEAL_N10_STATS_SEED42 = "7bdacaf9c2503a74d9da820368ad64736df025e5d570ddbae0e4fe10fc7ffa5c"
+# The JSONL trace of `gazesim simulate --seed 42`, which senses every frame.
+FULL_M4_OFOV_TRACE_SEED42 = "ae0497933b077768bb838444347fc6ba7edf664a5885a43ee4870882b0f417fa"
+IDEAL_M2_NPFOV_TRACE_SEED42 = "f55a50f1cb9c67fb0a36013fde6d096955225375daaf2f797cbe2fc3dbf04a63"
 TIMELINE_REPS = 8
 ALL_METHODS = ["M1", "M2", "M3", "M4"]
 
@@ -71,6 +76,21 @@ def test_ideal_mode_all_methods(tmp_path, capsys):
     assert file_digest(out / "stats.json") == IDEAL_N10_STATS_SEED42
 
 
+@pytest.mark.parametrize(
+    "mode, method, situation, digest",
+    [
+        ("full", "M4", "OFOV", FULL_M4_OFOV_TRACE_SEED42),
+        ("ideal", "M2", "NPFOV", IDEAL_M2_NPFOV_TRACE_SEED42),
+    ],
+    ids=["full-M4-OFOV", "ideal-M2-NPFOV"],
+)
+def test_simulate_trace(capsys, mode, method, situation, digest):
+    argv = ["simulate", "--seed", "42", "--mode", mode]
+    assert main(argv + ["--method", method, "--situation", situation]) == 0
+    trace = capsys.readouterr().out
+    assert hashlib.sha256(trace.encode()).hexdigest() == digest
+
+
 def test_tick_engine_event_timeline():
     """Every ideal-mode event (time, kind, detail) and tick sample (time,
     pan, tilt), over 8 trials of each of the 16 cells."""
@@ -101,7 +121,7 @@ def test_tick_engine_event_timeline():
 
 
 def test_tick_engine_pins_hold_across_frame_block_refills(tmp_path, capsys, monkeypatch):
-    """The ideal-mode pins again, with the per-frame draws made 7 frames at
+    """The ideal-mode pins again, with the per-frame draws made 3 frames at
     a time at first, so that every trial refills its block several times."""
     blocks = []
     derive_rngs = harness.derive_rngs
@@ -110,11 +130,12 @@ def test_tick_engine_pins_hold_across_frame_block_refills(tmp_path, capsys, monk
         blocks.append(args)
         return derive_rngs(*args)
 
-    monkeypatch.setattr(harness, "FRAME_BLOCK", 7)
+    monkeypatch.setattr(harness, "FRAME_BLOCK", 3)
     monkeypatch.setattr(harness, "derive_rngs", counted)
     test_ideal_mode_all_methods(tmp_path, capsys)
     test_tick_engine_event_timeline()
-    # Blocks of 7, 7, 14 and 28 frames cover only the first 56 frames.
+    # Blocks of 3, 3, 6 and 12 frames cover only the first 24 frames, and an
+    # untraced trial draws for the 31 or more frames up to its head turn.
     trials = len(METHODS) * len(SITUATIONS) * (10 + TIMELINE_REPS)
     assert len(blocks) >= 5 * trials
 

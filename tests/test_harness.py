@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import io
 import itertools
@@ -49,6 +50,7 @@ from gazesim.seeding import (
     derive_seed,
 )
 from gazesim.situation import SITUATIONS, ViewingSituation
+from gazesim.trace import TraceWriter
 from oracles import trial_seed
 
 CFOV = ViewingSituation.CFOV
@@ -148,8 +150,9 @@ class TestEventEngine:
 
 
 class TestFrameDraws:
-    # 2600 frames take the first block and three refills (at 320, 640 and
-    # 1280), more frames than a trial reaches before the 60 s cap.
+    # 2600 frames take the first block of 80 and six refills (at 80, 160,
+    # 320, 640, 1280 and 2560), more frames than a trial reaches before the
+    # 60 s cap.
     FRAMES = 2600
 
     @pytest.mark.parametrize("seed", [12_345, 2**32 - 1, 2**32, 2**64 - 59])
@@ -285,6 +288,54 @@ class TestRecognizerAbort:
         monkeypatch.setattr(harness, "classify_instant", lambda head, theta_rel: None)
         with pytest.raises(TrialAbortError, match="did not confirm CFOV within 10 s"):
             run_trial(SC, Method.M1, CFOV, seed=0, mode="ideal")
+
+
+class TestSensingPrefix:
+    """An untraced tick-mode trial senses up to the frame that begins the
+    head turn, the last one whose recognizer and bearing the controller
+    reads; a traced trial senses every frame. The trial is the same."""
+
+    @staticmethod
+    def counted_trial(mode, method, situation, traced):
+        calls = collections.Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        trace = TraceWriter(io.StringIO()) if traced else None
+        seed = trial_seed(42, method, situation, 0)
+        with mock.patch.object(
+            harness, "synthesize_scan", counting("scan", harness.synthesize_scan)
+        ), mock.patch.object(
+            harness, "observe_head", counting("head", harness.observe_head)
+        ), mock.patch.object(
+            harness.BodyTracker, "step", counting("filter", harness.BodyTracker.step)
+        ):
+            detail = run_trial_detailed(
+                SC, method, situation, seed, mode=mode, trace=trace, collect_ticks=True
+            )
+        return detail, calls
+
+    @pytest.mark.parametrize(
+        "mode, method", [("ideal", m) for m in METHODS] + [("full", Method.M4)]
+    )
+    @pytest.mark.parametrize("situation", SITUATIONS)
+    def test_untraced_trials_sense_until_the_head_turn(self, mode, method, situation):
+        untraced, calls = self.counted_trial(mode, method, situation, traced=False)
+        traced, traced_calls = self.counted_trial(mode, method, situation, traced=True)
+        assert untraced == traced
+        turn_s = next(
+            e.time_s for e in untraced.events if e.kind is EventKind.HEAD_TURN_START
+        )
+        sensed, frames = round(turn_s * 30) + 1, len(untraced.ticks)
+        assert sensed < frames
+        names = ("scan", "filter", "head") if mode == "full" else ("head",)
+        assert calls == {name: sensed for name in names}
+        assert traced_calls == {name: frames for name in names}
 
 
 ROOM_OFFSET_M = st.floats(-0.5, 0.5)
