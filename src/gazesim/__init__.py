@@ -6,7 +6,6 @@ stochastic visitor, and a seeded experiment harness."""
 from .body_tracker import (
     BodyEstimate,
     BodyTracker,
-    FilterConfig,
     body_orientation_for_srm,
     filter_step,
     init_particles,

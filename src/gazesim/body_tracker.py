@@ -37,33 +37,17 @@ from .laser import LaserScan, scan_to_points
 from .seeding import derive_rng
 
 MIN_WEIGHT = 1e-300
-
-
-@dataclass
-class FilterConfig:
-    n_particles: int = 500
-    motion_sigma_xy_m: float = 0.05
-    motion_sigma_theta_deg: float = 5.0
-    n_eval_points: int = 20
-    # Floor for the distance-variance denominator, (3 * range noise sigma)^2.
-    # Anything tighter lets rotated hypotheses overfit per-frame scan noise
-    # (they dodge the sparse silhouette edges) and the estimate wanders.
-    sigma_floor_m2: float = 9e-4
-    body_semi_major_m: float = 0.25
-    body_semi_minor_m: float = 0.15
-    init_sigma_xy_m: float = 0.2
-    init_sigma_theta_deg: float = 15.0
-    warmup_frames: int = 10
-
-    def __post_init__(self) -> None:
-        if self.n_particles < 2:
-            raise ValueError("n_particles must be at least 2")
-        if self.n_eval_points < 4:
-            raise ValueError("n_eval_points must be at least 4")
-        if self.sigma_floor_m2 <= 0:
-            raise ValueError("sigma_floor_m2 must be positive")
-        if not (self.body_semi_major_m >= self.body_semi_minor_m > 0):
-            raise ValueError("require body_semi_major_m >= body_semi_minor_m > 0")
+N_PARTICLES = 500
+MOTION_SIGMA_XY_M = 0.05
+MOTION_SIGMA_THETA_DEG = 5.0
+N_EVAL_POINTS = 20
+# Floor for the distance-variance denominator, (3 * range noise sigma)^2.
+# Anything tighter lets rotated hypotheses overfit per-frame scan noise
+# (they dodge the sparse silhouette edges) and the estimate wanders.
+SIGMA_FLOOR_M2 = 9e-4
+INIT_SIGMA_XY_M = 0.2
+INIT_SIGMA_THETA_DEG = 15.0
+WARMUP_FRAMES = 10
 
 
 @dataclass(frozen=True)
@@ -76,7 +60,7 @@ class BodyEstimate:
     converged: bool
 
 
-def init_particles(config: FilterConfig, guess: Pose2, seed: int) -> np.ndarray:
+def init_particles(guess: Pose2, seed: int) -> np.ndarray:
     """Spread particles around an initial pose guess (e.g. the seat).
 
     A particle set is its (n, 3) states array: columns x, y, theta_deg.
@@ -84,11 +68,11 @@ def init_particles(config: FilterConfig, guess: Pose2, seed: int) -> np.ndarray:
     weights are uniform and are not stored.
     """
     rng = derive_rng(seed)
-    n = config.n_particles
+    n = N_PARTICLES
     states = np.empty((n, 3))
-    states[:, 0] = rng.normal(guess.x, config.init_sigma_xy_m, n)
-    states[:, 1] = rng.normal(guess.y, config.init_sigma_xy_m, n)
-    states[:, 2] = _wrap(rng.normal(guess.heading_deg, config.init_sigma_theta_deg, n))
+    states[:, 0] = rng.normal(guess.x, INIT_SIGMA_XY_M, n)
+    states[:, 1] = rng.normal(guess.y, INIT_SIGMA_XY_M, n)
+    states[:, 2] = _wrap(rng.normal(guess.heading_deg, INIT_SIGMA_THETA_DEG, n))
     return states
 
 
@@ -115,19 +99,16 @@ def _contour_local(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def likelihood(
-    eval_points: np.ndarray,
-    scan_points: np.ndarray,
-    sigma_floor_m2: float,
-    min_weight: float = MIN_WEIGHT,
+    eval_points: np.ndarray, scan_points: np.ndarray, sigma_floor_m2: float
 ) -> float:
     """Score one hypothesis's visible contour against the scan returns: one
     row of the filter's batched weights."""
     eval_points = np.asarray(eval_points, dtype=float)
     scan_points = np.asarray(scan_points, dtype=float)
     if len(eval_points) == 0 or len(scan_points) == 0:
-        return min_weight
+        return MIN_WEIGHT
     d = _nearest_return_distances(eval_points[:, 0], eval_points[:, 1], scan_points)[None]
-    return float(_reduce_likelihoods(d, np.ones_like(d, bool), sigma_floor_m2, min_weight)[0])
+    return float(_reduce_likelihoods(d, np.ones_like(d, bool), sigma_floor_m2)[0])
 
 
 def _nearest_return_distances(
@@ -158,20 +139,18 @@ def _batch_likelihoods(
     states: np.ndarray,
     sensor_xy: np.ndarray,
     scan_points: np.ndarray,
-    config: FilterConfig,
+    semi_axes: tuple[float, float],
 ) -> np.ndarray:
     """The likelihood of every particle, one row per particle.
 
     Distances are computed only for visible contour points (about half of
-    them) and scattered back into an (n, n_eval_points) array padded with
+    them) and scattered back into an (n, N_EVAL_POINTS) array padded with
     zeros for `_reduce_likelihoods`.
     """
     n = len(states)
     if len(scan_points) == 0:
         return np.full(n, MIN_WEIGHT)
-    local_pts, local_nrm = _contour_local(
-        config.body_semi_major_m, config.body_semi_minor_m, config.n_eval_points
-    )
+    local_pts, local_nrm = _contour_local(*semi_axes, N_EVAL_POINTS)
     axis = np.radians(states[:, 2] + 90.0)
     c, s = np.cos(axis)[:, None], np.sin(axis)[:, None]
     lx, ly = local_pts[:, 0][None, :], local_pts[:, 1][None, :]
@@ -184,14 +163,11 @@ def _batch_likelihoods(
 
     d = np.zeros(px.shape)
     d[visible] = _nearest_return_distances(px[visible], py[visible], scan_points)
-    return _reduce_likelihoods(d, visible, config.sigma_floor_m2)
+    return _reduce_likelihoods(d, visible, SIGMA_FLOOR_M2)
 
 
 def _reduce_likelihoods(
-    d: np.ndarray,
-    visible: np.ndarray,
-    sigma_floor_m2: float,
-    min_weight: float = MIN_WEIGHT,
+    d: np.ndarray, visible: np.ndarray, sigma_floor_m2: float
 ) -> np.ndarray:
     """alpha = exp(-d_max^2 / sigma_d) per row of nearest-return distances,
     over the entries that `visible` keeps; `d` holds 0 elsewhere.
@@ -203,7 +179,7 @@ def _reduce_likelihoods(
     and np.nanvar.
     """
     counts = visible.sum(axis=1)
-    # Rows without a visible point get min_weight below; dividing them by 1
+    # Rows without a visible point get MIN_WEIGHT below; dividing them by 1
     # only keeps their discarded arithmetic finite.
     divisor = np.maximum(counts, 1)
     d_max = d.max(axis=1)
@@ -211,8 +187,8 @@ def _reduce_likelihoods(
     dev[~visible] = 0.0
     dev *= dev
     sigma_d = np.maximum(dev.sum(axis=1) / divisor, sigma_floor_m2)
-    alphas = np.maximum(np.exp(-(d_max * d_max) / sigma_d), min_weight)
-    alphas[counts == 0] = min_weight
+    alphas = np.maximum(np.exp(-(d_max * d_max) / sigma_d), MIN_WEIGHT)
+    alphas[counts == 0] = MIN_WEIGHT
     return alphas
 
 
@@ -247,7 +223,7 @@ def _estimate(states: np.ndarray, weights: np.ndarray, sensor: Pose2) -> BodyEst
 def filter_step(
     states: np.ndarray,
     scan: LaserScan,
-    config: FilterConfig,
+    semi_axes: tuple[float, float],
     seed: int,
 ) -> tuple[np.ndarray, BodyEstimate]:
     """One diffuse/weight/estimate/resample cycle on a uniformly weighted
@@ -263,12 +239,14 @@ def filter_step(
     uniform = np.full(n, 1.0 / n)
 
     states = states.copy()
-    states[:, 0] += rng.normal(0.0, config.motion_sigma_xy_m, n)
-    states[:, 1] += rng.normal(0.0, config.motion_sigma_xy_m, n)
-    states[:, 2] = _wrap(states[:, 2] + rng.normal(0.0, config.motion_sigma_theta_deg, n))
+    states[:, 0] += rng.normal(0.0, MOTION_SIGMA_XY_M, n)
+    states[:, 1] += rng.normal(0.0, MOTION_SIGMA_XY_M, n)
+    states[:, 2] = _wrap(states[:, 2] + rng.normal(0.0, MOTION_SIGMA_THETA_DEG, n))
 
     scan_points = scan_to_points(scan)
-    alphas = _batch_likelihoods(states, np.array([sensor.x, sensor.y]), scan_points, config)
+    alphas = _batch_likelihoods(
+        states, np.array([sensor.x, sensor.y]), scan_points, semi_axes
+    )
     # Not alphas / n: the product rounds differently.
     weights = uniform * alphas
     weights = weights / float(weights.sum())
@@ -290,16 +268,17 @@ def body_orientation_for_srm(estimate: BodyEstimate, robot: Pose2) -> float | No
 
 
 class BodyTracker:
-    """Stateful convenience wrapper: owns the particle set and warmup logic."""
+    """Stateful convenience wrapper: owns the particle set and warmup logic.
+    `semi_axes` is the tracked body's (semi-major, semi-minor) in meters."""
 
-    def __init__(self, config: FilterConfig, guess: Pose2, seed: int) -> None:
-        self.config = config
-        self.particles = init_particles(config, guess, seed)
+    def __init__(self, semi_axes: tuple[float, float], guess: Pose2, seed: int) -> None:
+        self.semi_axes = semi_axes
+        self.particles = init_particles(guess, seed)
         self._frames = 0
 
     def step(self, scan: LaserScan, seed: int) -> BodyEstimate:
-        self.particles, estimate = filter_step(self.particles, scan, self.config, seed)
+        self.particles, estimate = filter_step(self.particles, scan, self.semi_axes, seed)
         self._frames += 1
-        if self._frames < self.config.warmup_frames:
+        if self._frames < WARMUP_FRAMES:
             estimate = replace(estimate, converged=False)
         return estimate

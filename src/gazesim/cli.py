@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .body_tracker import BodyTracker, FilterConfig
+from .body_tracker import BodyTracker
 from .config import ConfigError, RunConfig, parse_config
 from .controller import METHODS, Method
 from .geometry import Pose2, normalize_angle
@@ -279,26 +279,19 @@ def _cmd_track_demo(args: argparse.Namespace) -> int:
     scenario = default_scenario()
     seat = scenario.human_seat
     sensor = scenario.sensor_pose
-    config = FilterConfig(
-        body_semi_major_m=scenario.body_semi_major_m,
-        body_semi_minor_m=scenario.body_semi_minor_m,
-    )
+    semi_axes = (scenario.body_semi_major_m, scenario.body_semi_minor_m)
     theta_errors: list[float] = []
     position_errors: list[float] = []
     t0 = time.perf_counter()
     for run in range(args.runs):
         base = derive_seed(args.seed, run)
-        tracker = BodyTracker(config, guess=seat, seed=derive_seed(base, STREAM_INIT))
+        tracker = BodyTracker(semi_axes, guess=seat, seed=derive_seed(base, STREAM_INIT))
         heading = seat.heading_deg
         draws = zip(range(args.frames), _frame_draws(base, full=True))
         for frame, (_, laser_seed, filter_seed) in draws:
             if args.motion == "turn" and frame >= 30:
                 heading = normalize_angle(heading + 60.0 / 30.0)
-            body = EllipseBody(
-                Pose2(seat.x, seat.y, heading),
-                semi_major_m=scenario.body_semi_major_m,
-                semi_minor_m=scenario.body_semi_minor_m,
-            )
+            body = EllipseBody(Pose2(seat.x, seat.y, heading), *semi_axes)
             scan = synthesize_scan(sensor, body, seed=laser_seed)
             estimate = tracker.step(scan, seed=filter_seed)
             if frame >= 30:

@@ -166,11 +166,11 @@ def clamp_pan(deg: float) -> float:
     return min(max(deg, PAN_MIN_DEG), PAN_MAX_DEG)
 
 
-def _move_joint(current: float, target: float, dt_s: float, speed_deg_s: float) -> float:
-    """Rate-limited joint motion. Joint space does not wrap: going from
-    -150 to +150 means sweeping through zero, not through the back."""
+def _move_joint(current: float, target: float, speed_deg_s: float) -> float:
+    """Rate-limited joint motion over one tick. Joint space does not wrap:
+    going from -150 to +150 means sweeping through zero, not through the back."""
     speed = min(speed_deg_s, MAX_HEAD_SPEED_DEG_S)
-    step = speed * dt_s
+    step = speed * TICK_S
     delta = target - current
     if abs(delta) <= step:
         return target
@@ -217,10 +217,7 @@ def _open_window(state: ControllerState, start_s: float) -> ControllerState:
 
 
 def _execute_step(
-    state: ControllerState,
-    clock_s: float,
-    dt_s: float,
-    events: list[RobotEvent],
+    state: ControllerState, clock_s: float, events: list[RobotEvent]
 ) -> ControllerState:
     action = state.action
     if action is RobotAction.RT:
@@ -236,7 +233,7 @@ def _execute_step(
     else:
         raise AssertionError(f"executing non-capture action {action}")
     target, *rest = state.waypoints
-    pan = _move_joint(state.pan_deg, target, dt_s, speed)
+    pan = _move_joint(state.pan_deg, target, speed)
     if pan != target:
         return replace(state, pan_deg=pan)
     state = replace(state, pan_deg=pan, waypoints=tuple(rest))
@@ -300,15 +297,10 @@ def _ensure_step(
 
 
 def controller_step(
-    state: ControllerState,
-    inputs: ControllerInputs,
-    clock_s: float,
-    dt_s: float = TICK_S,
+    state: ControllerState, inputs: ControllerInputs, clock_s: float
 ) -> tuple[ControllerState, list[RobotEvent]]:
-    """Advance the machine one tick. Returns the new state and the events
-    emitted during this tick, in order, each stamped with the tick clock."""
-    if dt_s <= 0:
-        raise ValueError(f"dt_s must be positive, got {dt_s}")
+    """Advance the machine one tick of TICK_S. Returns the new state and the
+    events emitted during this tick, in order, each stamped with the tick clock."""
     events: list[RobotEvent] = []
     if state.terminal:
         return state, events
@@ -319,7 +311,7 @@ def controller_step(
     if state.phase is Phase.RECOGNIZE:
         return _begin_action(state, inputs, clock_s, events), events
     if state.phase is Phase.EXECUTE_ACTION:
-        return _execute_step(state, clock_s, dt_s, events), events
+        return _execute_step(state, clock_s, events), events
     if state.phase is Phase.AWAIT_RESPONSE:
         return _await_step(state, inputs, clock_s, events), events
     if state.phase is Phase.ENSURE_ATTENTION:
@@ -327,11 +319,7 @@ def controller_step(
     raise AssertionError(f"unhandled phase {state.phase}")
 
 
-def face_detected(
-    gaze_bearing_deg: float,
-    distance_m: float,
-    tolerance_deg: float = FACE_TOLERANCE_DEG,
-) -> bool:
+def face_detected(gaze_bearing_deg: float, distance_m: float) -> bool:
     """Geometric face-visibility test: the gaze points at the robot within
-    tolerance and the person is inside camera range."""
-    return abs(gaze_bearing_deg) <= tolerance_deg and distance_m <= FACE_RANGE_M
+    FACE_TOLERANCE_DEG and the person is inside camera range."""
+    return abs(gaze_bearing_deg) <= FACE_TOLERANCE_DEG and distance_m <= FACE_RANGE_M

@@ -25,17 +25,20 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Literal, NamedTuple
 
 import numpy as np
 
-from .body_tracker import BodyTracker, FilterConfig, body_orientation_for_srm
+from .body_tracker import BodyTracker, body_orientation_for_srm
 from .config import ConfigError, RunConfig
 from .controller import (
+    BLINK_COUNT,
+    BLINK_PERIOD_S,
     ControllerInputs,
+    ENSURE_DWELL_S,
     EventKind,
     FACE_TOLERANCE_DEG,
     Method,
@@ -46,7 +49,6 @@ from .controller import (
     RobotEvent,
     SHAKE_HALF_SWING_DEG,
     SHAKE_SPEED_DEG_S,
-    TICK_S,
     TURN_SPEED_DEG_S,
     UTTERANCE_DURATION_S,
     UTTERANCE_TEXT,
@@ -63,7 +65,6 @@ from .human import (
     LATENCY_MAX_S,
     LATENCY_MIN_S,
     ROBOT_TARGET,
-    ResponseTable,
     derive_response_table,
     gaze_bearing_to,
     gaze_duration,
@@ -130,16 +131,6 @@ class TrialDetail:
     record: TrialRecord
     events: tuple[RobotEvent, ...]
     ticks: tuple[TickSample, ...] | None
-
-
-_default_table: ResponseTable | None = None
-
-
-def _table() -> ResponseTable:
-    global _default_table
-    if _default_table is None:
-        _default_table = derive_response_table()
-    return _default_table
 
 
 def run_trial(
@@ -248,12 +239,10 @@ def _run_ticks(
 
     tracker: BodyTracker | None = None
     if mode == "full":
-        filter_config = FilterConfig(
-            body_semi_major_m=scenario.body_semi_major_m,
-            body_semi_minor_m=scenario.body_semi_minor_m,
-        )
         tracker = BodyTracker(
-            filter_config, guess=seat, seed=derive_seed(seed, STREAM_INIT)
+            (scenario.body_semi_major_m, scenario.body_semi_minor_m),
+            guess=seat,
+            seed=derive_seed(seed, STREAM_INIT),
         )
 
     events_all: list[RobotEvent] = []
@@ -272,7 +261,7 @@ def _run_ticks(
                 f"trial exceeded {TRIAL_TIME_CAP_S} s without a terminal event "
                 f"(trial {trial_id}, {method.value})"
             )
-        human_step(human, scenario, t, TICK_S)
+        human_step(human, scenario, t)
         if trace and human.attending != prev_attending:
             trace.emit(t, "human", "attending", {"target": human.attending})
             prev_attending = human.attending
@@ -294,20 +283,7 @@ def _run_ticks(
                 estimate = tracker.step(scan, seed=filter_seed)
                 theta_rel = body_orientation_for_srm(estimate, robot)
                 if trace:
-                    trace.emit(
-                        t,
-                        "btm",
-                        "estimate",
-                        {
-                            "frame": frame,
-                            "x": estimate.x,
-                            "y": estimate.y,
-                            "theta_deg": estimate.theta_deg,
-                            "distance_m": estimate.distance_m,
-                            "n_effective": estimate.n_effective,
-                            "converged": estimate.converged,
-                        },
-                    )
+                    trace.emit(t, "btm", "estimate", {"frame": frame, **asdict(estimate)})
             else:
                 estimate = None
                 theta_rel = normalize_angle(human.body_theta_deg - seat_to_robot_deg)
@@ -316,17 +292,7 @@ def _run_ticks(
                 human.head, scenario.camera_pose, frame=frame, noise=head_noise
             )
             if trace:
-                trace.emit(
-                    t,
-                    "hdtm",
-                    "observation",
-                    {
-                        "frame": frame,
-                        "valid": observation.valid,
-                        "yaw_deg": observation.yaw_deg,
-                        "pitch_deg": observation.pitch_deg,
-                    },
-                )
+                trace.emit(t, "hdtm", "observation", observation)
             instant = classify_instant(observation, theta_rel)
             srm = srm_update(srm, instant)
             if trace and srm.confirmed is not prev_confirmed:
@@ -360,7 +326,6 @@ def _run_ticks(
                 human_bearing_deg=bearing_input,
             ),
             t,
-            TICK_S,
         )
 
         if cstate.phase is Phase.AWAIT_RESPONSE and prev_phase is not Phase.AWAIT_RESPONSE:
@@ -369,7 +334,7 @@ def _run_ticks(
             ok, latency = respond(
                 action,
                 situation,
-                _table(),
+                derive_response_table(),
                 derive_seed(seed, STREAM_RESPOND, cstate.plan_cursor),
             )
             if ok:
@@ -428,7 +393,7 @@ def _settled_visitor(
     first = frame = 0
     while True:
         before = (human.head_yaw_deg, human.head_pitch_deg, human.body_theta_deg)
-        human_step(human, scenario, frame / 30.0, TICK_S)
+        human_step(human, scenario, frame / 30.0)
         view = noise_free_view(scenario, human.head, human.body_theta_deg)
         if classify_instant(*view) is not situation:
             first = frame + 1
@@ -491,9 +456,10 @@ def _event_outcomes(
     detect_s = np.full(n, math.nan)
     gaze_s = np.full(n, math.nan)
     pending = np.arange(n)
+    table = derive_response_table()
     for k, action in enumerate(cell.method.capture_plan):
         rngs = derive_rngs(derive_seeds(seeds[pending], STREAM_RESPOND, k))
-        ok = rngs.random() < _table().probability(action, cell.situation)
+        ok = rngs.random() < table.probability(action, cell.situation)
         latency_s = rngs.uniform(LATENCY_MIN_S, LATENCY_MAX_S)[ok]
         hit = pending[ok]
         cursor[hit] = k
@@ -556,9 +522,11 @@ def _event_timeline(cell: _EventCell, cursor: int, detect_s: float) -> list[Robo
         if k == cursor:
             events.append(RobotEvent(detect_s, EventKind.FACE_DETECTED))
             if cell.method.ensure_blink:
-                for i in range(3):
-                    events.append(RobotEvent(detect_s + float(i), EventKind.BLINK_PULSE))
-            events.append(RobotEvent(detect_s + 3.0, EventKind.SUCCESS))
+                for i in range(BLINK_COUNT):
+                    events.append(
+                        RobotEvent(detect_s + i * BLINK_PERIOD_S, EventKind.BLINK_PULSE)
+                    )
+            events.append(RobotEvent(detect_s + ENSURE_DWELL_S, EventKind.SUCCESS))
             return events
         events.append(
             RobotEvent(cell.window_starts[k] + RESPONSE_WINDOW_S, EventKind.WINDOW_EXPIRED)

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .geometry import HeadPose, Pose2, bearing_to, normalize_angle
-from .seeding import STREAM_HEAD, derive_rng
 
 TRACKING_LIMIT_DEG = 90.0
-DEFAULT_NOISE_SIGMA_DEG = 1.0
+NOISE_SIGMA_DEG = 1.0
 
 
 @dataclass(frozen=True)
@@ -40,27 +39,20 @@ def relative_yaw_deg(head: HeadPose, camera: Pose2) -> float:
 
 
 def observe_head(
-    true_head: HeadPose,
-    camera: Pose2,
-    noise_sigma: float = DEFAULT_NOISE_SIGMA_DEG,
-    seed: int = 0,
-    frame: int = 0,
-    noise: tuple[float, float] | None = None,
+    true_head: HeadPose, camera: Pose2, frame: int = 0, *, noise: tuple[float, float]
 ) -> HeadObservation:
     """Observe one frame. `noise` is the frame's yaw and pitch draws from
     the standard normal, the first two of stream (seed, STREAM_HEAD,
-    frame); without it they are drawn here. Either way the added noise is
-    `Generator.normal(0.0, noise_sigma)` on that stream, bit for bit, so
-    identical (seed, frame) pairs give identical output."""
+    frame). The added noise is `Generator.normal(0.0, NOISE_SIGMA_DEG)` on
+    that stream, bit for bit, so identical (seed, frame) pairs give
+    identical output."""
     rel = relative_yaw_deg(true_head, camera)
     if abs(rel) > TRACKING_LIMIT_DEG:
         return HeadObservation(frame=frame, valid=False)
-    if noise is None:
-        noise = derive_rng(seed, STREAM_HEAD, frame).standard_normal(2).tolist()
     yaw_z, pitch_z = noise
     return HeadObservation(
         frame=frame,
         valid=True,
-        yaw_deg=normalize_angle(rel + (0.0 + noise_sigma * yaw_z)),
-        pitch_deg=normalize_angle(true_head.pitch_deg + (0.0 + noise_sigma * pitch_z)),
+        yaw_deg=normalize_angle(rel + (0.0 + NOISE_SIGMA_DEG * yaw_z)),
+        pitch_deg=normalize_angle(true_head.pitch_deg + (0.0 + NOISE_SIGMA_DEG * pitch_z)),
     )

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Mapping
 
 import numpy as np
 
-from .controller import Method, RobotAction
+from .controller import TICK_S, Method, RobotAction
 from .geometry import HeadPose, Pose2, bearing_to, move_toward_angle, normalize_angle
 from .scenario import Scenario
 from .seeding import PCG64Streams, derive_rng
@@ -93,10 +94,10 @@ class ResponseTable:
         return self.p[action][situation]
 
 
-def derive_response_table(
-    cumulative: Mapping[Method, Mapping[ViewingSituation, float]] | None = None,
-) -> ResponseTable:
-    """Invert cumulative per-method success into per-prompt probabilities.
+@cache
+def derive_response_table() -> ResponseTable:
+    """Invert REFERENCE_SUCCESS_RATES, cumulative per-method success, into
+    per-prompt probabilities. Computed once; every caller shares the table.
 
     With prompts tried in order and independently, the method reaching
     prompt k succeeds with rate 1 - prod(1 - p_i, i <= k), so each p is
@@ -104,17 +105,7 @@ def derive_response_table(
     A stage whose predecessor already saturates (S = 1) is unreachable;
     its probability is pinned at 1 so the forward model stays exact.
     """
-    if cumulative is None:
-        cumulative = REFERENCE_SUCCESS_RATES
-    for method in (Method.M1, Method.M2, Method.M3):
-        if method not in cumulative:
-            raise ValueError(f"missing cumulative rates for {method.value}")
-        for situation in SITUATIONS:
-            value = cumulative[method].get(situation)
-            if value is None or not 0.0 <= value <= 1.0:
-                raise ValueError(
-                    f"bad cumulative rate for {method.value}/{situation.value}: {value}"
-                )
+    cumulative = REFERENCE_SUCCESS_RATES
     p_ht: dict[ViewingSituation, float] = {}
     p_hs: dict[ViewingSituation, float] = {}
     p_rt: dict[ViewingSituation, float] = {}
@@ -255,13 +246,9 @@ def _target_angles(state: HumanState, scenario: Scenario) -> tuple[float, float]
     return scenario.painting_world_yaw(painting), scenario.painting_pitch_deg
 
 
-def human_step(
-    state: HumanState, scenario: Scenario, clock_s: float, dt_s: float
-) -> HumanState:
-    """Advance the visitor one tick: fire a pending response, servo head
-    and body toward the attended target, start and expire gaze spans."""
-    if dt_s <= 0:
-        raise ValueError(f"dt_s must be positive, got {dt_s}")
+def human_step(state: HumanState, scenario: Scenario, clock_s: float) -> HumanState:
+    """Advance the visitor one tick of TICK_S: fire a pending response, servo
+    head and body toward the attended target, start and expire gaze spans."""
     if state.pending_fire_s is not None and clock_s >= state.pending_fire_s:
         state.prior_painting = (
             state.attending if state.attending != ROBOT_TARGET else state.prior_painting
@@ -270,13 +257,13 @@ def human_step(
         state.pending_fire_s = None
     target_yaw, target_pitch = _target_angles(state, scenario)
     state.head_yaw_deg = move_toward_angle(
-        state.head_yaw_deg, target_yaw, HEAD_TURN_SPEED_DEG_S * dt_s
+        state.head_yaw_deg, target_yaw, HEAD_TURN_SPEED_DEG_S * TICK_S
     )
     state.head_pitch_deg = move_toward_angle(
-        state.head_pitch_deg, target_pitch, HEAD_TURN_SPEED_DEG_S * dt_s
+        state.head_pitch_deg, target_pitch, HEAD_TURN_SPEED_DEG_S * TICK_S
     )
     state.body_theta_deg = move_toward_angle(
-        state.body_theta_deg, target_yaw, BODY_TURN_SPEED_DEG_S * dt_s
+        state.body_theta_deg, target_yaw, BODY_TURN_SPEED_DEG_S * TICK_S
     )
     if state.attending == ROBOT_TARGET:
         if (

@@ -151,13 +151,8 @@ class Records:
         return NotImplemented
 
 
-def as_records(records: Records | Iterable[TrialRecord]) -> Records:
-    return records if isinstance(records, Records) else Records.from_rows(records)
-
-
-def write_records_csv(path: str | Path | IO, records: Records | Iterable[TrialRecord]) -> None:
+def write_records_csv(path: str | Path | IO, records: Records) -> None:
     """The CSV as bytes, a chunk of rows at a time; a text stream gets text."""
-    records = as_records(records)
     chunks = (records[i:i + _CHUNK_ROWS] for i in range(0, len(records), _CHUNK_ROWS))
     with nullcontext(path) if hasattr(path, "write") else open(path, "wb") as fp:
         text = isinstance(fp, io.TextIOBase)  # a stream is left open

@@ -21,17 +21,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from .controller import METHODS, Method
-from .records import Records, TrialRecord, as_records
+from .records import Records
 from .situation import SITUATIONS, ViewingSituation
 
 SUMMARY_CSV_HEADER = "method,situation,n,mean_success,sd_success"
-
-RecordsLike = Records | Iterable[TrialRecord]
+ALPHA = 0.05  # family-wise significance level of the pairwise tests
 
 
 @dataclass(frozen=True)
@@ -65,11 +64,10 @@ def _squares(values: np.ndarray) -> np.ndarray:
 
 
 def records_to_cells(
-    records: RecordsLike,
+    records: Records,
 ) -> dict[tuple[Method, ViewingSituation], np.ndarray]:
     """Each cell's outcomes (1.0 responded, 0.0 not) in record order, with
     the cells in order of first appearance."""
-    records = as_records(records)
     cells = records.method.astype(np.intp) * len(SITUATIONS) + records.situation
     members = [cells == c for c in range(len(METHODS) * len(SITUATIONS))]
     first = sorted((int(m.argmax()), c) for c, m in enumerate(members) if m.any())
@@ -139,7 +137,7 @@ def _sample_sd(values: np.ndarray) -> float:
     return math.sqrt(_total(_squares(values - mean)) / (n - 1))
 
 
-def success_ratio(records: RecordsLike) -> list[CellStats]:
+def success_ratio(records: Records) -> list[CellStats]:
     """Per-cell success mean and sample standard deviation, in canonical
     method-then-situation order over the cells that appear."""
     cells = records_to_cells(records)
@@ -164,9 +162,8 @@ def success_ratio(records: RecordsLike) -> list[CellStats]:
     return out
 
 
-def overall_ratio(records: RecordsLike, method: Method) -> float:
+def overall_ratio(records: Records, method: Method) -> float:
     """Pooled success for one method, weighting the four situations equally."""
-    records = as_records(records)
     mine = records.method == METHODS.index(method)
     trials = np.bincount(records.situation[mine], minlength=len(SITUATIONS)).tolist()
     won = mine & records.responded
@@ -180,9 +177,8 @@ def overall_ratio(records: RecordsLike, method: Method) -> float:
     return sum(means) / len(means)
 
 
-def gaze_stats(records: RecordsLike, method: Method) -> tuple[float, float]:
+def gaze_stats(records: Records, method: Method) -> tuple[float, float]:
     """Mean and variance of gaze time over the method's successful trials."""
-    records = as_records(records)
     times = records.gaze[(records.method == METHODS.index(method)) & records.responded]
     if not len(times):
         raise ValueError(f"{method.value}: no successful trials with gaze times")
@@ -273,12 +269,9 @@ def _two_proportion_z(successes_1: int, n_1: int, successes_2: int, n_2: int) ->
     return (p1 - p2) / se
 
 
-def bonferroni_pairwise(
-    records: RecordsLike, alpha: float = 0.05
-) -> list[dict[str, Any]]:
+def bonferroni_pairwise(records: Records) -> list[dict[str, Any]]:
     """All method pairs, two-proportion z-test on pooled success, p values
-    Bonferroni-corrected by the number of pairs."""
-    records = as_records(records)
+    Bonferroni-corrected by the number of pairs and compared with ALPHA."""
     trials = np.bincount(records.method, minlength=len(METHODS)).tolist()
     wins = np.bincount(records.method[records.responded], minlength=len(METHODS)).tolist()
     counts = {m: (wins[i], trials[i]) for i, m in enumerate(METHODS) if trials[i]}
@@ -299,7 +292,7 @@ def bonferroni_pairwise(
                 "z": z,
                 "p_raw": p_raw,
                 "p_adj": p_adj,
-                "significant": p_adj < alpha,
+                "significant": p_adj < ALPHA,
             }
         )
     return results

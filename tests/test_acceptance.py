@@ -18,7 +18,6 @@ from scipy.stats import f as f_distribution
 from gazesim.body_tracker import (
     MIN_WEIGHT,
     BodyTracker,
-    FilterConfig,
     likelihood,
 )
 from gazesim.cli import _chart_payload, stats_payload
@@ -49,7 +48,14 @@ from gazesim.human import (
 )
 from gazesim.laser import EllipseBody, synthesize_scan
 from gazesim.scenario import default_scenario
-from gazesim.seeding import STREAM_FILTER, STREAM_INIT, STREAM_LASER, derive_seed
+from gazesim.seeding import (
+    STREAM_FILTER,
+    STREAM_HEAD,
+    STREAM_INIT,
+    STREAM_LASER,
+    derive_rng,
+    derive_seed,
+)
 from gazesim.situation import (
     PERSISTENCE_FRAMES,
     SITUATIONS,
@@ -193,17 +199,14 @@ def test_criterion_04_tracker_accuracy_and_rate():
     runs, frames = 100, 100
     seat = SC.human_seat
     sensor = SC.sensor_pose
-    config = FilterConfig(
-        body_semi_major_m=SC.body_semi_major_m,
-        body_semi_minor_m=SC.body_semi_minor_m,
-    )
-    body = EllipseBody(seat, SC.body_semi_major_m, SC.body_semi_minor_m)
+    semi_axes = (SC.body_semi_major_m, SC.body_semi_minor_m)
+    body = EllipseBody(seat, *semi_axes)
     theta_errors = []
     position_errors = []
     t0 = time.perf_counter()
     for run in range(runs):
         base = derive_seed(42, run)
-        tracker = BodyTracker(config, guess=seat, seed=derive_seed(base, STREAM_INIT))
+        tracker = BodyTracker(semi_axes, guess=seat, seed=derive_seed(base, STREAM_INIT))
         for frame in range(frames):
             scan = synthesize_scan(
                 sensor, body, seed=derive_seed(base, STREAM_LASER, frame)
@@ -241,8 +244,9 @@ def test_criterion_05_head_sensor_noise_and_validity():
     yaws = rng.uniform(-89.9, 89.9, 100_000)
     within = 0
     for i, yaw in enumerate(yaws):
+        noise = derive_rng(1234, STREAM_HEAD, i).standard_normal(2).tolist()
         obs = observe_head(
-            HeadPose(2.0, 0.0, yaw_deg=180.0 + yaw), camera, seed=1234, frame=i
+            HeadPose(2.0, 0.0, yaw_deg=180.0 + yaw), camera, frame=i, noise=noise
         )
         if abs(normalize_angle(obs.yaw_deg - yaw)) <= 3.0:
             within += 1
@@ -250,7 +254,7 @@ def test_criterion_05_head_sensor_noise_and_validity():
 
     def valid_at(rel_yaw):
         head = HeadPose(2.0, 0.0, yaw_deg=180.0 + rel_yaw)
-        return observe_head(head, camera, noise_sigma=0.0).valid
+        return observe_head(head, camera, noise=(0.0, 0.0)).valid
 
     boundary_ok = (
         valid_at(90.0)

@@ -7,9 +7,12 @@ from hypothesis import given, settings, strategies as st
 from gazesim import body_tracker
 from gazesim.body_tracker import (
     MIN_WEIGHT,
+    N_EVAL_POINTS,
+    N_PARTICLES,
+    SIGMA_FLOOR_M2,
+    WARMUP_FRAMES,
     BodyEstimate,
     BodyTracker,
-    FilterConfig,
     _batch_likelihoods,
     _contour_local,
     body_orientation_for_srm,
@@ -27,6 +30,8 @@ from gazesim.laser import (
 )
 from gazesim.scenario import default_scenario
 
+SEMI_AXES = (0.25, 0.15)  # the default room's torso and EllipseBody's default
+
 
 def brute_force_likelihood(eval_points, scan_points, sigma_floor_m2):
     """Reference implementation: plain loops, no vectorization tricks."""
@@ -41,7 +46,7 @@ def brute_force_likelihood(eval_points, scan_points, sigma_floor_m2):
     return max(math.exp(-max(dists) ** 2 / sigma), MIN_WEIGHT)
 
 
-def broadcast_batch_likelihoods(states, sensor_xy, scan_points, config):
+def broadcast_batch_likelihoods(states, sensor_xy, scan_points, semi_axes):
     """Reference batched kernel: distances for every contour point in one
     (particles x contour points x returns) broadcast, NaN-masked reductions.
 
@@ -51,9 +56,7 @@ def broadcast_batch_likelihoods(states, sensor_xy, scan_points, config):
     n = len(states)
     if len(scan_points) == 0:
         return np.full(n, MIN_WEIGHT)
-    local_pts, local_nrm = _contour_local(
-        config.body_semi_major_m, config.body_semi_minor_m, config.n_eval_points
-    )
+    local_pts, local_nrm = _contour_local(*semi_axes, N_EVAL_POINTS)
     axis = np.radians(states[:, 2] + 90.0)
     c, s = np.cos(axis)[:, None], np.sin(axis)[:, None]
     lx, ly = local_pts[:, 0][None, :], local_pts[:, 1][None, :]
@@ -76,18 +79,16 @@ def broadcast_batch_likelihoods(states, sensor_xy, scan_points, config):
         with np.errstate(invalid="ignore"):
             d_max = np.nanmax(d[ok], axis=1)
             var = np.nanvar(d[ok], axis=1)
-        sigma_d = np.maximum(var, config.sigma_floor_m2)
+        sigma_d = np.maximum(var, SIGMA_FLOOR_M2)
         alphas[ok] = np.maximum(np.exp(-(d_max * d_max) / sigma_d), MIN_WEIGHT)
     return alphas
 
 
-def visible_evaluation_points(state, sensor, config):
+def visible_evaluation_points(state, sensor, n_eval_points=N_EVAL_POINTS):
     """Contour points of one hypothesis facing the sensor, shape (k, 2): the
     documented model of the visible contour that the batched kernel masks."""
     x, y, theta = float(state[0]), float(state[1]), float(state[2])
-    local_pts, local_nrm = _contour_local(
-        config.body_semi_major_m, config.body_semi_minor_m, config.n_eval_points
-    )
+    local_pts, local_nrm = _contour_local(*SEMI_AXES, n_eval_points)
     axis = math.radians(theta + 90.0)  # major axis direction
     c, s = math.cos(axis), math.sin(axis)
     rot = np.array([[c, -s], [s, c]])
@@ -98,36 +99,19 @@ def visible_evaluation_points(state, sensor, config):
     return pts[visible]
 
 
-class TestFilterConfig:
-    def test_defaults_are_sane(self):
-        cfg = FilterConfig()
-        assert cfg.n_particles == 500
-        assert cfg.sigma_floor_m2 > 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FilterConfig(n_particles=1)
-        with pytest.raises(ValueError):
-            FilterConfig(sigma_floor_m2=0.0)
-        with pytest.raises(ValueError):
-            FilterConfig(body_semi_major_m=0.1, body_semi_minor_m=0.2)
-
-
 class TestVisibleEvaluationPoints:
     def test_half_the_ring_faces_the_sensor(self):
-        cfg = FilterConfig(n_eval_points=20)
         # Generic sensor placement so no boundary normal is exactly
         # perpendicular to the sensor direction.
-        pts = visible_evaluation_points((0.4, -0.2, 13.0), Pose2(3.7, 1.3, 0.0), cfg)
+        pts = visible_evaluation_points((0.4, -0.2, 13.0), Pose2(3.7, 1.3, 0.0), 20)
         assert pts.shape == (10, 2)
 
     def test_opposite_sensors_see_disjoint_halves(self):
         # Points whose outward normal is nearly tangent to the view ray can
         # drop out on both sides, so the halves need not cover the ring.
-        cfg = FilterConfig(n_eval_points=20)
         state = (0.0, 0.0, 0.0)
-        front = visible_evaluation_points(state, Pose2(5.0, 0.1, 0.0), cfg)
-        back = visible_evaluation_points(state, Pose2(-5.0, -0.1, 0.0), cfg)
+        front = visible_evaluation_points(state, Pose2(5.0, 0.1, 0.0), 20)
+        back = visible_evaluation_points(state, Pose2(-5.0, -0.1, 0.0), 20)
         assert 8 <= len(front) <= 12
         assert 8 <= len(back) <= 12
         front_set = {tuple(np.round(p, 12)) for p in front}
@@ -135,21 +119,19 @@ class TestVisibleEvaluationPoints:
         assert not front_set & back_set
 
     def test_points_lie_on_the_body_outline(self):
-        cfg = FilterConfig(n_eval_points=32)
         state = (1.5, -0.7, 40.0)
-        pts = visible_evaluation_points(state, Pose2(0.0, 0.0, 0.0), cfg)
+        pts = visible_evaluation_points(state, Pose2(0.0, 0.0, 0.0), 32)
         axis = math.radians(40.0 + 90.0)
         for px, py in pts:
             dx, dy = px - 1.5, py + 0.7
             u = dx * math.cos(axis) + dy * math.sin(axis)
             v = -dx * math.sin(axis) + dy * math.cos(axis)
-            val = (u / cfg.body_semi_major_m) ** 2 + (v / cfg.body_semi_minor_m) ** 2
+            val = (u / SEMI_AXES[0]) ** 2 + (v / SEMI_AXES[1]) ** 2
             assert val == pytest.approx(1.0, abs=1e-9)
 
     def test_visible_points_face_the_sensor(self):
-        cfg = FilterConfig(n_eval_points=24)
         sensor = Pose2(4.0, 0.0, 180.0)
-        pts = visible_evaluation_points((1.0, 0.0, 0.0), sensor, cfg)
+        pts = visible_evaluation_points((1.0, 0.0, 0.0), sensor, 24)
         # Everything visible from +x must sit on the +x half of the outline.
         assert np.all(pts[:, 0] >= 1.0)
 
@@ -236,13 +218,13 @@ def _reinit_over_field(scan, n, rng):
     return states
 
 
-def scalar_likelihoods(states, scan_points, cfg):
+def scalar_likelihoods(states, scan_points):
     return np.array(
         [
             likelihood(
-                visible_evaluation_points(state, SCENE.sensor_pose, cfg),
+                visible_evaluation_points(state, SCENE.sensor_pose),
                 scan_points,
-                cfg.sigma_floor_m2,
+                SIGMA_FLOOR_M2,
             )
             for state in states
         ]
@@ -254,18 +236,17 @@ class TestBatchLikelihoods:
     visible_evaluation_points is the documented model it must match."""
 
     def test_matches_scalar_likelihood_per_particle(self):
-        cfg = FilterConfig()
         rng = np.random.default_rng(5)
         seat_weights = []
         for i, offset in enumerate((0.0, 35.0, -90.0)):
             scan = seat_scan(offset, seed=100 + i)
             scan_points = scan_to_points(scan)
             assert len(scan_points) > 10
-            around_seat = init_particles(cfg, SCENE.human_seat, seed=200 + i)[:200]
+            around_seat = init_particles(SCENE.human_seat, seed=200 + i)[:200]
             over_field = _reinit_over_field(scan, 200, rng)
             for states in (around_seat, over_field):
-                got = _batch_likelihoods(states, SENSOR_XY, scan_points, cfg)
-                want = scalar_likelihoods(states, scan_points, cfg)
+                got = _batch_likelihoods(states, SENSOR_XY, scan_points, SEMI_AXES)
+                want = scalar_likelihoods(states, scan_points)
                 assert got == pytest.approx(want, rel=1e-9, abs=0.0)
                 if states is around_seat:
                     seat_weights.append(np.max(got))
@@ -273,7 +254,6 @@ class TestBatchLikelihoods:
         assert max(seat_weights) > 1e-3
 
     def test_row_without_visible_points_gets_min_weight(self):
-        cfg = FilterConfig()
         scan_points = scan_to_points(seat_scan(0.0, seed=3))
         seat = SCENE.human_seat
         # A hypothesis centred on the sensor encloses it: no contour normal
@@ -281,39 +261,38 @@ class TestBatchLikelihoods:
         states = np.array(
             [[SENSOR_XY[0], SENSOR_XY[1], 10.0], [seat.x, seat.y, seat.heading_deg]]
         )
-        assert len(visible_evaluation_points(states[0], SCENE.sensor_pose, cfg)) == 0
-        got = _batch_likelihoods(states, SENSOR_XY, scan_points, cfg)
+        assert len(visible_evaluation_points(states[0], SCENE.sensor_pose)) == 0
+        got = _batch_likelihoods(states, SENSOR_XY, scan_points, SEMI_AXES)
         assert got[0] == MIN_WEIGHT
         assert got[1] == pytest.approx(
-            scalar_likelihoods(states[1:], scan_points, cfg)[0], rel=1e-9, abs=0.0
+            scalar_likelihoods(states[1:], scan_points)[0], rel=1e-9, abs=0.0
         )
         assert got[1] > MIN_WEIGHT
         assert np.array_equal(
-            got, broadcast_batch_likelihoods(states, SENSOR_XY, scan_points, cfg)
+            got, broadcast_batch_likelihoods(states, SENSOR_XY, scan_points, SEMI_AXES)
         )
 
     def test_empty_scan_gives_min_weight(self):
-        cfg = FilterConfig()
         far = EllipseBody(Pose2(SENSOR_XY[0] + 10.0, SENSOR_XY[1], 0.0))
         scan_points = scan_to_points(synthesize_scan(SCENE.sensor_pose, far, seed=1))
         assert scan_points.shape == (0, 2)
-        states = init_particles(cfg, SCENE.human_seat, seed=4)
-        got = _batch_likelihoods(states, SENSOR_XY, scan_points, cfg)
+        states = init_particles(SCENE.human_seat, seed=4)
+        got = _batch_likelihoods(states, SENSOR_XY, scan_points, SEMI_AXES)
         assert np.all(got == MIN_WEIGHT)
-        assert np.all(scalar_likelihoods(states[:5], scan_points, cfg) == MIN_WEIGHT)
+        assert np.all(scalar_likelihoods(states[:5], scan_points) == MIN_WEIGHT)
 
     def test_bit_identical_to_broadcast_kernel_on_a_tracker_run(self, monkeypatch):
         compared = []
 
-        def both_kernels(states, sensor_xy, scan_points, config):
-            got = _batch_likelihoods(states, sensor_xy, scan_points, config)
-            want = broadcast_batch_likelihoods(states, sensor_xy, scan_points, config)
+        def both_kernels(states, sensor_xy, scan_points, semi_axes):
+            got = _batch_likelihoods(states, sensor_xy, scan_points, semi_axes)
+            want = broadcast_batch_likelihoods(states, sensor_xy, scan_points, semi_axes)
             compared.append(np.array_equal(got, want))
             return got
 
         monkeypatch.setattr(body_tracker, "_batch_likelihoods", both_kernels)
         seat = SCENE.human_seat
-        tracker = BodyTracker(FilterConfig(), seat, seed=5)
+        tracker = BodyTracker(SEMI_AXES, seat, seed=5)
         for frame in range(220):
             # Settle, turn 90 degrees at 60 deg/s, then jump 1.2 m so the
             # filter scores hypotheses far from every return while it
@@ -357,20 +336,18 @@ class TestSystematicResample:
 
 class TestInitParticles:
     def test_shapes_and_spread(self):
-        cfg = FilterConfig()
-        states = init_particles(cfg, Pose2(2.0, 0.5, 30.0), seed=11)
-        assert states.shape == (cfg.n_particles, 3)
+        states = init_particles(Pose2(2.0, 0.5, 30.0), seed=11)
+        assert states.shape == (N_PARTICLES, 3)
         assert abs(np.mean(states[:, 0]) - 2.0) < 0.05
         assert abs(np.mean(states[:, 1]) - 0.5) < 0.05
 
     def test_deterministic(self):
-        cfg = FilterConfig()
-        a = init_particles(cfg, Pose2(2.0, 0.0, 0.0), seed=3)
-        b = init_particles(cfg, Pose2(2.0, 0.0, 0.0), seed=3)
+        a = init_particles(Pose2(2.0, 0.0, 0.0), seed=3)
+        b = init_particles(Pose2(2.0, 0.0, 0.0), seed=3)
         assert np.array_equal(a, b)
 
 
-def run_static_tracking(seed, n_frames, distance_m=2.0, heading_deg=180.0, cfg=None):
+def run_static_tracking(seed, n_frames, distance_m=2.0, heading_deg=180.0):
     """Track a motionless body and return per-frame orientation/position errors.
 
     The initial guess faces the way the body actually faces, mirroring the
@@ -378,11 +355,10 @@ def run_static_tracking(seed, n_frames, distance_m=2.0, heading_deg=180.0, cfg=N
     cannot tell a body from its 180-degree rotation, so the guess carries
     the facing information.
     """
-    cfg = cfg or FilterConfig()
     body_pose = Pose2(distance_m, 0.0, heading_deg)
-    body = EllipseBody(body_pose, cfg.body_semi_major_m, cfg.body_semi_minor_m)
+    body = EllipseBody(body_pose, *SEMI_AXES)
     sensor = Pose2(0.0, 0.0, 0.0)
-    tracker = BodyTracker(cfg, Pose2(distance_m, 0.0, heading_deg), seed=seed)
+    tracker = BodyTracker(SEMI_AXES, Pose2(distance_m, 0.0, heading_deg), seed=seed)
     theta_err, pos_err = [], []
     for frame in range(n_frames):
         scan = synthesize_scan(sensor, body, seed=seed * 100003 + frame)
@@ -409,11 +385,10 @@ class TestTrackingBehaviour:
         assert np.all(pos_err < 0.15)
 
     def test_estimate_reports_convergence_after_warmup(self):
-        cfg = FilterConfig()
         body = EllipseBody(Pose2(2.0, 0.0, 180.0))
-        tracker = BodyTracker(cfg, Pose2(2.0, 0.0, 180.0), seed=0)
+        tracker = BodyTracker(SEMI_AXES, Pose2(2.0, 0.0, 180.0), seed=0)
         flags = []
-        for frame in range(cfg.warmup_frames + 5):
+        for frame in range(WARMUP_FRAMES + 5):
             scan = synthesize_scan(Pose2(0.0, 0.0, 0.0), body, seed=frame)
             flags.append(tracker.step(scan, seed=frame).converged)
         assert not flags[0]
@@ -426,9 +401,8 @@ class TestTrackingBehaviour:
         assert np.array_equal(a_pos, b_pos)
 
     def test_tracks_a_turning_body(self):
-        cfg = FilterConfig()
         sensor = Pose2(0.0, 0.0, 0.0)
-        tracker = BodyTracker(cfg, Pose2(2.0, 0.0, 180.0), seed=42)
+        tracker = BodyTracker(SEMI_AXES, Pose2(2.0, 0.0, 180.0), seed=42)
         heading = 180.0
         errs = []
         for frame in range(90):

@@ -38,7 +38,8 @@ from gazesim.human import (
     respond,
 )
 from gazesim.geometry import HeadPose, Pose2, bearing_to, normalize_angle
-from gazesim.head_tracker import observe_head, relative_yaw_deg
+from gazesim.head_tracker import NOISE_SIGMA_DEG, observe_head, relative_yaw_deg
+from gazesim.records import Records
 from gazesim.scenario import default_scenario
 from gazesim.seeding import (
     STREAM_FILTER,
@@ -167,12 +168,16 @@ class TestFrameDraws:
             assert [0.0 + sigma * z for z in noise] == live.tolist()
             assert laser_seed == derive_seed(seed, STREAM_LASER, frame)
             assert filter_seed == derive_seed(seed, STREAM_FILTER, frame)
-            obs = observe_head(head, camera, sigma, frame=frame, noise=noise)
-            assert (obs.yaw_deg, obs.pitch_deg) == (
-                normalize_angle(rel + live[0]),
-                normalize_angle(head.pitch_deg + live[1]),
+            camera_noise = derive_rng(seed, STREAM_HEAD, frame).normal(
+                0.0, NOISE_SIGMA_DEG, size=2
             )
-            assert obs == observe_head(head, camera, sigma, seed=seed, frame=frame)
+            obs = observe_head(head, camera, frame=frame, noise=noise)
+            assert (obs.yaw_deg, obs.pitch_deg) == (
+                normalize_angle(rel + camera_noise[0]),
+                normalize_angle(head.pitch_deg + camera_noise[1]),
+            )
+            drawn = derive_rng(seed, STREAM_HEAD, frame).standard_normal(2).tolist()
+            assert obs == observe_head(head, camera, frame=frame, noise=drawn)
         assert frame == self.FRAMES - 1
 
     def test_ideal_mode_draws_no_laser_or_filter_seeds(self):
@@ -509,7 +514,7 @@ class TestCsvRoundTrip:
     @staticmethod
     def written_row(record):
         buf = io.StringIO()
-        write_records_csv(buf, [record])
+        write_records_csv(buf, Records.from_rows([record]))
         header, row = buf.getvalue().splitlines()
         return row
 

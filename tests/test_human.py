@@ -75,14 +75,22 @@ class TestDeriveResponseTable:
                     reference[s], abs=1e-12
                 )
 
-    def test_bad_rates_rejected(self):
-        bad = {m: dict(REFERENCE_SUCCESS_RATES[m]) for m in REFERENCE_SUCCESS_RATES}
-        bad[Method.M1][CFOV] = 1.2
-        with pytest.raises(ValueError):
-            derive_response_table(bad)
-        missing = {Method.M1: REFERENCE_SUCCESS_RATES[Method.M1]}
-        with pytest.raises(ValueError):
-            derive_response_table(missing)
+    def test_one_shared_table_inverting_the_reference_rates(self):
+        assert derive_response_table() is derive_response_table()
+
+        def stage(earlier: float, later: float) -> float:
+            if earlier >= 1.0:
+                return 1.0
+            return min(max((later - earlier) / (1.0 - earlier), 0.0), 1.0)
+
+        m1, m2, m3 = (REFERENCE_SUCCESS_RATES[m] for m in (Method.M1, Method.M2, Method.M3))
+        assert derive_response_table() == ResponseTable(
+            p={
+                RobotAction.HT: dict(m1),
+                RobotAction.HS: {s: stage(m1[s], m2[s]) for s in SITUATIONS},
+                RobotAction.RT: {s: stage(m2[s], m3[s]) for s in SITUATIONS},
+            }
+        )
 
     def test_m4_shares_the_m3_plan_rates(self):
         assert REFERENCE_SUCCESS_RATES[Method.M3] == REFERENCE_SUCCESS_RATES[Method.M4]
@@ -171,7 +179,7 @@ class TestHumanMotion:
         painting = sc.painting_for(FPFOV)
         h = make_human(sc, painting.painting_id)
         for k in range(90):
-            human_step(h, sc, k * TICK, TICK)
+            human_step(h, sc, k * TICK)
         assert h.head_yaw_deg == pytest.approx(sc.painting_world_yaw(painting))
         assert h.head_pitch_deg == pytest.approx(sc.painting_pitch_deg)
         assert h.body_theta_deg == pytest.approx(sc.painting_world_yaw(painting))
@@ -181,7 +189,7 @@ class TestHumanMotion:
         painting = sc.painting_for(OFOV)
         h = make_human(sc, painting.painting_id)
         start = h.head_yaw_deg
-        human_step(h, sc, 0.0, TICK)
+        human_step(h, sc, 0.0)
         head_moved = abs(normalize_angle(h.head_yaw_deg - start))
         body_moved = abs(normalize_angle(h.body_theta_deg - start))
         assert head_moved == pytest.approx(90.0 * TICK)
@@ -192,14 +200,14 @@ class TestHumanMotion:
         painting = sc.painting_for(CFOV)
         h = make_human(sc, painting.painting_id)
         for k in range(60):
-            human_step(h, sc, k * TICK, TICK)
+            human_step(h, sc, k * TICK)
         schedule_response(h, fire_at_s=3.0, gaze_duration_s=0.5)
         t = 60 * TICK
         while t < 2.999:
             assert h.attending == painting.painting_id
-            human_step(h, sc, t, TICK)
+            human_step(h, sc, t)
             t += TICK
-        human_step(h, sc, 3.0, TICK)
+        human_step(h, sc, 3.0)
         assert h.attending == ROBOT_TARGET
         assert h.prior_painting == painting.painting_id
 
@@ -210,7 +218,7 @@ class TestHumanMotion:
         schedule_response(h, fire_at_s=0.5, gaze_duration_s=0.4)
         made_robot_contact = False
         for k in range(300):
-            human_step(h, sc, k * TICK, TICK)
+            human_step(h, sc, k * TICK)
             if h.attending == ROBOT_TARGET and gaze_bearing_to(
                 h, sc.robot_pose.position
             ) == pytest.approx(0.0, abs=1e-6):
@@ -227,7 +235,7 @@ class TestHumanMotion:
         schedule_response(h, fire_at_s=1.0, gaze_duration_s=0.3)
         valid = {p.painting_id for p in sc.paintings} | {ROBOT_TARGET}
         for k in range(240):
-            human_step(h, sc, k * TICK, TICK)
+            human_step(h, sc, k * TICK)
             assert h.attending in valid
 
     def test_unknown_painting_rejected(self):

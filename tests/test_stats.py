@@ -16,6 +16,7 @@ import oracles
 
 from gazesim.controller import Method, RobotAction
 from gazesim.harness import TrialRecord
+from gazesim.records import Records
 from gazesim.situation import SITUATIONS, ViewingSituation
 from gazesim.stats import (
     SUMMARY_CSV_HEADER,
@@ -68,7 +69,7 @@ def grid(success_counts, n):
 class TestSuccessRatio:
     def test_eleven_of_twelve(self):
         records = [rec(Method.M1, CFOV, i < 11) for i in range(12)]
-        (cell,) = success_ratio(records)
+        (cell,) = success_ratio(Records.from_rows(records))
         assert cell.n == 12
         assert cell.mean_success == pytest.approx(11.0 / 12.0)
         # Sample standard deviation of eleven ones and a zero.
@@ -76,20 +77,20 @@ class TestSuccessRatio:
 
     def test_cells_in_canonical_order(self):
         records = grid({(m, s): 1 for m in Method for s in SITUATIONS}, 2)
-        cells = success_ratio(records)
+        cells = success_ratio(Records.from_rows(records))
         assert [(c.method, c.situation) for c in cells] == [
             (m, s) for m in Method for s in SITUATIONS
         ]
 
     def test_all_or_nothing_cells(self):
         records = [rec(Method.M2, OFOV, True) for _ in range(5)]
-        (cell,) = success_ratio(records)
+        (cell,) = success_ratio(Records.from_rows(records))
         assert cell.mean_success == 1.0
         assert cell.sd_success == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            success_ratio([])
+            success_ratio(Records.from_rows([]))
 
 
 class TestOverallRatio:
@@ -104,12 +105,13 @@ class TestOverallRatio:
         for (m, s), wins in counts.items():
             records.extend(rec(m, s, i < wins) for i in range(25))
         # (0.92 + 0.84 + 0.08 + 0.08) / 4
-        assert overall_ratio(records, Method.M1) == pytest.approx(0.48, abs=1e-12)
+        got = overall_ratio(Records.from_rows(records), Method.M1)
+        assert got == pytest.approx(0.48, abs=1e-12)
 
     def test_missing_situation_rejected(self):
         records = [rec(Method.M1, CFOV, True)]
         with pytest.raises(ValueError):
-            overall_ratio(records, Method.M1)
+            overall_ratio(Records.from_rows(records), Method.M1)
 
 
 class TestGazeStats:
@@ -121,18 +123,18 @@ class TestGazeStats:
             rec(Method.M4, FPFOV, False),
             rec(Method.M3, CFOV, True, gaze=9.0),
         ]
-        mean, var = gaze_stats(records, Method.M4)
+        mean, var = gaze_stats(Records.from_rows(records), Method.M4)
         assert mean == pytest.approx(2.0)
         assert var == pytest.approx(2.0 / 3.0)
 
     def test_single_success_has_zero_variance(self):
         records = [rec(Method.M3, CFOV, True, gaze=2.0)]
-        mean, var = gaze_stats(records, Method.M3)
+        mean, var = gaze_stats(Records.from_rows(records), Method.M3)
         assert (mean, var) == (2.0, 0.0)
 
     def test_no_successes_rejected(self):
         with pytest.raises(ValueError):
-            gaze_stats([rec(Method.M3, CFOV, False)], Method.M3)
+            gaze_stats(Records.from_rows([rec(Method.M3, CFOV, False)]), Method.M3)
 
 
 class TestAnova:
@@ -184,7 +186,7 @@ class TestAnova:
 
     def test_full_grid_degrees_of_freedom(self):
         records = grid({(m, s): 6 for m in Method for s in SITUATIONS}, 12)
-        result = anova_two_way(records_to_cells(records))
+        result = anova_two_way(records_to_cells(Records.from_rows(records)))
         assert result["method"]["df"] == [3, 176]
         assert result["situation"]["df"] == [3, 176]
         assert result["interaction"]["df"] == [9, 176]
@@ -373,7 +375,7 @@ class TestBonferroni:
         records = []
         records += [rec(Method.M1, CFOV, i < 10) for i in range(40)]
         records += [rec(Method.M4, CFOV, i < 38) for i in range(40)]
-        (result,) = bonferroni_pairwise(records)
+        (result,) = bonferroni_pairwise(Records.from_rows(records))
         assert result["pair"] == ["M1", "M4"]
         assert result["significant"]
         assert result["z"] < 0
@@ -383,14 +385,14 @@ class TestBonferroni:
         records = []
         records += [rec(Method.M3, CFOV, i < 20) for i in range(40)]
         records += [rec(Method.M4, CFOV, i < 20) for i in range(40)]
-        (result,) = bonferroni_pairwise(records)
+        (result,) = bonferroni_pairwise(Records.from_rows(records))
         assert result["z"] == pytest.approx(0.0)
         assert result["p_adj"] == 1.0
         assert not result["significant"]
 
     def test_six_pairs_for_four_methods(self):
         records = grid({(m, s): 3 for m in Method for s in SITUATIONS}, 6)
-        results = bonferroni_pairwise(records)
+        results = bonferroni_pairwise(Records.from_rows(records))
         assert len(results) == 6
         pairs = {tuple(r["pair"]) for r in results}
         assert ("M1", "M2") in pairs and ("M3", "M4") in pairs
@@ -399,13 +401,13 @@ class TestBonferroni:
         records = []
         records += [rec(Method.M1, CFOV, True) for _ in range(10)]
         records += [rec(Method.M2, CFOV, True) for _ in range(10)]
-        (result,) = bonferroni_pairwise(records)
+        (result,) = bonferroni_pairwise(Records.from_rows(records))
         assert result["z"] == 0.0
         assert not result["significant"]
 
     def test_single_method_rejected(self):
         with pytest.raises(ValueError):
-            bonferroni_pairwise([rec(Method.M1, CFOV, True)])
+            bonferroni_pairwise(Records.from_rows([rec(Method.M1, CFOV, True)]))
 
 
 class TestSerialization:
