@@ -12,10 +12,11 @@ so a trial's decisions are identical whichever engine runs it:
            head camera; no laser or filter.
            Untraced, both tick modes sense only while the controller reads
            it (`ControllerState.reads_sensors`); traced, every frame.
-- "event": closed-form timeline of the same protocol from the confirm tick
-           of the visitor's noise-free turn, stepped once per cell.
-           Decisions and latencies are drawn from the same per-decision
-           streams, so records match the tick engines. The trials of a
+- "event": the controller stepped once per cell without a face, from the
+           confirm tick of the visitor's noise-free turn to Failure; a
+           trial keeps that run up to the window it responds in. Decisions
+           and latencies are drawn from the same per-decision streams, so
+           records match the tick engines. The trials of a
            (method, situation) cell run as one batch: their seeds and
            draws are computed over arrays, bit for bit the values of the
            per-trial streams, and their records fill `Records` columns.
@@ -44,15 +45,8 @@ from .controller import (
     Method,
     METHODS,
     Phase,
-    RESPONSE_WINDOW_S,
     RobotAction,
     RobotEvent,
-    SHAKE_HALF_SWING_DEG,
-    SHAKE_SPEED_DEG_S,
-    TURN_SPEED_DEG_S,
-    UTTERANCE_DURATION_S,
-    UTTERANCE_TEXT,
-    clamp_pan,
     controller_step,
     face_detected,
     make_controller,
@@ -383,12 +377,12 @@ def _run_ticks(
 
 def _settled_visitor(
     scenario: Scenario, situation: ViewingSituation
-) -> tuple[float, HumanState]:
+) -> tuple[int, HumanState]:
     """The visitor of a trial without head camera noise, stepped as the tick
     loop steps them until their turn to the painting settles (the room rules
-    make the label there the mapped situation), and when the first prompt
-    starts: a tick after the recognizer confirms, which it does on the
-    PERSISTENCE_FRAMES-th frame of the label's last unbroken run."""
+    make the label there the mapped situation), and the frame that begins
+    the first prompt: a tick after the recognizer confirms, which it does on
+    the PERSISTENCE_FRAMES-th frame of the label's last unbroken run."""
     human = make_human(scenario, scenario.painting_for(situation).painting_id)
     first = frame = 0
     while True:
@@ -398,19 +392,21 @@ def _settled_visitor(
         if classify_instant(*view) is not situation:
             first = frame + 1
         if (human.head_yaw_deg, human.head_pitch_deg, human.body_theta_deg) == before:
-            return (first + PERSISTENCE_FRAMES) / 30.0, human
+            return first + PERSISTENCE_FRAMES, human
         frame += 1
 
 
 class _EventCell(NamedTuple):
-    """The closed-form timeline of one (method, situation) cell. The robot's
-    moves up to each prompt's response window depend on no draw, because a
-    prompt is only reached when every earlier window expired."""
+    """One (method, situation) cell: the controller stepped without a face
+    from the first prompt to Failure. A prompt is only reached when every
+    earlier window expired, so a trial that responds to prompt k has this
+    run's events up to window k."""
 
     method: Method
     situation: ViewingSituation
-    prompts: tuple[tuple[RobotEvent, ...], ...]  # each prompt up to its window
+    events: tuple[RobotEvent, ...]  # the run without a face
     window_starts: tuple[float, ...]
+    window_events: tuple[int, ...]  # len(events) when each window opens
     gaze_offset_deg: float
 
 
@@ -418,29 +414,34 @@ def _event_cell(
     scenario: Scenario, method: Method, situation: ViewingSituation
 ) -> _EventCell:
     robot = scenario.robot_pose
-    t, human = _settled_visitor(scenario, situation)
-    gaze_offset_deg = gaze_bearing_to(human, robot.position)
-    target_pan_deg = clamp_pan(relative_bearing(robot, scenario.human_seat.position))
-    pan = 0.0
-    prompts = []
-    window_starts = []
-    for action in method.capture_plan:
-        if action is RobotAction.HT:
-            start = RobotEvent(t, EventKind.HEAD_TURN_START)
-            t += abs(target_pan_deg - pan) / TURN_SPEED_DEG_S
-            pan = target_pan_deg
-            prompts.append((start, RobotEvent(t, EventKind.HEAD_TURN_END)))
-        elif action is RobotAction.HS:
-            start = RobotEvent(t, EventKind.HEAD_SHAKE_START)
-            t += 4.0 * SHAKE_HALF_SWING_DEG / SHAKE_SPEED_DEG_S
-            prompts.append((start, RobotEvent(t, EventKind.HEAD_SHAKE_END)))
-        else:
-            prompts.append((RobotEvent(t, EventKind.UTTERANCE, UTTERANCE_TEXT),))
-            t += UTTERANCE_DURATION_S
-        window_starts.append(t)
-        t += RESPONSE_WINDOW_S
+    frame, human = _settled_visitor(scenario, situation)
+    frame -= 1  # the recognizer confirms a tick before the first prompt
+    cstate = make_controller(method)
+    inputs = ControllerInputs(
+        confirmed=situation,
+        human_bearing_deg=relative_bearing(robot, scenario.human_seat.position),
+    )
+    events: list[RobotEvent] = []
+    window_starts: list[float] = []
+    window_events: list[int] = []
+    while not cstate.terminal:
+        if cstate.deadline_s is not None:
+            # Without a face nothing changes before the deadline. From a tick
+            # or two short of it, each comparison falls where it first holds.
+            frame = max(frame, int(cstate.deadline_s * 30.0) - 1)
+        cstate, step_events = controller_step(cstate, inputs, frame / 30.0)
+        events.extend(step_events)
+        if cstate.window_start_s is not None and len(window_starts) == cstate.plan_cursor:
+            window_starts.append(cstate.window_start_s)
+            window_events.append(len(events))
+        frame += 1
     return _EventCell(
-        method, situation, tuple(prompts), tuple(window_starts), gaze_offset_deg
+        method,
+        situation,
+        tuple(events),
+        tuple(window_starts),
+        tuple(window_events),
+        gaze_bearing_to(human, robot.position),
     )
 
 
@@ -516,22 +517,14 @@ def _run_event_batch(
 
 def _event_timeline(cell: _EventCell, cursor: int, detect_s: float) -> list[RobotEvent]:
     """One trial's events, from the prompt it responded to and when."""
-    events: list[RobotEvent] = []
-    for k, prompt in enumerate(cell.prompts):
-        events.extend(prompt)
-        if k == cursor:
-            events.append(RobotEvent(detect_s, EventKind.FACE_DETECTED))
-            if cell.method.ensure_blink:
-                for i in range(BLINK_COUNT):
-                    events.append(
-                        RobotEvent(detect_s + i * BLINK_PERIOD_S, EventKind.BLINK_PULSE)
-                    )
-            events.append(RobotEvent(detect_s + ENSURE_DWELL_S, EventKind.SUCCESS))
-            return events
-        events.append(
-            RobotEvent(cell.window_starts[k] + RESPONSE_WINDOW_S, EventKind.WINDOW_EXPIRED)
-        )
-    events.append(RobotEvent(events[-1].time_s, EventKind.FAILURE))
+    if cursor < 0:
+        return list(cell.events)
+    events = list(cell.events[: cell.window_events[cursor]])
+    events.append(RobotEvent(detect_s, EventKind.FACE_DETECTED))
+    if cell.method.ensure_blink:
+        for i in range(BLINK_COUNT):
+            events.append(RobotEvent(detect_s + i * BLINK_PERIOD_S, EventKind.BLINK_PULSE))
+    events.append(RobotEvent(detect_s + ENSURE_DWELL_S, EventKind.SUCCESS))
     return events
 
 

@@ -22,7 +22,7 @@ FULL_M4_SEED42 = "53f3f2f0ec5f526e06816ae10c74c60ae2ea6d343e92340237b0f243d2d253
 EVENT_N1000_SEED42 = "8b56f3a611b02213e0ef477e8c38492a8a19f2f2b1918a2ae681b6b120d5f13e"
 IDEAL_N10_SEED42 = "df4569188143a78459eb0a32f564ad8b9b28a462de294088eeba3722afc5e0da"
 IDEAL_TIMELINE_SEED42 = "c067f7ff02fb8629725079f56f9e548f67eef89f28e3b4473538901306e14f8b"
-EVENT_TIMELINE_SEED42 = "999080658e9e38e971af56734c18e99e2353b72714e9723655c71de1bf0d0eb9"
+EVENT_TIMELINE_SEED42 = "7c85acae52bb4528eef1259f1b96beff580da05dc374bda6d77ca542f33cdb78"
 EVENT_N1000_STATS_SEED42 = "79c2dbe57055f95d6c66524afc8cd414d957b0852cead2519fc15dd72c5ad0f5"
 # `report` on the n=1000 event design's results.csv.
 EVENT_N1000_REPORT_SUMMARY_SEED42 = "a4dfd3356a4052ea144116ca0510412b8fb3e3160231c5b2538fe476d9c7e93e"
