@@ -157,6 +157,14 @@ class ControllerState:
         plan's one head turn begins in RECOGNIZE; later, faces alone count."""
         return self.phase in (Phase.OBSERVE, Phase.RECOGNIZE)
 
+    @property
+    def idle_until_s(self) -> float | None:
+        """What this state waits for if no face comes first: the next blink,
+        else the deadline. None while the head moves or sensors are read."""
+        if self.waypoints or self.reads_sensors or self.terminal:
+            return None
+        return self.next_blink_s if self.blinks_remaining else self.deadline_s
+
 
 def make_controller(method: Method) -> ControllerState:
     return ControllerState(method=method)

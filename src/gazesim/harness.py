@@ -11,7 +11,8 @@ so a trial's decisions are identical whichever engine runs it:
 - "ideal": tick loop with ground-truth body orientation and the noisy
            head camera; no laser or filter.
            Untraced, both tick modes sense only while the controller reads
-           it (`ControllerState.reads_sensors`); traced, every frame.
+           it (`ControllerState.reads_sensors`), and skip frames where it and
+           the visitor are idle (`idle_until_s`); traced, every frame.
 - "event": the controller stepped once per cell without a face, from the
            confirm tick of the visitor's noise-free turn to Failure; a
            trial keeps that run up to the window it responds in. Decisions
@@ -64,6 +65,7 @@ from .human import (
     gaze_duration,
     gaze_durations,
     human_step,
+    idle_until_s,
     make_human,
     respond,
     schedule_response,
@@ -208,6 +210,12 @@ def _frame_draws(
         else:
             yield from zip(noise, repeat(None), repeat(None))
         start += len(frames)
+
+
+def _wake_frame(frame: int, wake_s: float | None) -> int:
+    """The next frame to step when nothing changes before wake_s: a tick or
+    two short of it, so each comparison still first holds on a stepped frame."""
+    return frame if wake_s is None else max(frame, int(wake_s * 30.0) - 1)
 
 
 def _run_ticks(
@@ -356,6 +364,13 @@ def _run_ticks(
         if cstate.terminal:
             break
         frame += 1
+        if not (trace or collect_ticks):
+            wake = cstate.idle_until_s
+            # EnsureAttention ignores its inputs; elsewhere the visitor counts.
+            if wake is not None and cstate.phase is not Phase.ENSURE_ATTENTION:
+                visitor = idle_until_s(human, scenario)
+                wake = None if visitor is None else min(wake, visitor)
+            frame = _wake_frame(frame, wake)
 
     succeeded = cstate.succeeded
     record = TrialRecord(
@@ -425,16 +440,12 @@ def _event_cell(
     window_starts: list[float] = []
     window_events: list[int] = []
     while not cstate.terminal:
-        if cstate.deadline_s is not None:
-            # Without a face nothing changes before the deadline. From a tick
-            # or two short of it, each comparison falls where it first holds.
-            frame = max(frame, int(cstate.deadline_s * 30.0) - 1)
         cstate, step_events = controller_step(cstate, inputs, frame / 30.0)
         events.extend(step_events)
         if cstate.window_start_s is not None and len(window_starts) == cstate.plan_cursor:
             window_starts.append(cstate.window_start_s)
             window_events.append(len(events))
-        frame += 1
+        frame = _wake_frame(frame + 1, cstate.idle_until_s)
     return _EventCell(
         method,
         situation,

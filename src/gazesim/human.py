@@ -246,6 +246,17 @@ def _target_angles(state: HumanState, scenario: Scenario) -> tuple[float, float]
     return scenario.painting_world_yaw(painting), scenario.painting_pitch_deg
 
 
+def idle_until_s(state: HumanState, scenario: Scenario) -> float | None:
+    """When `human_step` next changes a visitor at rest on a painting: their
+    pending response, else inf. None while they turn or attend the robot."""
+    if state.attending == ROBOT_TARGET:
+        return None
+    yaw, pitch = map(normalize_angle, _target_angles(state, scenario))
+    if (state.head_yaw_deg, state.head_pitch_deg, state.body_theta_deg) != (yaw, pitch, yaw):
+        return None
+    return math.inf if state.pending_fire_s is None else state.pending_fire_s
+
+
 def human_step(state: HumanState, scenario: Scenario, clock_s: float) -> HumanState:
     """Advance the visitor one tick of TICK_S: fire a pending response, servo
     head and body toward the attended target, start and expire gaze spans."""

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,9 @@ from gazesim.controller import (
     TURN_SPEED_DEG_S,
     UTTERANCE_DURATION_S,
     ControllerInputs,
+    ControllerState,
     EventKind,
+    METHODS,
     Method,
     Phase,
     RobotAction,
@@ -332,6 +336,84 @@ class TestGating:
         # The await phase polls on the tick after the window opens.
         assert 0.0 <= t_face - t_end <= 2 * TICK_S
         assert state.succeeded
+
+
+class TestIdleUntil:
+    """`idle_until_s`, the instant a state waits for when only a face could
+    change it sooner; None when the next tick may change it anyway."""
+
+    def test_a_moving_head_shake_is_never_idle(self):
+        state = ControllerState(
+            Method.M2,
+            phase=Phase.EXECUTE_ACTION,
+            pan_deg=75.0,
+            action=RobotAction.HS,
+            waypoints=(30.0, 60.0),
+        )
+        assert state.idle_until_s is None
+
+    def test_ensure_with_blinks_left_waits_for_the_next_blink(self):
+        state = ControllerState(
+            Method.M1,
+            phase=Phase.ENSURE_ATTENTION,
+            blinks_remaining=2,
+            next_blink_s=6.0,
+            deadline_s=8.0,
+        )
+        assert state.idle_until_s == 6.0
+        # No blink left, or none to give (M3 holds still): the dwell's end.
+        assert replace(state, blinks_remaining=0, next_blink_s=8.0).idle_until_s == 8.0
+        assert replace(state, method=Method.M3, blinks_remaining=0).idle_until_s == 8.0
+
+    def test_speech_and_open_windows_wait_for_their_deadline(self):
+        speech = ControllerState(
+            Method.M4, phase=Phase.EXECUTE_ACTION, action=RobotAction.RT, deadline_s=9.5
+        )
+        assert speech.idle_until_s == 9.5
+        window = replace(speech, phase=Phase.AWAIT_RESPONSE, deadline_s=13.5)
+        assert window.idle_until_s == 13.5
+
+    @pytest.mark.parametrize(
+        "phase", [Phase.OBSERVE, Phase.RECOGNIZE, Phase.SUCCESS, Phase.FAILURE]
+    )
+    def test_sensing_and_terminal_states_are_never_idle(self, phase):
+        state = ControllerState(Method.M4, phase=phase, deadline_s=4.0)
+        assert state.idle_until_s is None
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize(
+        "face_fn",
+        [
+            never,
+            after_event(EventKind.HEAD_TURN_END, 0.5),
+            after_event(EventKind.HEAD_SHAKE_END, 1.0),
+            after_event(EventKind.UTTERANCE, 2.0),
+        ],
+    )
+    def test_only_a_face_changes_an_idle_state_before_its_instant(self, method, face_fn):
+        """Every idle state a run visits: a tick before its instant without a
+        face changes nothing (in EnsureAttention, nor one with a face), and a
+        tick on the instant moves it on."""
+        state = make_controller(method)
+        events = []
+        t, idle = 0.0, 0
+        while t <= 40.0 and not state.terminal:
+            wake = state.idle_until_s
+            if wake is not None:
+                idle += 1
+                before = wake - TICK_S
+                assert controller_step(state, ControllerInputs(), before) == (state, [])
+                if state.phase is Phase.ENSURE_ATTENTION:
+                    face = ControllerInputs(face_detected=True)
+                    assert controller_step(state, face, before) == (state, [])
+                assert controller_step(state, ControllerInputs(), wake) != (state, [])
+            inputs = ControllerInputs(
+                confirmed=CFOV, face_detected=face_fn(t, events), human_bearing_deg=60.0
+            )
+            state, new_events = controller_step(state, inputs, t)
+            events.extend(new_events)
+            t += TICK_S
+        assert idle > 0
 
 
 class TestClampedTargets:

@@ -6,6 +6,7 @@ import math
 import pickle
 from unittest import mock
 
+import hypothesis
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
@@ -342,6 +343,10 @@ class TestSensingPrefix:
         untraced, calls = self.counted_trial(mode, method, situation, traced=False)
         traced, traced_calls = self.counted_trial(mode, method, situation, traced=True)
         assert untraced == traced
+        # Without ticks to collect, the trial skips its waits, and is the same.
+        seed = trial_seed(42, method, situation, 0)
+        skipped = run_trial_detailed(SC, method, situation, seed, mode=mode)
+        assert skipped == dataclasses.replace(traced, ticks=None)
         turn_s = next(
             e.time_s for e in untraced.events if e.kind is EventKind.HEAD_TURN_START
         )
@@ -352,6 +357,63 @@ class TestSensingPrefix:
         assert traced_calls == {name: frames for name in names}
 
 
+class DiscardedTrace(TraceWriter):
+    """A trace that keeps nothing: the trial takes its traced path, stepping
+    and sensing every frame, without the cost of writing JSON lines."""
+
+    def __init__(self):
+        super().__init__(io.StringIO())
+
+    def emit(self, t_s, source, kind, detail=None):
+        pass
+
+
+class TestSkippedWaits:
+    """An untraced tick-mode trial that collects no ticks jumps over the
+    frames where neither the controller nor the visitor can change. It is
+    the same trial as a traced one, which steps every frame."""
+
+    @pytest.mark.parametrize(
+        "mode, method", [("ideal", m) for m in METHODS] + [("full", Method.M4)]
+    )
+    @pytest.mark.parametrize("situation", SITUATIONS)
+    def test_untraced_trials_equal_traced_ones(self, mode, method, situation):
+        # Rep 0 is compared in TestSensingPrefix, beside its traced run.
+        for rep in range(1, 4 if mode == "ideal" else 2):
+            seed = trial_seed(42, method, situation, rep)
+            untraced = run_trial_detailed(SC, method, situation, seed, mode=mode)
+            traced = run_trial_detailed(
+                SC, method, situation, seed, mode=mode, trace=TraceWriter(io.StringIO())
+            )
+            assert untraced == traced
+
+    def test_frames_stepped_on_the_ideal_design(self, monkeypatch):
+        steps = collections.Counter()
+        step = harness.controller_step
+
+        def counting(*args):
+            steps["controller"] += 1
+            return step(*args)
+
+        monkeypatch.setattr(harness, "controller_step", counting)
+        run_experiment(RunConfig(n_per_cell=20, base_seed=42), mode="ideal")
+        # Stepping every frame of these 320 trials takes 91,412 steps.
+        assert steps["controller"] == 28_884
+
+    @pytest.mark.parametrize("method, situation", [(Method.M4, OFOV), (Method.M1, CFOV)])
+    def test_collected_ticks_are_every_frame(self, method, situation):
+        for rep in range(3):
+            seed = trial_seed(42, method, situation, rep)
+            detail = run_trial_detailed(
+                SC, method, situation, seed, mode="ideal", collect_ticks=True
+            )
+            times = [sample.t_s for sample in detail.ticks]
+            assert times == [frame / 30.0 for frame in range(len(times))]
+            assert times[-1] == detail.events[-1].time_s
+            skipped = run_trial_detailed(SC, method, situation, seed, mode="ideal")
+            assert dataclasses.replace(detail, ticks=None) == skipped
+
+
 ROOM_OFFSET_M = st.floats(-0.5, 0.5)
 ROOM_TURN_DEG = st.floats(-20.0, 20.0)
 
@@ -360,7 +422,8 @@ class TestPerturbedRooms:
     """The room property: a room moved away from the default one is
     rejected when it is built, or runs every cell in event and ideal mode
     alike. Without head camera noise both make the same robot events and
-    end within two ticks of each other. With noise the first event can be
+    end within two ticks of each other, and in ideal mode an untraced trial
+    equals a traced one. With noise the first event can be
     late: in a room whose settled head angle lies just outside the noise
     margin, a noise draw now and then breaks the persistence streak, and
     the tick loop confirms some 28 ticks later."""
@@ -387,9 +450,12 @@ class TestPerturbedRooms:
 
         # No shrink phase: each candidate room reruns the n=2 design, so
         # shrinking a failure takes minutes; the first failing room is shown.
+        # A fixed seed, not one derived from this test's source, keeps the
+        # rooms drawn the same when the test's text changes.
+        @hypothesis.seed(0)
         @settings(
             max_examples=80,
-            derandomize=True,
+            database=None,
             deadline=None,
             phases=(Phase.explicit, Phase.reuse, Phase.generate),
         )
@@ -408,12 +474,17 @@ class TestPerturbedRooms:
             for method in METHODS:
                 for situation in SITUATIONS:
                     seeds = trial_seeds(RunConfig().base_seed, method, situation, 2)
-                    for seed in seeds.tolist():
+                    for rep, seed in enumerate(seeds.tolist()):
                         ev = run_trial_detailed(room, method, situation, seed, mode="event")
                         ticked = run_trial_detailed(
                             room, method, situation, seed, mode="ideal"
                         )
                         assert_same_outcome(ticked.record, ev.record)
+                        if rep == 0:
+                            assert ticked == run_trial_detailed(
+                                room, method, situation, seed, mode="ideal",
+                                trace=DiscardedTrace(),
+                            )
                         with mock.patch.object(harness, "_frame_draws", noise_free_draws):
                             quiet = run_trial_detailed(
                                 room, method, situation, seed, mode="ideal"
@@ -425,8 +496,9 @@ class TestPerturbedRooms:
             ran.append(room)
 
         check()
-        # Not only rejections: the property held on rooms that ran.
-        assert len(ran) >= 5
+        # Not only rejections: the property held on every room the pinned
+        # search loads (33 of 80).
+        assert len(ran) >= 33
 
 
 class TestRunExperiment:

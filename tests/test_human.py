@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -250,3 +251,62 @@ class TestHumanMotion:
         assert gaze_bearing_to(h, sc.robot_pose.position) == pytest.approx(0.0)
         h.head_yaw_deg = normalize_angle(h.head_yaw_deg + 35.0)
         assert gaze_bearing_to(h, sc.robot_pose.position) == pytest.approx(35.0)
+
+
+class TestIdleUntil:
+    """`idle_until_s`: when `human_step` next changes a visitor at rest on a
+    painting, or None while they turn or attend the robot."""
+
+    @staticmethod
+    def settled(sc, situation):
+        h = make_human(sc, sc.painting_for(situation).painting_id)
+        for k in range(150):  # the widest turn, 180 deg of body, takes 90 ticks
+            human_step(h, sc, k * TICK)
+        return h
+
+    def test_a_visitor_still_turning_is_never_idle(self):
+        sc = default_scenario()
+        h = make_human(sc, sc.painting_for(OFOV).painting_id)
+        target = sc.painting_world_yaw(sc.painting_for(OFOV))
+        head_landed = False
+        for k in range(150):
+            idle = human.idle_until_s(h, sc)
+            before = dataclasses.replace(h)
+            human_step(h, sc, k * TICK)
+            if h == before:
+                break
+            assert idle is None  # this step changed the visitor
+            # The head lands first; the body still turns after it.
+            head_landed |= h.head_yaw_deg == target != h.body_theta_deg
+        assert head_landed
+        assert human.idle_until_s(h, sc) == math.inf
+
+    def test_a_visitor_attending_the_robot_is_never_idle(self):
+        sc = default_scenario()
+        h = self.settled(sc, CFOV)
+        h.attending = ROBOT_TARGET
+        h.head_yaw_deg = h.body_theta_deg = bearing_to(
+            h.seat.position, sc.robot_pose.position
+        )
+        h.head_pitch_deg = 0.0
+        h.gaze_until_s = 5.0
+        # At rest on the robot, yet the gaze span's end is still to come.
+        before = dataclasses.replace(h)
+        human_step(h, sc, 1.0)
+        assert h == before
+        assert human.idle_until_s(h, sc) is None
+
+    def test_a_settled_visitor_waits_for_the_pending_response(self):
+        sc = default_scenario()
+        h = self.settled(sc, NPFOV)
+        assert human.idle_until_s(h, sc) == math.inf
+        schedule_response(h, fire_at_s=7.5, gaze_duration_s=1.0)
+        assert human.idle_until_s(h, sc) == 7.5
+        # Until then each step is an exact no-op; at 7.5 s the visitor fires.
+        before = dataclasses.replace(h)
+        for t in (5.0, 7.5 - TICK):
+            human_step(h, sc, t)
+            assert h == before
+        human_step(h, sc, 7.5)
+        assert h.attending == ROBOT_TARGET
+        assert human.idle_until_s(h, sc) is None
