@@ -110,7 +110,7 @@ def _load_config(path: str | None) -> RunConfig:
     file_path = Path(path)
     try:
         text = file_path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text, base_dir=file_path.parent)
 

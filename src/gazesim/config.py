@@ -216,7 +216,7 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
         scenario_path = Path(base_dir) / obj["scenario"]
         try:
             scenario_text = scenario_path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"scenario: cannot read {scenario_path}: {exc}") from exc
         try:
             scenario_obj = json.loads(scenario_text)

@@ -33,7 +33,6 @@ UTTERANCE_TEXT = "excuse me"
 UTTERANCE_DURATION_S = 1.0
 
 FACE_TOLERANCE_DEG = 10.0
-FACE_RANGE_M = 3.0
 
 # Deadline comparisons tolerate one float ulp of clock error so a caller
 # that accumulates the clock by repeated addition hits the same tick as one
@@ -327,7 +326,8 @@ def controller_step(
     raise AssertionError(f"unhandled phase {state.phase}")
 
 
-def face_detected(gaze_bearing_deg: float, distance_m: float) -> bool:
+def face_detected(gaze_bearing_deg: float) -> bool:
     """Geometric face-visibility test: the gaze points at the robot within
-    FACE_TOLERANCE_DEG and the person is inside camera range."""
-    return abs(gaze_bearing_deg) <= FACE_TOLERANCE_DEG and distance_m <= FACE_RANGE_M
+    FACE_TOLERANCE_DEG. The room keeps the seat inside camera range
+    (`scenario.FACE_RANGE_M`)."""
+    return abs(gaze_bearing_deg) <= FACE_TOLERANCE_DEG

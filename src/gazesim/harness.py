@@ -13,9 +13,10 @@ so a trial's decisions are identical whichever engine runs it:
            Untraced, both tick modes sense only while the controller reads
            it (`ControllerState.reads_sensors`), and skip frames where it and
            the visitor are idle (`idle_until_s`); traced, every frame.
-- "event": the controller stepped once per cell without a face, from the
-           confirm tick of the visitor's noise-free turn to Failure; a
-           trial keeps that run up to the window it responds in. Decisions
+- "event": the tick loop run once per cell without head camera noise or a
+           face: the visitor's turn and the recognizer while the controller
+           reads them, then the controller to Failure; a trial keeps that
+           run up to the window it responds in. Decisions
            and latencies are drawn from the same per-decision streams, so
            records match the tick engines. The trials of a
            (method, situation) cell run as one batch: their seeds and
@@ -40,6 +41,7 @@ from .controller import (
     BLINK_COUNT,
     BLINK_PERIOD_S,
     ControllerInputs,
+    ControllerState,
     ENSURE_DWELL_S,
     EventKind,
     FACE_TOLERANCE_DEG,
@@ -56,7 +58,6 @@ from .geometry import Pose2, bearing_to, normalize_angle, relative_bearing
 from .head_tracker import observe_head
 from .human import (
     HEAD_TURN_SPEED_DEG_S,
-    HumanState,
     LATENCY_MAX_S,
     LATENCY_MIN_S,
     ROBOT_TARGET,
@@ -90,7 +91,6 @@ from .seeding import (
     derive_seeds,
 )
 from .situation import (
-    PERSISTENCE_FRAMES,
     SITUATIONS,
     SrmState,
     ViewingSituation,
@@ -218,6 +218,21 @@ def _wake_frame(frame: int, wake_s: float | None) -> int:
     return frame if wake_s is None else max(frame, int(wake_s * 30.0) - 1)
 
 
+def _check_confirmed(
+    cstate: ControllerState,
+    confirmed: ViewingSituation | None,
+    situation: ViewingSituation,
+    t: float,
+    run: str,
+) -> None:
+    """Abort a run whose recognizer has not confirmed by ABORT_BUDGET_S."""
+    if cstate.phase is Phase.OBSERVE and confirmed is None and t >= ABORT_BUDGET_S:
+        raise TrialAbortError(
+            f"recognizer did not confirm {situation.value} within "
+            f"{ABORT_BUDGET_S:.0f} s ({run}, {cstate.method.value})"
+        )
+
+
 def _run_ticks(
     scenario: Scenario,
     method: Method,
@@ -236,8 +251,8 @@ def _run_ticks(
     seat = scenario.human_seat
     seat_to_robot_deg = bearing_to(seat.position, robot.position)
     seat_bearing_deg = relative_bearing(robot, seat.position)
-    robot_distance_m = math.hypot(seat.x - robot.x, seat.y - robot.y)
     draws = _frame_draws(seed, full=mode == "full")
+    run = f"trial {trial_id}"
 
     tracker: BodyTracker | None = None
     if mode == "full":
@@ -306,18 +321,10 @@ def _run_ticks(
             else:
                 bearing_input = seat_bearing_deg
 
-        if (
-            cstate.phase is Phase.OBSERVE
-            and confirmed_input is None
-            and t >= ABORT_BUDGET_S
-        ):
-            raise TrialAbortError(
-                f"recognizer did not confirm {situation.value} within "
-                f"{ABORT_BUDGET_S:.0f} s (trial {trial_id}, {method.value})"
-            )
+        _check_confirmed(cstate, confirmed_input, situation, t, run)
 
         face = human.attending == ROBOT_TARGET and face_detected(
-            gaze_bearing_to(human, robot.position), robot_distance_m
+            gaze_bearing_to(human, robot.position)
         )
         prev_phase = cstate.phase
         cstate, events = controller_step(
@@ -390,27 +397,6 @@ def _run_ticks(
     )
 
 
-def _settled_visitor(
-    scenario: Scenario, situation: ViewingSituation
-) -> tuple[int, HumanState]:
-    """The visitor of a trial without head camera noise, stepped as the tick
-    loop steps them until their turn to the painting settles (the room rules
-    make the label there the mapped situation), and the frame that begins
-    the first prompt: a tick after the recognizer confirms, which it does on
-    the PERSISTENCE_FRAMES-th frame of the label's last unbroken run."""
-    human = make_human(scenario, scenario.painting_for(situation).painting_id)
-    first = frame = 0
-    while True:
-        before = (human.head_yaw_deg, human.head_pitch_deg, human.body_theta_deg)
-        human_step(human, scenario, frame / 30.0)
-        view = noise_free_view(scenario, human.head, human.body_theta_deg)
-        if classify_instant(*view) is not situation:
-            first = frame + 1
-        if (human.head_yaw_deg, human.head_pitch_deg, human.body_theta_deg) == before:
-            return first + PERSISTENCE_FRAMES, human
-        frame += 1
-
-
 class _EventCell(NamedTuple):
     """One (method, situation) cell: the controller stepped without a face
     from the first prompt to Failure. A prompt is only reached when every
@@ -428,19 +414,28 @@ class _EventCell(NamedTuple):
 def _event_cell(
     scenario: Scenario, method: Method, situation: ViewingSituation
 ) -> _EventCell:
+    """The tick loop of an untraced ideal trial without head camera noise or
+    a face: the visitor's turn and the recognizer stepped while the
+    controller reads them, then the controller alone to Failure."""
     robot = scenario.robot_pose
-    frame, human = _settled_visitor(scenario, situation)
-    frame -= 1  # the recognizer confirms a tick before the first prompt
+    human = make_human(scenario, scenario.painting_for(situation).painting_id)
     cstate = make_controller(method)
-    inputs = ControllerInputs(
-        confirmed=situation,
-        human_bearing_deg=relative_bearing(robot, scenario.human_seat.position),
-    )
+    srm = SrmState()
+    bearing_deg = relative_bearing(robot, scenario.human_seat.position)
     events: list[RobotEvent] = []
     window_starts: list[float] = []
     window_events: list[int] = []
+    frame = 0
     while not cstate.terminal:
-        cstate, step_events = controller_step(cstate, inputs, frame / 30.0)
+        t = frame / 30.0
+        if cstate.reads_sensors:
+            human_step(human, scenario, t)
+            view = noise_free_view(scenario, human.head, human.body_theta_deg)
+            srm = srm_update(srm, classify_instant(*view))
+            confirmed = situation if srm.confirmed is situation else None
+            _check_confirmed(cstate, confirmed, situation, t, "event cell")
+            inputs = ControllerInputs(confirmed=confirmed, human_bearing_deg=bearing_deg)
+        cstate, step_events = controller_step(cstate, inputs, t)
         events.extend(step_events)
         if cstate.window_start_s is not None and len(window_starts) == cstate.plan_cursor:
             window_starts.append(cstate.window_start_s)
@@ -452,6 +447,7 @@ def _event_cell(
         tuple(events),
         tuple(window_starts),
         tuple(window_events),
+        # The visitor as the head turn began, settled on the painting.
         gaze_bearing_to(human, robot.position),
     )
 

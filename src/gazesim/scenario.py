@@ -12,12 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .controller import FACE_RANGE_M
 from .geometry import HeadPose, Pose2, bearing_to, normalize_angle
 from .head_tracker import NOISE_SIGMA_DEG, HeadObservation, observe_head
 from .situation import ViewingSituation, classify_instant
 
 SEAT_DISTANCE_M = 2.0
+# The head camera detects no face farther than this from the robot.
+FACE_RANGE_M = 3.0
 # A settled head angle this close to a band edge is pushed across it by the
 # head camera's noise often enough that the persistence streak never fills.
 NOISE_MARGIN_DEG = 3 * NOISE_SIGMA_DEG

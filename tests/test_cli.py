@@ -350,6 +350,27 @@ class TestExperiment:
         assert code == 1
         assert "cannot read" in err
 
+    def test_config_not_utf8_exits_one(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_bytes(b'{"n_per_cell": 2}\xff')
+        code, out, err = run_cli(["experiment", "--config", str(config_path)], capsys)
+        assert code == 1
+        assert err.startswith(f"gazesim: cannot read config {config_path}: ")
+        assert "can't decode byte 0xff" in err
+        assert "Traceback" not in out + err
+
+    def test_scenario_file_not_utf8_exits_one(self, tmp_path, capsys):
+        (tmp_path / "room.json").write_bytes(b"\xff")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"scenario": "room.json"}))
+        code, out, err = run_cli(
+            ["simulate", "--config", str(config_path), "--mode", "event"], capsys
+        )
+        assert code == 1
+        assert err.startswith(f"gazesim: scenario: cannot read {tmp_path / 'room.json'}: ")
+        assert "can't decode byte 0xff" in err
+        assert out == ""
+
     @pytest.mark.parametrize(
         "argv",
         [

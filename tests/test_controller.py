@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from gazesim.controller import (
     BLINK_PERIOD_S,
     ENSURE_DWELL_S,
-    FACE_RANGE_M,
     PAN_MAX_DEG,
     PAN_MIN_DEG,
     RESPONSE_WINDOW_S,
@@ -425,12 +424,11 @@ class TestClampedTargets:
 
 class TestFaceDetected:
     def test_geometry_gate(self):
-        assert face_detected(0.0, 2.0)
-        assert face_detected(10.0, 2.0)
-        assert not face_detected(10.1, 2.0)
-        assert not face_detected(-25.0, 2.0)
-        assert face_detected(0.0, FACE_RANGE_M)
-        assert not face_detected(0.0, FACE_RANGE_M + 0.1)
+        # Range belongs to the room: Scenario rejects a seat beyond FACE_RANGE_M.
+        assert face_detected(0.0)
+        assert face_detected(10.0)
+        assert not face_detected(10.1)
+        assert not face_detected(-25.0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -65,6 +65,32 @@ OFOV = ViewingSituation.OFOV
 SC = default_scenario()
 
 
+def swing_room():
+    """A room whose camera stands 1.5 m from the seat, 20 deg left of the
+    seat heading. Turning to P2 at +40 deg, the head passes through the
+    central band around the camera before it settles near-peripheral."""
+    seat = SC.human_seat
+    heading = math.radians(seat.heading_deg + 20.0)
+    x, y = seat.x + 1.5 * math.cos(heading), seat.y + 1.5 * math.sin(heading)
+    camera = Pose2(x, y, bearing_to((x, y), seat.position))
+    situation_map = {"P2": NPFOV, "P3": NPFOV, "P4": NPFOV, "P6": OFOV}
+    return dataclasses.replace(SC, camera_pose=camera, situation_map=situation_map)
+
+
+def room_170():
+    """The default room with the robot turned to face the seat and P6, the
+    OFOV painting, moved to 170 deg. The head turn takes one tick, so the
+    first window opens at about 2.53 s, while the visitor's body turns to P6
+    until 2.83 s."""
+    room = scenario_to_dict(SC)
+    room["robot_pose"] = [0.0, 0.0, 60.0]
+    room["paintings"][5] = {"id": "P6", "bearing_deg": 170.0}
+    return scenario_from_dict(room)
+
+
+ROOMS = [(SC, SITUATIONS), (swing_room(), (NPFOV, OFOV)), (room_170(), SITUATIONS)]
+
+
 class TestTrialRecordInvariants:
     def test_responded_requires_all_outcome_fields(self):
         with pytest.raises(ValueError):
@@ -151,6 +177,17 @@ class TestEventEngine:
             assert record.responding_action is method.capture_plan[k]
             assert record.response_latency_s == detect_s - cell.window_starts[k]
             assert record.gaze_time_s == gaze_s
+
+    @pytest.mark.parametrize("room, situations", ROOMS)
+    def test_gaze_offset_is_the_settled_painting_bearing(self, room, situations):
+        # The recognizer confirms a label that persisted 30 frames, which only
+        # a head settled on the painting gives.
+        to_robot = bearing_to(room.human_seat.position, room.robot_pose.position)
+        for method in METHODS:
+            for situation in situations:
+                yaw = room.painting_world_yaw(room.painting_for(situation))
+                cell = harness._event_cell(room, method, situation)
+                assert cell.gaze_offset_deg == normalize_angle(yaw - to_robot)
 
 
 class TestFrameDraws:
@@ -267,25 +304,11 @@ def robot_events(detail):
     return [e for e in detail.events if e.kind not in VISITOR_DRIVEN_EVENTS]
 
 
-def swing_room():
-    """A room whose camera stands 1.5 m from the seat, 20 deg left of the
-    seat heading. Turning to P2 at +40 deg, the head passes through the
-    central band around the camera before it settles near-peripheral."""
-    seat = SC.human_seat
-    heading = math.radians(seat.heading_deg + 20.0)
-    x, y = seat.x + 1.5 * math.cos(heading), seat.y + 1.5 * math.sin(heading)
-    camera = Pose2(x, y, bearing_to((x, y), seat.position))
-    situation_map = {"P2": NPFOV, "P3": NPFOV, "P4": NPFOV, "P6": OFOV}
-    return dataclasses.replace(SC, camera_pose=camera, situation_map=situation_map)
-
-
 class TestNoiseFreeRobotEvents:
     """Without head camera noise, the tick loop makes every robot event on
     the tick the event engine takes from its one controller run per cell."""
 
-    @pytest.mark.parametrize(
-        "room, situations", [(SC, SITUATIONS), (swing_room(), (NPFOV, OFOV))]
-    )
+    @pytest.mark.parametrize("room, situations", ROOMS)
     def test_event_and_ideal_robot_events_are_equal(self, monkeypatch, room, situations):
         monkeypatch.setattr(harness, "_frame_draws", noise_free_draws)
         for method in METHODS:
@@ -303,6 +326,20 @@ class TestRecognizerAbort:
         monkeypatch.setattr(harness, "classify_instant", lambda head, theta_rel: None)
         with pytest.raises(TrialAbortError, match="did not confirm CFOV within 10 s"):
             run_trial(SC, Method.M1, CFOV, seed=0, mode="ideal")
+
+    def test_event_mode_aborts_when_the_recognizer_never_confirms(self, monkeypatch):
+        # The event engine steps the same recognizer and stops at the same
+        # budget. Without it the cell would wait for a confirm forever, so a
+        # frame past the budget fails the test instead of hanging it.
+        frames = itertools.count()
+
+        def unknown(head, theta_rel):
+            assert next(frames) <= harness.ABORT_BUDGET_S * 30
+            return None
+
+        monkeypatch.setattr(harness, "classify_instant", unknown)
+        with pytest.raises(TrialAbortError, match=r"did not confirm CFOV within 10 s \(event"):
+            run_trial(SC, Method.M1, CFOV, seed=0, mode="event")
 
 
 class TestSensingPrefix:
@@ -368,6 +405,19 @@ class DiscardedTrace(TraceWriter):
         pass
 
 
+def count_controller_steps(monkeypatch):
+    """Count the harness's controller_step calls from here on."""
+    steps = collections.Counter()
+    step = harness.controller_step
+
+    def counting(*args):
+        steps["controller"] += 1
+        return step(*args)
+
+    monkeypatch.setattr(harness, "controller_step", counting)
+    return steps
+
+
 class TestSkippedWaits:
     """An untraced tick-mode trial that collects no ticks jumps over the
     frames where neither the controller nor the visitor can change. It is
@@ -388,17 +438,25 @@ class TestSkippedWaits:
             assert untraced == traced
 
     def test_frames_stepped_on_the_ideal_design(self, monkeypatch):
-        steps = collections.Counter()
-        step = harness.controller_step
-
-        def counting(*args):
-            steps["controller"] += 1
-            return step(*args)
-
-        monkeypatch.setattr(harness, "controller_step", counting)
+        steps = count_controller_steps(monkeypatch)
         run_experiment(RunConfig(n_per_cell=20, base_seed=42), mode="ideal")
         # Stepping every frame of these 320 trials takes 91,412 steps.
         assert steps["controller"] == 28_884
+
+    def test_no_jump_while_the_visitor_still_turns(self, monkeypatch):
+        # In this room the first window opens before the visitor's body has
+        # settled. Nothing reads the body after the head turn, so a jump
+        # that ignored the turn would change no record or event: 9,775 steps.
+        room = room_170()
+        trials = [(method, seed) for method in METHODS for seed in range(1000, 1020)]
+        steps = count_controller_steps(monkeypatch)
+        untraced = [run_trial_detailed(room, m, OFOV, seed, mode="ideal") for m, seed in trials]
+        assert steps["controller"] == 10_383
+        for (method, seed), detail in zip(trials, untraced):
+            traced = run_trial_detailed(
+                room, method, OFOV, seed, mode="ideal", trace=DiscardedTrace()
+            )
+            assert detail == traced
 
     @pytest.mark.parametrize("method, situation", [(Method.M4, OFOV), (Method.M1, CFOV)])
     def test_collected_ticks_are_every_frame(self, method, situation):
