@@ -22,7 +22,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from gazesim.cli import make_out_dir, stats_payload, write_report_files
+from gazesim.cli import make_out_dir, stats_payload, write_output, write_report_files
 from gazesim.config import ConfigError, RunConfig
 from gazesim.controller import METHODS, Method
 from gazesim.harness import (
@@ -119,8 +119,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.out is not None:
         out_dir = Path(args.out)
         make_out_dir(out_dir)
-        results_path = out_dir / "results.csv"
-        write_records_csv(results_path, records)
+        results_path = write_output(out_dir / "results.csv", write_records_csv, records)
         for path in [results_path] + write_report_files(
             out_dir, records, payload, include_chart=False
         ):

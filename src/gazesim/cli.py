@@ -171,18 +171,28 @@ def make_out_dir(path: Path, name: str = "--out") -> None:
         raise ConfigError(f"{name}: {path}: {exc.strerror or exc}") from exc
 
 
+def write_output(path: Path, write, *args) -> Path:
+    """write(path, *args), with an OSError as a ConfigError naming the file."""
+    try:
+        write(path, *args)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    return path
+
+
 def write_report_files(
     out_dir: Path, records, stats: dict, include_chart: bool
 ) -> list[Path]:
     """Write summary.csv, stats.json (`stats`, from `stats_payload(records)`)
     and optionally chart.json."""
     make_out_dir(out_dir)
-    write_summary_csv(out_dir / "summary.csv", success_ratio(records))
-    _write_json(out_dir / "stats.json", stats)
+    written = [
+        write_output(out_dir / "summary.csv", write_summary_csv, success_ratio(records)),
+        write_output(out_dir / "stats.json", _write_json, stats),
+    ]
     if include_chart:
-        _write_json(out_dir / "chart.json", _chart_payload(records))
-    names = ("summary.csv", "stats.json", "chart.json")[:3 if include_chart else 2]
-    return [out_dir / name for name in names]
+        written.append(write_output(out_dir / "chart.json", _write_json, _chart_payload(records)))
+    return written
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -219,9 +229,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     make_out_dir(out_dir, "--out" if args.out is not None else "output_dir")
     trace_dir = out_dir / "traces" if (args.trace or config.trace) else None
     records = run_experiment(config, mode=args.mode, jobs=args.jobs, trace_dir=trace_dir)
-    results_path = out_dir / "results.csv"
-    write_records_csv(results_path, records)
-    written = [results_path]
+    written = [write_output(out_dir / "results.csv", write_records_csv, records)]
     written += write_report_files(
         out_dir, records, stats_payload(records), include_chart=False
     )

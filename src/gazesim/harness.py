@@ -16,7 +16,8 @@ so a trial's decisions are identical whichever engine runs it:
 - "event": the tick loop run once per cell without head camera noise or a
            face: the visitor's turn and the recognizer while the controller
            reads them, then the controller to Failure; a trial keeps that
-           run up to the window it responds in. Decisions
+           run up to the window it responds in, and steps the controller on
+           from that window with the face at its drawn instant. Decisions
            and latencies are drawn from the same per-decision streams, so
            records match the tick engines. The trials of a
            (method, situation) cell run as one batch: their seeds and
@@ -38,11 +39,8 @@ import numpy as np
 from .body_tracker import BodyTracker, body_orientation_for_srm
 from .config import ConfigError, RunConfig
 from .controller import (
-    BLINK_COUNT,
-    BLINK_PERIOD_S,
     ControllerInputs,
     ControllerState,
-    ENSURE_DWELL_S,
     EventKind,
     FACE_TOLERANCE_DEG,
     Method,
@@ -116,17 +114,10 @@ class TrialAbortError(RuntimeError):
     trial time cap without a terminal event."""
 
 
-class TickSample(NamedTuple):
-    t_s: float
-    pan_deg: float
-    tilt_deg: float
-
-
 @dataclass(frozen=True)
 class TrialDetail:
     record: TrialRecord
     events: tuple[RobotEvent, ...]
-    ticks: tuple[TickSample, ...] | None
 
 
 def run_trial(
@@ -151,7 +142,6 @@ def run_trial_detailed(
     mode: TrialMode = "full",
     trial_id: int = 0,
     trace: TraceWriter | None = None,
-    collect_ticks: bool = False,
 ) -> TrialDetail:
     if mode not in TRIAL_MODES:
         raise ValueError(f"unknown trial mode {mode!r}")
@@ -161,10 +151,8 @@ def run_trial_detailed(
         events = tuple(batch.events(0))
         if trace:
             _trace_events(trace, events)
-        return TrialDetail(record=batch.records[0], events=events, ticks=None)
-    return _run_ticks(
-        scenario, method, situation, seed, mode, trial_id, trace, collect_ticks
-    )
+        return TrialDetail(record=batch.records[0], events=events)
+    return _run_ticks(scenario, method, situation, seed, mode, trial_id, trace)
 
 
 def _plan_response(
@@ -241,7 +229,6 @@ def _run_ticks(
     mode: TrialMode,
     trial_id: int,
     trace: TraceWriter | None,
-    collect_ticks: bool,
 ) -> TrialDetail:
     painting = scenario.painting_for(situation)
     human = make_human(scenario, painting.painting_id)
@@ -263,7 +250,6 @@ def _run_ticks(
         )
 
     events_all: list[RobotEvent] = []
-    ticks: list[TickSample] = []
     drawn_gaze_s: float | None = None
     measured_latency_s: float | None = None
     responding_action: RobotAction | None = None
@@ -366,12 +352,10 @@ def _run_ticks(
             if trace:
                 trace.emit(t, "ctrl", event.kind.value, event.detail)
         events_all.extend(events)
-        if collect_ticks:
-            ticks.append(TickSample(t, cstate.pan_deg, cstate.tilt_deg))
         if cstate.terminal:
             break
         frame += 1
-        if not (trace or collect_ticks):
+        if not trace:
             wake = cstate.idle_until_s
             # EnsureAttention ignores its inputs; elsewhere the visitor counts.
             if wake is not None and cstate.phase is not Phase.ENSURE_ATTENTION:
@@ -390,23 +374,20 @@ def _run_ticks(
         gaze_time_s=drawn_gaze_s if succeeded else None,
         seed=seed,
     )
-    return TrialDetail(
-        record=record,
-        events=tuple(events_all),
-        ticks=tuple(ticks) if collect_ticks else None,
-    )
+    return TrialDetail(record=record, events=tuple(events_all))
 
 
 class _EventCell(NamedTuple):
     """One (method, situation) cell: the controller stepped without a face
     from the first prompt to Failure. A prompt is only reached when every
     earlier window expired, so a trial that responds to prompt k has this
-    run's events up to window k."""
+    run's events up to window k, and goes on from the controller as it
+    opened that window."""
 
     method: Method
     situation: ViewingSituation
     events: tuple[RobotEvent, ...]  # the run without a face
-    window_starts: tuple[float, ...]
+    windows: tuple[ControllerState, ...]  # the controller as each window opens
     window_events: tuple[int, ...]  # len(events) when each window opens
     gaze_offset_deg: float
 
@@ -423,7 +404,7 @@ def _event_cell(
     srm = SrmState()
     bearing_deg = relative_bearing(robot, scenario.human_seat.position)
     events: list[RobotEvent] = []
-    window_starts: list[float] = []
+    windows: list[ControllerState] = []
     window_events: list[int] = []
     frame = 0
     while not cstate.terminal:
@@ -437,15 +418,15 @@ def _event_cell(
             inputs = ControllerInputs(confirmed=confirmed, human_bearing_deg=bearing_deg)
         cstate, step_events = controller_step(cstate, inputs, t)
         events.extend(step_events)
-        if cstate.window_start_s is not None and len(window_starts) == cstate.plan_cursor:
-            window_starts.append(cstate.window_start_s)
+        if cstate.window_start_s is not None and len(windows) == cstate.plan_cursor:
+            windows.append(cstate)
             window_events.append(len(events))
         frame = _wake_frame(frame + 1, cstate.idle_until_s)
     return _EventCell(
         method,
         situation,
         tuple(events),
-        tuple(window_starts),
+        tuple(windows),
         tuple(window_events),
         # The visitor as the head turn began, settled on the painting.
         gaze_bearing_to(human, robot.position),
@@ -472,7 +453,7 @@ def _event_outcomes(
         hit = pending[ok]
         cursor[hit] = k
         _, detect_s[hit] = _plan_response(
-            cell.window_starts[k], latency_s, cell.gaze_offset_deg
+            cell.windows[k].window_start_s, latency_s, cell.gaze_offset_deg
         )
         pending = pending[~ok]
         if not len(pending):
@@ -510,12 +491,13 @@ def _run_event_batch(
     # Cursor -1, no response, takes the trailing -1.
     plan = np.array([ACTIONS.index(a) for a in method.capture_plan] + [-1], np.int8)
     n = len(seeds)
+    window_starts = np.array([window.window_start_s for window in cell.windows])
     records = Records(
         trial_id=np.arange(first_trial_id, first_trial_id + n, dtype=np.int64),
         method=np.full(n, METHODS.index(method), np.int8),
         situation=np.full(n, SITUATIONS.index(situation), np.int8),
         action=plan[cursor],
-        latency=detect_s - np.asarray(cell.window_starts)[np.maximum(cursor, 0)],
+        latency=detect_s - window_starts[np.maximum(cursor, 0)],
         gaze=gaze_s,
         seed=seeds,
     )
@@ -523,15 +505,17 @@ def _run_event_batch(
 
 
 def _event_timeline(cell: _EventCell, cursor: int, detect_s: float) -> list[RobotEvent]:
-    """One trial's events, from the prompt it responded to and when."""
+    """One trial's events, from the prompt it responded to and when: the
+    cell's run up to that window, then the controller stepped on from it
+    with the face at detect_s and at each instant it waits for until done."""
     if cursor < 0:
         return list(cell.events)
     events = list(cell.events[: cell.window_events[cursor]])
-    events.append(RobotEvent(detect_s, EventKind.FACE_DETECTED))
-    if cell.method.ensure_blink:
-        for i in range(BLINK_COUNT):
-            events.append(RobotEvent(detect_s + i * BLINK_PERIOD_S, EventKind.BLINK_PULSE))
-    events.append(RobotEvent(detect_s + ENSURE_DWELL_S, EventKind.SUCCESS))
+    cstate, inputs, t = cell.windows[cursor], ControllerInputs(face_detected=True), detect_s
+    while not cstate.terminal:
+        cstate, step_events = controller_step(cstate, inputs, t)
+        events.extend(step_events)
+        inputs, t = ControllerInputs(), cstate.idle_until_s
     return events
 
 

@@ -7,7 +7,7 @@ arrays rather than 160k objects; it still reads as a sequence of
 Python's '%d' or '%.6f' one value at a time outside its fast domain (ids
 >= 0; floats finite, >= +0.0 and below 2**33). The reader parses a chunk
 of lines as bytes when all are as the writer writes that domain, and any
-other chunk with `_parse` on its text.
+other chunk one line at a time with `_parse`.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import io
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain, product, repeat
+from itertools import chain, product
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -43,7 +43,6 @@ _CATEGORY_BYTES = np.array([
          .ljust(24, b"\0"))
     for m, s, a in product(METHODS, SITUATIONS, (None, *ACTIONS))
 ], np.uint8)
-_CATEGORY_KEYS = {bytes(text).rstrip(b"\0").decode(): k for k, text in enumerate(_CATEGORY_BYTES)}
 _MIX = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9], np.uint64)
 _HASHES = _CATEGORY_BYTES.view(np.uint64) @ _MIX  # how the reader finds a row's text
 _HASH_ORDER = np.argsort(_HASHES)
@@ -228,7 +227,7 @@ def _digits(values: np.ndarray, width: int, shown: int, magnitude: np.ndarray) -
 
 def read_records_csv(path: str | Path | IO) -> Records:
     """A chunk of lines at a time: by `_columns` when all are canonical, else by
-    `_parse` on its text, and a malformed line is reported with its number."""
+    `_parse` one line at a time, and a malformed line is reported with its number."""
     data = path.read() if hasattr(path, "read") else Path(path).read_bytes()
     data = data.encode("utf-8") if isinstance(data, str) else data
     header, _, body = data.partition(b"\n")
@@ -241,10 +240,7 @@ def read_records_csv(path: str | Path | IO) -> Records:
     lines = None
     for k in (k for k, part in enumerate(parts) if part is None):
         lines = lines or data.decode("utf-8").split("\n")[1:]  # whole: errors give file offsets
-        rows = lines[k * _CHUNK_ROWS:(k + 1) * _CHUNK_ROWS]
-        parts[k] = _parse([line for line in rows if line]) if any(rows) else Records.from_rows(())
-        if parts[k] is None:  # the earlier chunks parsed, so the first error is in this one
-            raise _row_error(rows, first=k * _CHUNK_ROWS + 2)
+        parts[k] = _parse(lines[k * _CHUNK_ROWS:(k + 1) * _CHUNK_ROWS], first=k * _CHUNK_ROWS + 2)
     return Records.concat(parts)
 
 
@@ -297,27 +293,6 @@ def _number(a: np.ndarray, lo: np.ndarray, hi: np.ndarray, least: int, most: int
     return None if (d > 9).any() else d @ (np.insert(powers, width - 7, 0.0) if point else powers)
 
 
-def _parse(lines: list[str]) -> Records | None:
-    """The records of non-blank CSV lines, or None when one is malformed."""
-    n = len(lines)
-    if set(map(str.count, lines, repeat(",", n))) != {7}:
-        return None
-    fields = ",".join(lines).split(",")
-    try:
-        texts = map(",{},{},{},{},".format, *(fields[f::8] for f in range(1, 5)))
-        records = _from_keys(
-            np.array(list(map(int, fields[0::8])), dtype=np.int64),
-            np.fromiter(map(_CATEGORY_KEYS.__getitem__, texts), np.intp, n),
-            _floats(fields[5::8]),
-            _floats(fields[6::8]),
-            np.array(list(map(int, fields[7::8])), dtype=np.uint64),
-        )
-    except (KeyError, ValueError, OverflowError):
-        return None
-    missing = (np.isnan(records.latency), np.isnan(records.gaze))
-    return records if all(np.array_equal(m, records.action < 0) for m in missing) else None
-
-
 def _from_keys(trial_id, key, latency, gaze, seed) -> Records:
     """Records whose method, situation and action are given by `_CATEGORY_BYTES` keys."""
     category, action = np.divmod(key, len(ACTIONS) + 1)
@@ -326,29 +301,23 @@ def _from_keys(trial_id, key, latency, gaze, seed) -> Records:
                    (action - 1).astype(np.int8), latency, gaze, seed)
 
 
-def _floats(texts: list[str]) -> np.ndarray:
-    """NaN for an empty field; a field that reads as NaN is an error."""
-    values = np.array([float(text) if text else math.nan for text in texts])
-    if np.count_nonzero(np.isnan(values)) != texts.count(""):
-        raise ValueError("nan field")
-    return values
-
-
-def _row_error(lines: list[str], first: int) -> ValueError:
-    """The error of the first malformed line, with its number; `lines[0]` is line `first`."""
+def _parse(lines: list[str], first: int) -> Records:
+    """The records of CSV lines, one at a time; `lines[0]` is line `first`. A
+    malformed line raises ValueError with its number."""
+    rows = []
     for line_no, line in enumerate(lines, start=first):
         if not line:
             continue
         parts = line.split(",")
         if len(parts) != 8:
-            return ValueError(f"line {line_no}: expected 8 fields, got {len(parts)}")
+            raise ValueError(f"line {line_no}: expected 8 fields, got {len(parts)}")
         (tid, method, situation, responded, action, latency, gaze, seed) = parts
         if responded not in ("true", "false"):
-            return ValueError(
+            raise ValueError(
                 f"line {line_no}: responded must be true or false, got {responded!r}"
             )
         try:
-            TrialRecord(
+            row = TrialRecord(
                 trial_id=int(tid),
                 method=Method(method),
                 situation=ViewingSituation(situation),
@@ -359,10 +328,14 @@ def _row_error(lines: list[str], first: int) -> ValueError:
                 seed=int(seed),
             )
         except ValueError as exc:
-            return ValueError(f"line {line_no}: {exc}")
-        if _parse([line]) is None:
-            return ValueError(
+            raise ValueError(f"line {line_no}: {exc}") from None
+        spans = (row.response_latency_s, row.gaze_time_s)
+        if not (-2**63 <= row.trial_id < 2**63 and 0 <= row.seed < 2**64) or any(
+            span is not None and math.isnan(span) for span in spans
+        ):
+            raise ValueError(
                 f"line {line_no}: trial_id must fit int64 and seed uint64, "
                 "and latency and gaze must not be nan"
             )
-    return ValueError("malformed results")
+        rows.append(row)
+    return Records.from_rows(rows)

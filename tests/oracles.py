@@ -4,7 +4,8 @@ These are the list-based CSV and statistics code that the columnar
 `Records` path replaced, the one-seed-per-call `trial_seed` and the
 `fmod`-only `normalize_angle`. The tests check the production functions
 against them: the same CSV bytes, the same parsed rows, seeds and angles,
-and statistics equal to the last bit.
+and statistics equal to the last bit. `record_ticks` makes the tick loop
+step every frame, the loop its skipped waits are checked against.
 
 Two F tails check `gazesim.stats._f_sf`: SciPy's `fdtrc`, which the ANOVA
 called before, and `true_f_sf`, the tail to 40 digits in mpmath.
@@ -17,6 +18,7 @@ from typing import IO, Any, Iterable, Mapping, Sequence
 import mpmath
 from scipy.special import fdtrc
 
+from gazesim import harness
 from gazesim.controller import METHODS, Method, RobotAction
 from gazesim.records import RESULTS_CSV_HEADER, TrialRecord
 from gazesim.seeding import derive_seed
@@ -86,6 +88,22 @@ def trial_seed(base_seed: int, method: Method, situation: ViewingSituation, rep:
     return derive_seed(
         base_seed, METHODS.index(method), SITUATIONS.index(situation), rep
     )
+
+
+def record_ticks(monkeypatch) -> list[tuple[float, float, float]]:
+    """Make the harness's tick loop step every frame, and return the list that
+    each of its controller steps appends (t, pan_deg, tilt_deg) to."""
+    monkeypatch.setattr(harness, "_wake_frame", lambda frame, wake: frame)
+    samples = []
+    step = harness.controller_step
+
+    def recording(state, inputs, t):
+        state, events = step(state, inputs, t)
+        samples.append((t, state.pan_deg, state.tilt_deg))
+        return state, events
+
+    monkeypatch.setattr(harness, "controller_step", recording)
+    return samples
 
 
 def _fmt_opt_float(value: float | None) -> str:

@@ -73,7 +73,7 @@ from gazesim.stats import (
     to_jsonable,
     write_summary_csv,
 )
-from oracles import trial_seed
+from oracles import record_ticks, trial_seed
 
 SC = default_scenario()
 
@@ -369,8 +369,9 @@ _PROMPT_STARTS = {
 }
 
 
-def _check_protocol(detail, method):
-    """Returns a list of violation strings for one detailed trial."""
+def _check_protocol(detail, ticks, method):
+    """Returns a list of violation strings for one detailed trial and its
+    (t, pan, tilt) tick samples."""
     problems = []
     events = detail.events
     record = detail.record
@@ -421,17 +422,16 @@ def _check_protocol(detail, method):
     if times != sorted(times):
         problems.append("events out of order")
 
-    for tick in detail.ticks:
-        if not (PAN_MIN_DEG <= tick.pan_deg <= PAN_MAX_DEG) or not (
-            TILT_MIN_DEG <= tick.tilt_deg <= TILT_MAX_DEG
-        ):
-            problems.append(f"joint limits broken at t={tick.t_s:.3f}")
+    for t, pan, tilt in ticks:
+        if not (PAN_MIN_DEG <= pan <= PAN_MAX_DEG) or not (TILT_MIN_DEG <= tilt <= TILT_MAX_DEG):
+            problems.append(f"joint limits broken at t={t:.3f}")
             break
     return problems
 
 
-def test_criterion_07_protocol_invariants():
+def test_criterion_07_protocol_invariants(monkeypatch):
     n_trials = 1000
+    ticks = record_ticks(monkeypatch)
     methods = list(Method)
     violations = []
     blink_trials_m3 = 0
@@ -439,20 +439,16 @@ def test_criterion_07_protocol_invariants():
     for i in range(n_trials):
         method = methods[i % 4]
         situation = SITUATIONS[(i // 4) % 4]
+        ticks.clear()
         detail = run_trial_detailed(
-            SC,
-            method,
-            situation,
-            trial_seed(777, method, situation, i),
-            mode="ideal",
-            collect_ticks=True,
+            SC, method, situation, trial_seed(777, method, situation, i), mode="ideal"
         )
         responded += detail.record.responded
         if method is Method.M3:
             blink_trials_m3 += sum(
                 1 for e in detail.events if e.kind is EventKind.BLINK_PULSE
             )
-        for problem in _check_protocol(detail, method):
+        for problem in _check_protocol(detail, ticks, method):
             violations.append(f"trial {i} ({method.value}/{situation.value}): {problem}")
     ok = not violations and blink_trials_m3 == 0
     report(

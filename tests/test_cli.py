@@ -211,6 +211,17 @@ class TestExperiment:
         assert "Traceback" not in err
         assert stdout == ""
 
+    def test_results_csv_a_directory_exits_one(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"n_per_cell": 2}))
+        results = tmp_path / "o3" / "results.csv"
+        results.mkdir(parents=True)
+        argv = ["experiment", "--config", str(config_path), "--out", str(tmp_path / "o3")]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 1
+        assert err == f"gazesim: cannot write {results}: Is a directory\n"
+        assert stdout == ""
+
     def test_writes_all_outputs(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text(
@@ -502,6 +513,16 @@ class TestReport:
         assert err == f"gazesim: --out: {tmp_path / out}: {reason}\n"
         assert "Traceback" not in err
 
+    def test_summary_csv_a_directory_exits_one(self, tmp_path, capsys):
+        results = tmp_path / "results.csv"
+        results.write_text(RESULTS_CSV_HEADER + "\n0,M1,CFOV,false,,,,11\n")
+        summary = tmp_path / "o4" / "summary.csv"
+        summary.mkdir(parents=True)
+        code, stdout, err = run_cli(["report", str(results), "--out", str(tmp_path / "o4")], capsys)
+        assert code == 1
+        assert err == f"gazesim: cannot write {summary}: Is a directory\n"
+        assert stdout == ""
+
     def test_missing_results_exits_one(self, tmp_path, capsys):
         code, _, err = run_cli(["report", str(tmp_path / "nope.csv")], capsys)
         assert code == 1
@@ -570,6 +591,14 @@ class TestReproduceScript:
         assert err == f"reproduce_results: --out: {tmp_path / out}: {reason}\n"
         assert "Traceback" not in stdout + err
         assert stdout == "" and runs == []
+
+    def test_results_csv_a_directory_exits_one(self, tmp_path, capsys):
+        results = tmp_path / "out" / "results.csv"
+        results.mkdir(parents=True)
+        code = load_reproduce_script().main(["--n-per-cell", "2", "--out", str(results.parent)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"reproduce_results: cannot write {results}: Is a directory\n"
 
     def test_trial_time_cap_exits_two(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(harness, "TRIAL_TIME_CAP_S", 0.5)

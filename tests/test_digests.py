@@ -16,7 +16,7 @@ from gazesim.controller import METHODS, EventKind
 from gazesim.harness import run_trial_detailed
 from gazesim.scenario import default_scenario
 from gazesim.situation import SITUATIONS
-from oracles import trial_seed
+from oracles import record_ticks, trial_seed
 
 FULL_M4_SEED42 = "53f3f2f0ec5f526e06816ae10c74c60ae2ea6d343e92340237b0f243d2d25370"
 EVENT_N1000_SEED42 = "8b56f3a611b02213e0ef477e8c38492a8a19f2f2b1918a2ae681b6b120d5f13e"
@@ -91,30 +91,30 @@ def test_simulate_trace(capsys, mode, method, situation, digest):
     assert hashlib.sha256(trace.encode()).hexdigest() == digest
 
 
-def test_tick_engine_event_timeline():
+def test_tick_engine_event_timeline(monkeypatch):
     """Every ideal-mode event (time, kind, detail) and tick sample (time,
-    pan, tilt), over 8 trials of each of the 16 cells."""
+    pan, tilt) of the every-frame loop, over 8 trials of each of the 16 cells."""
     scenario = default_scenario()
     digest = hashlib.sha256()
     kinds = set()
+    ticks = record_ticks(monkeypatch)
     for method in METHODS:
         for situation in SITUATIONS:
             for rep in range(TIMELINE_REPS):
+                ticks.clear()
                 detail = run_trial_detailed(
                     scenario,
                     method,
                     situation,
                     trial_seed(42, method, situation, rep),
                     mode="ideal",
-                    collect_ticks=True,
                 )
                 for event in detail.events:
                     kinds.add(event.kind)
                     line = f"{event.time_s!r} {event.kind.value} {event.detail}\n"
                     digest.update(line.encode())
-                for tick in detail.ticks:
-                    line = f"{tick.t_s!r} {tick.pan_deg!r} {tick.tilt_deg!r}\n"
-                    digest.update(line.encode())
+                for t, pan, tilt in ticks:
+                    digest.update(f"{t!r} {pan!r} {tilt!r}\n".encode())
                 digest.update(b"\n")
     assert kinds == set(EventKind)
     assert digest.hexdigest() == IDEAL_TIMELINE_SEED42
@@ -133,7 +133,7 @@ def test_tick_engine_pins_hold_across_frame_block_refills(tmp_path, capsys, monk
     monkeypatch.setattr(harness, "FRAME_BLOCK", 3)
     monkeypatch.setattr(harness, "derive_rngs", counted)
     test_ideal_mode_all_methods(tmp_path, capsys)
-    test_tick_engine_event_timeline()
+    test_tick_engine_event_timeline(monkeypatch)
     # Blocks of 3, 3, 6 and 12 frames cover only the first 24 frames, and an
     # untraced trial draws for the 31 or more frames up to its head turn.
     trials = len(METHODS) * len(SITUATIONS) * (10 + TIMELINE_REPS)

@@ -10,7 +10,7 @@ import hypothesis
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from gazesim import harness
+from gazesim import controller, harness
 from gazesim.config import ConfigError, RunConfig, scenario_from_dict, scenario_to_dict
 from gazesim.controller import (
     FACE_TOLERANCE_DEG,
@@ -19,6 +19,7 @@ from gazesim.controller import (
     EventKind,
     Method,
     RobotAction,
+    RobotEvent,
 )
 from gazesim.harness import (
     RESULTS_CSV_HEADER,
@@ -53,8 +54,10 @@ from gazesim.seeding import (
 )
 from gazesim.situation import SITUATIONS, ViewingSituation
 from gazesim.trace import TraceWriter
-from oracles import trial_seed
+from oracles import record_ticks, trial_seed
 
+# These hang off the drawn face instant, off the tick grid. The event engine
+# has `controller_step` stamp them too, stepped from the responding window.
 VISITOR_DRIVEN_EVENTS = (EventKind.FACE_DETECTED, EventKind.BLINK_PULSE, EventKind.SUCCESS)
 
 CFOV = ViewingSituation.CFOV
@@ -141,7 +144,7 @@ def scalar_outcome(cell, seed):
         if ok:
             b0 = abs(cell.gaze_offset_deg)
             turn_s = b0 / HEAD_TURN_SPEED_DEG_S
-            arrival_s = cell.window_starts[k] + max(latency, turn_s)
+            arrival_s = cell.windows[k].window_start_s + max(latency, turn_s)
             detect_s = arrival_s - min(b0, FACE_TOLERANCE_DEG) / HEAD_TURN_SPEED_DEG_S
             gaze_s = gaze_duration(cell.method.ensure_blink, derive_seed(seed, STREAM_GAZE))
             return k, detect_s, gaze_s
@@ -175,8 +178,23 @@ class TestEventEngine:
                 assert not record.responded
                 continue
             assert record.responding_action is method.capture_plan[k]
-            assert record.response_latency_s == detect_s - cell.window_starts[k]
+            assert record.response_latency_s == detect_s - cell.windows[k].window_start_s
             assert record.gaze_time_s == gaze_s
+
+    def test_the_ensure_phase_is_the_controllers(self, monkeypatch):
+        # Past the face the engine steps controller_step, so it keeps the
+        # controller's own dwell and blink count.
+        monkeypatch.setattr(controller, "ENSURE_DWELL_S", 2.0)
+        monkeypatch.setattr(controller, "BLINK_COUNT", 2)
+        detail = run_trial_detailed(SC, Method.M4, CFOV, seed=0, mode="event")
+        face = [e.kind for e in detail.events].index(EventKind.FACE_DETECTED)
+        detect_s = detail.events[face].time_s
+        assert detail.events[face:] == (
+            RobotEvent(detect_s, EventKind.FACE_DETECTED),
+            RobotEvent(detect_s, EventKind.BLINK_PULSE),
+            RobotEvent(detect_s + 1.0, EventKind.BLINK_PULSE),
+            RobotEvent(detect_s + 2.0, EventKind.SUCCESS),
+        )
 
     @pytest.mark.parametrize("room, situations", ROOMS)
     def test_gaze_offset_is_the_settled_painting_bearing(self, room, situations):
@@ -283,14 +301,12 @@ class TestTrialModes:
         ]
         assert len(terminals) == 1
 
-    def test_ticks_collected_on_request(self):
-        detail = run_trial_detailed(
-            SC, Method.M1, CFOV, seed=3, mode="ideal", collect_ticks=True
-        )
-        assert detail.ticks is not None
-        assert len(detail.ticks) > 30
-        assert all(-159.0 <= s.pan_deg <= 159.0 for s in detail.ticks)
-        assert all(s.tilt_deg == 0.0 for s in detail.ticks)
+    def test_head_stays_within_its_joint_limits(self, monkeypatch):
+        ticks = record_ticks(monkeypatch)
+        run_trial_detailed(SC, Method.M1, CFOV, seed=3, mode="ideal")
+        assert len(ticks) > 30
+        assert all(-159.0 <= pan <= 159.0 for _, pan, _ in ticks)
+        assert all(tilt == 0.0 for _, _, tilt in ticks)
 
 
 def noise_free_draws(seed, full):
@@ -300,7 +316,7 @@ def noise_free_draws(seed, full):
 
 def robot_events(detail):
     """The events the robot makes whatever the visitor does: all but the
-    face detection and the ensure phase the event engine models apart."""
+    face detection and the ensure phase that follows it."""
     return [e for e in detail.events if e.kind not in VISITOR_DRIVEN_EVENTS]
 
 
@@ -366,28 +382,26 @@ class TestSensingPrefix:
             harness, "observe_head", counting("head", harness.observe_head)
         ), mock.patch.object(
             harness.BodyTracker, "step", counting("filter", harness.BodyTracker.step)
-        ):
-            detail = run_trial_detailed(
-                SC, method, situation, seed, mode=mode, trace=trace, collect_ticks=True
-            )
-        return detail, calls
+        ), pytest.MonkeyPatch.context() as patch:
+            ticks = record_ticks(patch)
+            detail = run_trial_detailed(SC, method, situation, seed, mode=mode, trace=trace)
+        return detail, len(ticks), calls
 
     @pytest.mark.parametrize(
         "mode, method", [("ideal", m) for m in METHODS] + [("full", Method.M4)]
     )
     @pytest.mark.parametrize("situation", SITUATIONS)
     def test_untraced_trials_sense_until_the_head_turn(self, mode, method, situation):
-        untraced, calls = self.counted_trial(mode, method, situation, traced=False)
-        traced, traced_calls = self.counted_trial(mode, method, situation, traced=True)
+        untraced, frames, calls = self.counted_trial(mode, method, situation, traced=False)
+        traced, _, traced_calls = self.counted_trial(mode, method, situation, traced=True)
         assert untraced == traced
-        # Without ticks to collect, the trial skips its waits, and is the same.
+        # Left to skip its waits, the trial is the same.
         seed = trial_seed(42, method, situation, 0)
-        skipped = run_trial_detailed(SC, method, situation, seed, mode=mode)
-        assert skipped == dataclasses.replace(traced, ticks=None)
+        assert run_trial_detailed(SC, method, situation, seed, mode=mode) == traced
         turn_s = next(
             e.time_s for e in untraced.events if e.kind is EventKind.HEAD_TURN_START
         )
-        sensed, frames = round(turn_s * 30) + 1, len(untraced.ticks)
+        sensed = round(turn_s * 30) + 1
         assert sensed < frames
         names = ("scan", "filter", "head") if mode == "full" else ("head",)
         assert calls == {name: sensed for name in names}
@@ -419,9 +433,9 @@ def count_controller_steps(monkeypatch):
 
 
 class TestSkippedWaits:
-    """An untraced tick-mode trial that collects no ticks jumps over the
-    frames where neither the controller nor the visitor can change. It is
-    the same trial as a traced one, which steps every frame."""
+    """An untraced tick-mode trial jumps over the frames where neither the
+    controller nor the visitor can change. It is the same trial as a traced
+    one, which steps every frame."""
 
     @pytest.mark.parametrize(
         "mode, method", [("ideal", m) for m in METHODS] + [("full", Method.M4)]
@@ -459,17 +473,17 @@ class TestSkippedWaits:
             assert detail == traced
 
     @pytest.mark.parametrize("method, situation", [(Method.M4, OFOV), (Method.M1, CFOV)])
-    def test_collected_ticks_are_every_frame(self, method, situation):
+    def test_recorded_ticks_are_every_frame(self, method, situation):
         for rep in range(3):
             seed = trial_seed(42, method, situation, rep)
-            detail = run_trial_detailed(
-                SC, method, situation, seed, mode="ideal", collect_ticks=True
-            )
-            times = [sample.t_s for sample in detail.ticks]
+            skipped = run_trial_detailed(SC, method, situation, seed, mode="ideal")
+            with pytest.MonkeyPatch.context() as patch:
+                ticks = record_ticks(patch)
+                detail = run_trial_detailed(SC, method, situation, seed, mode="ideal")
+            times = [t for t, _, _ in ticks]
             assert times == [frame / 30.0 for frame in range(len(times))]
             assert times[-1] == detail.events[-1].time_s
-            skipped = run_trial_detailed(SC, method, situation, seed, mode="ideal")
-            assert dataclasses.replace(detail, ticks=None) == skipped
+            assert detail == skipped
 
 
 ROOM_OFFSET_M = st.floats(-0.5, 0.5)
