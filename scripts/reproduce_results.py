@@ -22,7 +22,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from gazesim.cli import make_out_dir, stats_payload, write_output, write_report_files
+from gazesim.cli import make_out_dir, stats_payload, write_report_files
 from gazesim.config import ConfigError, RunConfig
 from gazesim.controller import METHODS, Method
 from gazesim.harness import (
@@ -50,6 +50,10 @@ def main(argv: list[str] | None = None) -> int:
         return _run(args)
     except ConfigError as exc:
         print(f"reproduce_results: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # an output file
+        print(f"reproduce_results: cannot write {exc.filename}: {exc.strerror or exc}",
+              file=sys.stderr)
         return 1
     except TrialAbortError as exc:
         print(f"reproduce_results: aborted: {exc}", file=sys.stderr)
@@ -119,7 +123,8 @@ def _run(args: argparse.Namespace) -> int:
     if args.out is not None:
         out_dir = Path(args.out)
         make_out_dir(out_dir)
-        results_path = write_output(out_dir / "results.csv", write_records_csv, records)
+        results_path = out_dir / "results.csv"
+        write_records_csv(results_path, records)
         for path in [results_path] + write_report_files(
             out_dir, records, payload, include_chart=False
         ):

@@ -171,28 +171,18 @@ def make_out_dir(path: Path, name: str = "--out") -> None:
         raise ConfigError(f"{name}: {path}: {exc.strerror or exc}") from exc
 
 
-def write_output(path: Path, write, *args) -> Path:
-    """write(path, *args), with an OSError as a ConfigError naming the file."""
-    try:
-        write(path, *args)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
-    return path
-
-
 def write_report_files(
     out_dir: Path, records, stats: dict, include_chart: bool
 ) -> list[Path]:
     """Write summary.csv, stats.json (`stats`, from `stats_payload(records)`)
     and optionally chart.json."""
     make_out_dir(out_dir)
-    written = [
-        write_output(out_dir / "summary.csv", write_summary_csv, success_ratio(records)),
-        write_output(out_dir / "stats.json", _write_json, stats),
-    ]
+    write_summary_csv(out_dir / "summary.csv", success_ratio(records))
+    _write_json(out_dir / "stats.json", stats)
     if include_chart:
-        written.append(write_output(out_dir / "chart.json", _write_json, _chart_payload(records)))
-    return written
+        _write_json(out_dir / "chart.json", _chart_payload(records))
+    names = ("summary.csv", "stats.json", "chart.json")[:3 if include_chart else 2]
+    return [out_dir / name for name in names]
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -229,7 +219,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     make_out_dir(out_dir, "--out" if args.out is not None else "output_dir")
     trace_dir = out_dir / "traces" if (args.trace or config.trace) else None
     records = run_experiment(config, mode=args.mode, jobs=args.jobs, trace_dir=trace_dir)
-    written = [write_output(out_dir / "results.csv", write_records_csv, records)]
+    results_path = out_dir / "results.csv"
+    write_records_csv(results_path, records)
+    written = [results_path]
     written += write_report_files(
         out_dir, records, stats_payload(records), include_chart=False
     )
@@ -362,6 +354,9 @@ def main(argv: list[str] | None = None) -> int:
         return handler(args)
     except ConfigError as exc:
         print(f"gazesim: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # inputs are read as ConfigErrors, so this is an output
+        print(f"gazesim: cannot write {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
         return 1
     except TrialAbortError as exc:
         print(f"gazesim: aborted: {exc}", file=sys.stderr)

@@ -289,6 +289,19 @@ class TestExperiment:
         first_line = traces[0].read_text().strip().splitlines()[0]
         assert json.loads(first_line)["source"]
 
+    @pytest.mark.parametrize("mode", ["event", "ideal"])
+    def test_trace_file_a_directory_exits_one(self, tmp_path, capsys, mode):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"n_per_cell": 1, "methods": ["M1"], "situations": ["CFOV"]}))
+        trace = tmp_path / "o5" / "traces" / "trial_000000.jsonl"
+        trace.mkdir(parents=True)
+        argv = ["experiment", "--config", str(config_path), "--out", str(tmp_path / "o5"),
+                "--trace", "--mode", mode]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 1
+        assert err == f"gazesim: cannot write {trace}: Is a directory\n"
+        assert stdout == ""
+
     def test_bad_config_exits_one(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text('{"n_per_cell": 0}')

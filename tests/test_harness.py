@@ -385,16 +385,18 @@ class TestSensingPrefix:
         ), pytest.MonkeyPatch.context() as patch:
             ticks = record_ticks(patch)
             detail = run_trial_detailed(SC, method, situation, seed, mode=mode, trace=trace)
-        return detail, len(ticks), calls
+        return detail, list(ticks), calls
 
     @pytest.mark.parametrize(
         "mode, method", [("ideal", m) for m in METHODS] + [("full", Method.M4)]
     )
     @pytest.mark.parametrize("situation", SITUATIONS)
     def test_untraced_trials_sense_until_the_head_turn(self, mode, method, situation):
-        untraced, frames, calls = self.counted_trial(mode, method, situation, traced=False)
-        traced, _, traced_calls = self.counted_trial(mode, method, situation, traced=True)
+        untraced, untraced_ticks, calls = self.counted_trial(mode, method, situation, traced=False)
+        traced, traced_ticks, traced_calls = self.counted_trial(mode, method, situation, traced=True)
         assert untraced == traced
+        assert untraced_ticks == traced_ticks
+        frames = len(traced_ticks)
         # Left to skip its waits, the trial is the same.
         seed = trial_seed(42, method, situation, 0)
         assert run_trial_detailed(SC, method, situation, seed, mode=mode) == traced
