@@ -22,15 +22,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from gazesim.cli import make_out_dir, stats_payload, write_report_files
-from gazesim.config import ConfigError, RunConfig
+from gazesim.cli import check_out_dir, guarded, stats_payload, write_run
+from gazesim.config import RunConfig
 from gazesim.controller import METHODS, Method
-from gazesim.harness import (
-    TRIAL_MODES,
-    TrialAbortError,
-    run_experiment,
-    write_records_csv,
-)
+from gazesim.harness import TRIAL_MODES, run_experiment
 from gazesim.human import REFERENCE_SUCCESS_RATES
 from gazesim.situation import SITUATIONS
 from gazesim.stats import gaze_stats, success_ratio
@@ -46,31 +41,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out", default=None, help="directory for results/summary/stats files")
     args = parser.parse_args(argv)
-    try:
-        return _run(args)
-    except ConfigError as exc:
-        print(f"reproduce_results: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:  # an output file
-        print(f"reproduce_results: cannot write {exc.filename}: {exc.strerror or exc}",
-              file=sys.stderr)
-        return 1
-    except TrialAbortError as exc:
-        print(f"reproduce_results: aborted: {exc}", file=sys.stderr)
-        return 2
-
-
-def _check_out(path: Path) -> None:
-    """Fail before the run where making `path` after it would: when the
-    nearest part of it that exists is not a directory."""
-    if not next(p for p in (path, *path.parents) if p.exists()).is_dir():
-        make_out_dir(path)  # raises, with the system's reason
+    return guarded("reproduce_results", _run, args)
 
 
 def _run(args: argparse.Namespace) -> int:
     config = RunConfig(n_per_cell=args.n_per_cell, base_seed=args.seed)
     if args.out is not None:
-        _check_out(Path(args.out))
+        check_out_dir(Path(args.out), "--out")
     t0 = time.perf_counter()
     records = run_experiment(config, mode=args.mode, jobs=args.jobs)
     elapsed = time.perf_counter() - t0
@@ -121,13 +98,7 @@ def _run(args: argparse.Namespace) -> int:
         print(f"  {name}: z = {pair['z']:.2f}, p_adj = {pair['p_adj']:.3g} ({flag})")
 
     if args.out is not None:
-        out_dir = Path(args.out)
-        make_out_dir(out_dir)
-        results_path = out_dir / "results.csv"
-        write_records_csv(results_path, records)
-        for path in [results_path] + write_report_files(
-            out_dir, records, payload, include_chart=False
-        ):
+        for path in write_run(Path(args.out), records, payload):
             print(f"wrote {path}")
     return 0
 

@@ -54,7 +54,6 @@ from .harness import (
 from .head_tracker import HeadObservation, observe_head, relative_yaw_deg
 from .human import (
     HumanState,
-    ResponseTable,
     derive_response_table,
     escalation_success,
     gaze_duration,

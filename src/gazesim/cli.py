@@ -171,12 +171,28 @@ def make_out_dir(path: Path, name: str = "--out") -> None:
         raise ConfigError(f"{name}: {path}: {exc.strerror or exc}") from exc
 
 
+def check_out_dir(path: Path, name: str) -> None:
+    """Fail before the run where making `path` after it would: when the
+    nearest part of it that exists is not a directory."""
+    if not next(p for p in (path, *path.parents) if p.exists()).is_dir():
+        make_out_dir(path, name)  # raises, with the system's reason
+
+
+def write_run(out_dir: Path, records, stats: dict) -> list[Path]:
+    """Write a run's results.csv, summary.csv and stats.json (`stats`, from
+    `stats_payload(records)`), making `out_dir` first."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_records_csv(out_dir / "results.csv", records)
+    return [out_dir / "results.csv"] + write_report_files(
+        out_dir, records, stats, include_chart=False
+    )
+
+
 def write_report_files(
     out_dir: Path, records, stats: dict, include_chart: bool
 ) -> list[Path]:
     """Write summary.csv, stats.json (`stats`, from `stats_payload(records)`)
-    and optionally chart.json."""
-    make_out_dir(out_dir)
+    and optionally chart.json into the existing `out_dir`."""
     write_summary_csv(out_dir / "summary.csv", success_ratio(records))
     _write_json(out_dir / "stats.json", stats)
     if include_chart:
@@ -216,16 +232,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if seed is not None:
         config = replace(config, base_seed=seed)
     out_dir = Path(args.out if args.out is not None else config.output_dir)
-    make_out_dir(out_dir, "--out" if args.out is not None else "output_dir")
+    check_out_dir(out_dir, "--out" if args.out is not None else "output_dir")
     trace_dir = out_dir / "traces" if (args.trace or config.trace) else None
     records = run_experiment(config, mode=args.mode, jobs=args.jobs, trace_dir=trace_dir)
-    results_path = out_dir / "results.csv"
-    write_records_csv(results_path, records)
-    written = [results_path]
-    written += write_report_files(
-        out_dir, records, stats_payload(records), include_chart=False
-    )
-    for path in written:
+    for path in write_run(out_dir, records, stats_payload(records)):
         print(f"wrote {path}")
     return 0
 
@@ -234,7 +244,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     table = derive_response_table()
     reproduced = {
         method.value: {
-            situation.value: escalation_success(table, method, situation)
+            situation.value: escalation_success(method, situation)
             for situation in SITUATIONS
         }
         for method in METHODS
@@ -243,7 +253,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         payload = {
             "response_probabilities": {
                 action.value: {
-                    situation.value: table.probability(action, situation)
+                    situation.value: table[action][situation]
                     for situation in SITUATIONS
                 }
                 for action in CAPTURE_ACTIONS
@@ -256,9 +266,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     print("response probability per prompt")
     print(header)
     for action in CAPTURE_ACTIONS:
-        row = "".join(
-            f"{table.probability(action, s):>10.6f}" for s in SITUATIONS
-        )
+        row = "".join(f"{table[action][s]:>10.6f}" for s in SITUATIONS)
         print(f"{action.value:<10}{row}")
     print()
     print("reproduced cumulative success per method")
@@ -330,6 +338,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if not records:
         raise ConfigError(f"{csv_path}: no records")
     out_dir = Path(args.out) if args.out is not None else csv_path.parent
+    make_out_dir(out_dir)
     for path in write_report_files(
         out_dir, records, stats_payload(records), include_chart=True
     ):
@@ -346,21 +355,25 @@ _COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handler = _COMMANDS[args.command]
+def guarded(prog: str, command, args: argparse.Namespace) -> int:
+    """command(args), with its errors as exit codes: 1 for a ConfigError or
+    an output that cannot be written, 2 for a trial that aborts."""
     try:
-        return handler(args)
+        return command(args)
     except ConfigError as exc:
-        print(f"gazesim: {exc}", file=sys.stderr)
+        print(f"{prog}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:  # inputs are read as ConfigErrors, so this is an output
-        print(f"gazesim: cannot write {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
+        print(f"{prog}: cannot write {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
         return 1
     except TrialAbortError as exc:
-        print(f"gazesim: aborted: {exc}", file=sys.stderr)
+        print(f"{prog}: aborted: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _build_parser().parse_args(argv)
+    return guarded("gazesim", _COMMANDS[args.command], args)
 
 
 if __name__ == "__main__":  # pragma: no cover

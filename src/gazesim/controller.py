@@ -20,7 +20,6 @@ PAN_MIN_DEG = -159.0
 PAN_MAX_DEG = 159.0
 TILT_MIN_DEG = -47.0
 TILT_MAX_DEG = 31.0
-MAX_HEAD_SPEED_DEG_S = 300.0
 TURN_SPEED_DEG_S = 120.0
 SHAKE_SPEED_DEG_S = 240.0
 SHAKE_HALF_SWING_DEG = 30.0
@@ -176,8 +175,7 @@ def clamp_pan(deg: float) -> float:
 def _move_joint(current: float, target: float, speed_deg_s: float) -> float:
     """Rate-limited joint motion over one tick. Joint space does not wrap:
     going from -150 to +150 means sweeping through zero, not through the back."""
-    speed = min(speed_deg_s, MAX_HEAD_SPEED_DEG_S)
-    step = speed * TICK_S
+    step = speed_deg_s * TICK_S
     delta = target - current
     if abs(delta) <= step:
         return target

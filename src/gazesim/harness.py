@@ -327,10 +327,7 @@ def _run_ticks(
             action = cstate.action
             assert action is not None and cstate.window_start_s is not None
             ok, latency = respond(
-                action,
-                situation,
-                derive_response_table(),
-                derive_seed(seed, STREAM_RESPOND, cstate.plan_cursor),
+                action, situation, derive_seed(seed, STREAM_RESPOND, cstate.plan_cursor)
             )
             if ok:
                 assert latency is not None
@@ -448,7 +445,7 @@ def _event_outcomes(
     table = derive_response_table()
     for k, action in enumerate(cell.method.capture_plan):
         rngs = derive_rngs(derive_seeds(seeds[pending], STREAM_RESPOND, k))
-        ok = rngs.random() < table.probability(action, cell.situation)
+        ok = rngs.random() < table[action][cell.situation]
         latency_s = rngs.uniform(LATENCY_MIN_S, LATENCY_MAX_S)[ok]
         hit = pending[ok]
         cursor[hit] = k

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import Mapping
 
 import numpy as np
 
@@ -68,36 +67,11 @@ REFERENCE_SUCCESS_RATES: dict[Method, dict[ViewingSituation, float]] = {
 CAPTURE_ACTIONS = (RobotAction.HT, RobotAction.HS, RobotAction.RT)
 
 
-@dataclass(frozen=True)
-class ResponseTable:
-    """Per-prompt response probabilities, indexed action then situation."""
-
-    p: Mapping[RobotAction, Mapping[ViewingSituation, float]]
-
-    def __post_init__(self) -> None:
-        for action in CAPTURE_ACTIONS:
-            if action not in self.p:
-                raise ValueError(f"missing probabilities for {action.value}")
-            for situation in SITUATIONS:
-                value = self.p[action].get(situation)
-                if value is None:
-                    raise ValueError(
-                        f"missing probability for {action.value}/{situation.value}"
-                    )
-                if not 0.0 <= value <= 1.0:
-                    raise ValueError(
-                        f"probability out of range for "
-                        f"{action.value}/{situation.value}: {value}"
-                    )
-
-    def probability(self, action: RobotAction, situation: ViewingSituation) -> float:
-        return self.p[action][situation]
-
-
 @cache
-def derive_response_table() -> ResponseTable:
+def derive_response_table() -> dict[RobotAction, dict[ViewingSituation, float]]:
     """Invert REFERENCE_SUCCESS_RATES, cumulative per-method success, into
-    per-prompt probabilities. Computed once; every caller shares the table.
+    per-prompt probabilities, indexed action then situation. Computed once;
+    every caller shares the table.
 
     With prompts tried in order and independently, the method reaching
     prompt k succeeds with rate 1 - prod(1 - p_i, i <= k), so each p is
@@ -116,30 +90,24 @@ def derive_response_table() -> ResponseTable:
         p_ht[situation] = m1
         p_hs[situation] = 1.0 if m1 >= 1.0 else _clamp01((m2 - m1) / (1.0 - m1))
         p_rt[situation] = 1.0 if m2 >= 1.0 else _clamp01((m3 - m2) / (1.0 - m2))
-    return ResponseTable(
-        p={RobotAction.HT: p_ht, RobotAction.HS: p_hs, RobotAction.RT: p_rt}
-    )
+    return {RobotAction.HT: p_ht, RobotAction.HS: p_hs, RobotAction.RT: p_rt}
 
 
 def _clamp01(x: float) -> float:
     return min(max(x, 0.0), 1.0)
 
 
-def escalation_success(
-    table: ResponseTable, method: Method, situation: ViewingSituation
-) -> float:
+def escalation_success(method: Method, situation: ViewingSituation) -> float:
     """Forward model: probability that any prompt in the method's plan lands."""
+    table = derive_response_table()
     miss = 1.0
     for action in method.capture_plan:
-        miss *= 1.0 - table.probability(action, situation)
+        miss *= 1.0 - table[action][situation]
     return 1.0 - miss
 
 
 def respond(
-    action: RobotAction,
-    situation: ViewingSituation,
-    table: ResponseTable,
-    seed: int,
+    action: RobotAction, situation: ViewingSituation, seed: int
 ) -> tuple[bool, float | None]:
     """One response decision: does the person react to this prompt, and if
     so, how long until their eyes land on the robot. The latency draw is
@@ -147,7 +115,7 @@ def respond(
     if action not in CAPTURE_ACTIONS:
         raise ValueError(f"{action} is not a prompt the person reacts to")
     rng = derive_rng(seed)
-    responds = bool(rng.random() < table.probability(action, situation))
+    responds = bool(rng.random() < derive_response_table()[action][situation])
     if not responds:
         return False, None
     return True, float(rng.uniform(LATENCY_MIN_S, LATENCY_MAX_S))

@@ -93,12 +93,7 @@ def _intersect_batch(
     return t
 
 
-def synthesize_scan(
-    sensor: Pose2,
-    body: EllipseBody,
-    noise_sigma: float = NOISE_SIGMA_M,
-    seed: int = 0,
-) -> LaserScan:
+def synthesize_scan(sensor: Pose2, body: EllipseBody, seed: int) -> LaserScan:
     """Simulate one sweep of the scanner at the given pose; deterministic
     for a given seed."""
     world = np.radians(sensor.heading_deg + BEAM_ANGLES_DEG)
@@ -108,12 +103,7 @@ def synthesize_scan(
     t = _intersect_batch(origin, dirs, body)
     ranges = np.full(N_BEAMS, MAX_RANGE_M)
     hit = ~np.isnan(t) & (t <= MAX_RANGE_M)
-    if noise_sigma > 0.0 and hit.any():
-        rng = derive_rng(seed)
-        noise = rng.normal(0.0, noise_sigma, size=int(hit.sum()))
-        ranges[hit] = t[hit] + noise
-    else:
-        ranges[hit] = t[hit]
+    ranges[hit] = t[hit] + derive_rng(seed).normal(0.0, NOISE_SIGMA_M, int(hit.sum()))
     np.clip(ranges, _RANGE_EPS, MAX_RANGE_M, out=ranges)
     return LaserScan(sensor, ranges)
 

@@ -41,11 +41,7 @@ from gazesim.harness import (
     write_records_csv,
 )
 from gazesim.head_tracker import HeadObservation, observe_head
-from gazesim.human import (
-    REFERENCE_SUCCESS_RATES,
-    derive_response_table,
-    escalation_success,
-)
+from gazesim.human import REFERENCE_SUCCESS_RATES, escalation_success
 from gazesim.laser import EllipseBody, synthesize_scan
 from gazesim.scenario import default_scenario
 from gazesim.seeding import (
@@ -506,12 +502,11 @@ def test_criterion_08_likelihood_behaviour():
 
 
 def test_criterion_09_calibration_round_trip():
-    table = derive_response_table()
     worst = 0.0
     for method in Method:
         reference = REFERENCE_SUCCESS_RATES[method]
         for situation in SITUATIONS:
-            got = escalation_success(table, method, situation)
+            got = escalation_success(method, situation)
             worst = max(worst, abs(got - reference[situation]))
     ok = worst <= 1e-12
     report(

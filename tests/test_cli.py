@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from gazesim import harness
+from gazesim import cli, harness
 from gazesim.cli import main, stats_payload
 from gazesim.config import RunConfig, scenario_from_dict, scenario_to_dict
 from gazesim.harness import RESULTS_CSV_HEADER
@@ -433,7 +433,35 @@ class TestExperiment:
         )
         assert code == 1
         assert "jobs" in err
-        assert not (tmp_path / "out" / "results.csv").exists()
+        assert not (tmp_path / "out").exists()
+
+    def test_out_made_a_file_during_the_run_exits_one(self, tmp_path, capsys, monkeypatch):
+        out_dir = tmp_path / "out"
+
+        def run_then_block_out(*args, **kwargs):
+            records = harness.run_experiment(*args, **kwargs)
+            out_dir.touch()
+            return records
+
+        monkeypatch.setattr(cli, "run_experiment", run_then_block_out)
+        argv = ["experiment", "--config", str(self._tiny_config(tmp_path)), "--out", str(out_dir)]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 1
+        assert err == f"gazesim: cannot write {out_dir}: File exists\n"
+        assert stdout == ""
+
+    def test_trial_time_cap_exits_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "TRIAL_TIME_CAP_S", 0.5)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"n_per_cell": 1}))
+        out_dir = tmp_path / "out"
+        argv = ["experiment", "--config", str(config_path), "--out", str(out_dir),
+                "--mode", "ideal"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err.startswith("gazesim: aborted: trial exceeded 0.5 s")
+        assert "Traceback" not in out + err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "situations, jobs, workers",

@@ -33,12 +33,7 @@ from gazesim.harness import (
     trial_seeds,
     write_records_csv,
 )
-from gazesim.human import (
-    HEAD_TURN_SPEED_DEG_S,
-    derive_response_table,
-    gaze_duration,
-    respond,
-)
+from gazesim.human import HEAD_TURN_SPEED_DEG_S, gaze_duration, respond
 from gazesim.geometry import HeadPose, Pose2, bearing_to, normalize_angle
 from gazesim.head_tracker import NOISE_SIGMA_DEG, observe_head, relative_yaw_deg
 from gazesim.records import Records
@@ -136,11 +131,8 @@ def scalar_outcome(cell, seed):
     """One trial drawn decision by decision with `respond` and
     `gaze_duration`, the per-trial path the cell engine batches: the
     responding prompt (-1 for none), the face-gate time and the gaze."""
-    table = derive_response_table()
     for k, action in enumerate(cell.method.capture_plan):
-        ok, latency = respond(
-            action, cell.situation, table, derive_seed(seed, STREAM_RESPOND, k)
-        )
+        ok, latency = respond(action, cell.situation, derive_seed(seed, STREAM_RESPOND, k))
         if ok:
             b0 = abs(cell.gaze_offset_deg)
             turn_s = b0 / HEAD_TURN_SPEED_DEG_S

@@ -17,7 +17,6 @@ from gazesim.human import (
     LATENCY_MIN_S,
     REFERENCE_SUCCESS_RATES,
     ROBOT_TARGET,
-    ResponseTable,
     derive_response_table,
     escalation_success,
     gaze_bearing_to,
@@ -40,39 +39,32 @@ OFOV = ViewingSituation.OFOV
 TICK = 1.0 / 30.0
 
 
-def constant_table(p: float) -> ResponseTable:
-    return ResponseTable(
-        p={a: {s: p for s in SITUATIONS} for a in (RobotAction.HT, RobotAction.HS, RobotAction.RT)}
-    )
-
-
 class TestDeriveResponseTable:
     def test_head_turn_column_is_the_first_row(self):
         table = derive_response_table()
         for s in SITUATIONS:
-            assert table.probability(RobotAction.HT, s) == REFERENCE_SUCCESS_RATES[Method.M1][s]
+            assert table[RobotAction.HT][s] == REFERENCE_SUCCESS_RATES[Method.M1][s]
 
     def test_conditional_stage_probabilities(self):
         table = derive_response_table()
         # (0.84 - 0.08) / (1 - 0.08) and (0.92 - 0.84) / (1 - 0.84)
-        assert table.probability(RobotAction.HS, FPFOV) == pytest.approx(19.0 / 23.0, abs=1e-12)
-        assert table.probability(RobotAction.RT, OFOV) == pytest.approx(19.0 / 21.0, abs=1e-12)
+        assert table[RobotAction.HS][FPFOV] == pytest.approx(19.0 / 23.0, abs=1e-12)
+        assert table[RobotAction.RT][OFOV] == pytest.approx(19.0 / 21.0, abs=1e-12)
         # No headroom between stages two and three straight ahead.
-        assert table.probability(RobotAction.RT, NPFOV) == pytest.approx(0.0, abs=1e-12)
+        assert table[RobotAction.RT][NPFOV] == pytest.approx(0.0, abs=1e-12)
 
     def test_saturated_stage_pins_successors_to_one(self):
         table = derive_response_table()
-        assert table.probability(RobotAction.HS, CFOV) == 1.0
-        assert table.probability(RobotAction.RT, CFOV) == 1.0
+        assert table[RobotAction.HS][CFOV] == 1.0
+        assert table[RobotAction.RT][CFOV] == 1.0
 
     def test_round_trip_reproduces_every_cumulative_rate(self):
-        table = derive_response_table()
         for method in (Method.M1, Method.M2, Method.M3, Method.M4):
             reference = REFERENCE_SUCCESS_RATES[
                 Method.M3 if method is Method.M4 else method
             ]
             for s in SITUATIONS:
-                assert escalation_success(table, method, s) == pytest.approx(
+                assert escalation_success(method, s) == pytest.approx(
                     reference[s], abs=1e-12
                 )
 
@@ -85,13 +77,11 @@ class TestDeriveResponseTable:
             return min(max((later - earlier) / (1.0 - earlier), 0.0), 1.0)
 
         m1, m2, m3 = (REFERENCE_SUCCESS_RATES[m] for m in (Method.M1, Method.M2, Method.M3))
-        assert derive_response_table() == ResponseTable(
-            p={
-                RobotAction.HT: dict(m1),
-                RobotAction.HS: {s: stage(m1[s], m2[s]) for s in SITUATIONS},
-                RobotAction.RT: {s: stage(m2[s], m3[s]) for s in SITUATIONS},
-            }
-        )
+        assert derive_response_table() == {
+            RobotAction.HT: dict(m1),
+            RobotAction.HS: {s: stage(m1[s], m2[s]) for s in SITUATIONS},
+            RobotAction.RT: {s: stage(m2[s], m3[s]) for s in SITUATIONS},
+        }
 
     def test_m4_shares_the_m3_plan_rates(self):
         assert REFERENCE_SUCCESS_RATES[Method.M3] == REFERENCE_SUCCESS_RATES[Method.M4]
@@ -99,28 +89,29 @@ class TestDeriveResponseTable:
 
 class TestRespond:
     def test_certain_and_impossible(self):
-        yes, latency = respond(RobotAction.HT, CFOV, constant_table(1.0), seed=1)
+        table = derive_response_table()
+        assert table[RobotAction.HS][CFOV] == 1.0
+        assert table[RobotAction.RT][NPFOV] == 0.0
+        yes, latency = respond(RobotAction.HS, CFOV, seed=1)
         assert yes and LATENCY_MIN_S <= latency <= LATENCY_MAX_S
-        no, latency = respond(RobotAction.HT, CFOV, constant_table(0.0), seed=1)
+        no, latency = respond(RobotAction.RT, NPFOV, seed=1)
         assert not no and latency is None
 
     def test_blink_is_not_a_prompt(self):
         with pytest.raises(ValueError):
-            respond(RobotAction.BLINK, CFOV, constant_table(1.0), seed=1)
+            respond(RobotAction.BLINK, CFOV, seed=1)
 
     def test_deterministic_per_seed(self):
-        table = derive_response_table()
-        a = respond(RobotAction.HS, FPFOV, table, seed=123)
-        b = respond(RobotAction.HS, FPFOV, table, seed=123)
+        a = respond(RobotAction.HS, FPFOV, seed=123)
+        b = respond(RobotAction.HS, FPFOV, seed=123)
         assert a == b
 
     def test_empirical_rate_and_latency_distribution(self):
-        table = derive_response_table()
         want = 19.0 / 23.0
         hits = []
         latencies = []
         for seed in range(20_000):
-            yes, latency = respond(RobotAction.HS, FPFOV, table, seed=seed)
+            yes, latency = respond(RobotAction.HS, FPFOV, seed=seed)
             hits.append(yes)
             if yes:
                 latencies.append(latency)

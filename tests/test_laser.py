@@ -4,15 +4,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gazesim import laser
 from gazesim.geometry import Pose2
 from gazesim.laser import (
     MAX_RANGE_M,
     N_BEAMS,
+    NOISE_SIGMA_M,
     EllipseBody,
     _intersect_batch,
     scan_to_points,
     synthesize_scan,
 )
+from gazesim.seeding import derive_rng
+
+
+def clean_scan(monkeypatch, sensor: Pose2, body: EllipseBody):
+    """A scan with NOISE_SIGMA_M at 0.0, whose draws add exactly +0.0 to
+    each hit: the noise-free intersection ranges."""
+    with monkeypatch.context() as patch:
+        patch.setattr(laser, "NOISE_SIGMA_M", 0.0)
+        return synthesize_scan(sensor, body, seed=0)
 
 
 def implicit_value(point, body: EllipseBody) -> float:
@@ -100,10 +111,8 @@ class TestLaserParams:
     def test_beam_count(self):
         assert N_BEAMS == 667
 
-    def test_fan_is_symmetric(self):
-        scan = synthesize_scan(
-            Pose2(0.0, 0.0, 0.0), EllipseBody(Pose2(2.0, 0.0, 0.0)), noise_sigma=0.0
-        )
+    def test_fan_is_symmetric(self, monkeypatch):
+        scan = clean_scan(monkeypatch, Pose2(0.0, 0.0, 0.0), EllipseBody(Pose2(2.0, 0.0, 0.0)))
         angles = scan.beam_angles_deg()
         assert len(angles) == 667
         assert angles[0] == pytest.approx(-119.88)
@@ -112,9 +121,9 @@ class TestLaserParams:
 
 
 class TestSynthesizeScan:
-    def test_noise_free_hits_are_on_the_boundary(self):
+    def test_noise_free_hits_are_on_the_boundary(self, monkeypatch):
         body = EllipseBody(Pose2(1.8, 0.5, 40.0))
-        scan = synthesize_scan(Pose2(0.0, 0.0, 0.0), body, noise_sigma=0.0)
+        scan = clean_scan(monkeypatch, Pose2(0.0, 0.0, 0.0), body)
         points = scan_to_points(scan)
         assert len(points) > 10
         for p in points:
@@ -128,15 +137,25 @@ class TestSynthesizeScan:
         far = np.abs(angles) > 30.0
         assert np.all(ranges[far] == MAX_RANGE_M)
 
-    def test_noise_applies_only_to_hits(self):
+    def test_noise_applies_only_to_hits(self, monkeypatch):
         body = EllipseBody(Pose2(2.0, 0.0, 0.0))
-        clean = np.asarray(synthesize_scan(Pose2(0.0, 0.0, 0.0), body, noise_sigma=0.0).ranges_m)
+        clean = np.asarray(clean_scan(monkeypatch, Pose2(0.0, 0.0, 0.0), body).ranges_m)
         noisy = np.asarray(synthesize_scan(Pose2(0.0, 0.0, 0.0), body, seed=3).ranges_m)
         hits = clean < MAX_RANGE_M
         assert np.any(clean[hits] != noisy[hits])
         assert np.array_equal(clean[~hits], noisy[~hits])
         spread = noisy[hits] - clean[hits]
         assert np.std(spread) == pytest.approx(0.01, abs=0.004)
+
+    def test_hit_ranges_are_the_intersection_plus_the_seeded_noise(self, monkeypatch):
+        sensor, body = Pose2(0.0, 0.0, 0.0), EllipseBody(Pose2(1.8, 0.5, 40.0))
+        clean = np.asarray(clean_scan(monkeypatch, sensor, body).ranges_m)
+        hits = clean < MAX_RANGE_M
+        for seed in range(10):
+            ranges = np.asarray(synthesize_scan(sensor, body, seed=seed).ranges_m)
+            noise = derive_rng(seed).normal(0.0, NOISE_SIGMA_M, int(hits.sum()))
+            assert np.array_equal(ranges[hits], clean[hits] + noise)
+            assert np.all(ranges[~hits] == MAX_RANGE_M)
 
     def test_ranges_clipped_to_sensor_limits(self):
         body = EllipseBody(Pose2(3.99, 0.0, 0.0))
@@ -153,18 +172,18 @@ class TestSynthesizeScan:
         assert np.array_equal(a.ranges_m, b.ranges_m)
         assert not np.array_equal(a.ranges_m, c.ranges_m)
 
-    def test_scan_respects_sensor_pose(self):
+    def test_scan_respects_sensor_pose(self, monkeypatch):
         # Sensor turned 90 deg sees a body on +y exactly as an untampered
         # sensor sees the same body on +x.
         body_x = EllipseBody(Pose2(2.0, 0.0, 0.0))
         body_y = EllipseBody(Pose2(0.0, 2.0, 90.0))
-        a = synthesize_scan(Pose2(0.0, 0.0, 0.0), body_x, noise_sigma=0.0)
-        b = synthesize_scan(Pose2(0.0, 0.0, 90.0), body_y, noise_sigma=0.0)
+        a = clean_scan(monkeypatch, Pose2(0.0, 0.0, 0.0), body_x)
+        b = clean_scan(monkeypatch, Pose2(0.0, 0.0, 90.0), body_y)
         assert np.allclose(a.ranges_m, b.ranges_m)
 
-    def test_scan_to_points_excludes_max_range(self):
+    def test_scan_to_points_excludes_max_range(self, monkeypatch):
         body = EllipseBody(Pose2(2.0, 0.0, 0.0))
-        scan = synthesize_scan(Pose2(0.0, 0.0, 0.0), body, noise_sigma=0.0)
+        scan = clean_scan(monkeypatch, Pose2(0.0, 0.0, 0.0), body)
         points = scan_to_points(scan)
         ranges = np.asarray(scan.ranges_m)
         assert len(points) == int(np.sum(ranges < MAX_RANGE_M))
