@@ -1,0 +1,292 @@
+#!/usr/bin/env python3
+"""Check that the test suite still kills every recorded mutant.
+
+Each entry of MUTANTS is a small slip in the program: one exact text in
+one file, and what it becomes. CHANGES.md records each as caught by a
+test once; this script checks that it still is. For each entry it copies
+`src/`, `tests/` and `pyproject.toml` to a scratch directory, applies the
+entry there, and runs `pytest -x -q` on the entry's tests against the
+copy. A mutant is killed when that run fails a test (pytest exit 1).
+
+The script exits 1 when a mutant survives, when an entry's old text does
+not occur exactly once in its file (so a refactor that moves the code
+must move the entry too), or when a pytest run ends any other way: a
+test that no longer exists, an error at collection, or a run past
+TIMEOUT_S.
+
+Usage:
+    python scripts/mutants.py
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "pyproject.toml")
+TIMEOUT_S = 300
+JOBS = 2  # pytest processes at once; each entry takes 1-4 s on a 2-core box
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str  # must occur exactly once in the file
+    new: str
+    tests: tuple[str, ...]  # pytest ids, relative to the repository root
+    record: str  # the title of the CHANGES.md entry that records the check
+
+
+MUTANTS = (
+    Mutant(
+        "wake_frame_late",
+        "src/gazesim/harness.py",
+        "max(frame, int(wake_s * 30.0) - 1)",
+        "max(frame, int(wake_s * 30.0) + 1)",
+        ("tests/test_harness.py::TestSkippedWaits::test_untraced_trials_equal_traced_ones",
+         "tests/test_digests.py::test_event_engine_timeline"),
+        "Tick modes jump over the frames where nothing can change",
+    ),
+    Mutant(
+        "next_blink_ignored",
+        "src/gazesim/controller.py",
+        "return self.next_blink_s if self.blinks_remaining else self.deadline_s",
+        "return self.deadline_s",
+        ("tests/test_controller.py::TestIdleUntil"
+         "::test_ensure_with_blinks_left_waits_for_the_next_blink",),
+        "Tick modes jump over the frames where nothing can change",
+    ),
+    Mutant(
+        "idle_while_turning",
+        "src/gazesim/human.py",
+        "    if (state.head_yaw_deg, state.head_pitch_deg, state.body_theta_deg)"
+        " != (yaw, pitch, yaw):\n        return None\n",
+        "",
+        ("tests/test_harness.py::TestSkippedWaits"
+         "::test_no_jump_while_the_visitor_still_turns",
+         "tests/test_human.py::TestIdleUntil::test_a_visitor_still_turning_is_never_idle"),
+        "The event engine runs the recognizer it used to re-derive",
+    ),
+    Mutant(
+        "idle_while_attending_the_robot",
+        "src/gazesim/human.py",
+        "    if state.attending == ROBOT_TARGET:\n        return None\n"
+        "    yaw, pitch = map(",
+        "    yaw, pitch = map(",
+        ("tests/test_human.py::TestIdleUntil::test_a_visitor_attending_the_robot_is_never_idle",),
+        "Tick modes jump over the frames where nothing can change",
+    ),
+    Mutant(
+        "responder_events_one_late",
+        "src/gazesim/harness.py",
+        "cell.events[: cell.window_events[cursor]]",
+        "cell.events[: cell.window_events[cursor] + 1]",
+        ("tests/test_harness.py::TestNoiseFreeRobotEvents",),
+        "The event engine takes its robot timeline from `controller_step`",
+    ),
+    Mutant(
+        "untraced_pan_nudged",
+        "src/gazesim/harness.py",
+        "        events_all.extend(events)\n",
+        "        events_all.extend(events)\n"
+        "        if not trace and not cstate.reads_sensors:\n"
+        "            cstate = __import__('dataclasses').replace("
+        "cstate, pan_deg=cstate.pan_deg + 1e-9)\n",
+        ("tests/test_harness.py::TestSensingPrefix",),
+        "Replace, don't fork: the event engine's ensure phase comes from `controller_step`",
+    ),
+    Mutant(
+        "frame_blocks_restart_at_zero",
+        "src/gazesim/harness.py",
+        "        start += len(frames)\n",
+        "        start = 0\n",
+        ("tests/test_harness.py::TestFrameDraws::test_blocks_equal_the_per_frame_streams",),
+        "The tick modes draw each trial's per-frame noise and seeds a block of frames",
+    ),
+    Mutant(
+        "one_normal_for_yaw_and_pitch",
+        "src/gazesim/harness.py",
+        "zip(head.normal(0.0, 1.0).tolist(), head.normal(0.0, 1.0).tolist())",
+        "zip(*[head.normal(0.0, 1.0).tolist()] * 2)",
+        ("tests/test_harness.py::TestFrameDraws::test_blocks_equal_the_per_frame_streams",),
+        "The tick modes draw each trial's per-frame noise and seeds a block of frames",
+    ),
+    Mutant(
+        "laser_and_filter_seeds_swapped",
+        "src/gazesim/harness.py",
+        "zip(noise, laser, filter_)",
+        "zip(noise, filter_, laser)",
+        ("tests/test_harness.py::TestFrameDraws::test_blocks_equal_the_per_frame_streams",),
+        "The tick modes draw each trial's per-frame noise and seeds a block of frames",
+    ),
+    Mutant(
+        "head_noise_axes_swapped",
+        "src/gazesim/head_tracker.py",
+        "yaw_z, pitch_z = noise",
+        "pitch_z, yaw_z = noise",
+        ("tests/test_harness.py::TestFrameDraws::test_blocks_equal_the_per_frame_streams",),
+        "The tick modes draw each trial's per-frame noise and seeds a block of frames",
+    ),
+    Mutant(
+        "camera_check_dropped",
+        "src/gazesim/scenario.py",
+        'for key in ("sensor_pose", "camera_pose"):',
+        'for key in ("sensor_pose",):',
+        ("tests/test_scenario.py::TestValidation::test_sensor_or_camera_on_the_seat_rejected",),
+        "The tick modes draw each trial's per-frame noise and seeds a block of frames",
+    ),
+    Mutant(
+        "seat_bound_inclusive",
+        "src/gazesim/scenario.py",
+        "if self.robot_pose.distance_to(seat) > FACE_RANGE_M:",
+        "if self.robot_pose.distance_to(seat) >= FACE_RANGE_M:",
+        ("tests/test_config.py::TestValidation"
+         "::test_seat_must_be_within_face_range_of_the_robot",),
+        "The tick modes draw each trial's per-frame noise and seeds a block of frames",
+    ),
+    Mutant(
+        "time_cap_untyped",
+        "src/gazesim/harness.py",
+        "            raise TrialAbortError(\n                f\"trial exceeded",
+        "            raise RuntimeError(\n                f\"trial exceeded",
+        ("tests/test_cli.py::TestSimulate::test_trial_time_cap_exits_two",),
+        "Columnar trial records from the event engine to `stats.json`",
+    ),
+    Mutant(
+        "shake_legs_swapped",
+        "src/gazesim/controller.py",
+        "clamp_pan(center + SHAKE_HALF_SWING_DEG),\n"
+        "                clamp_pan(center - SHAKE_HALF_SWING_DEG),",
+        "clamp_pan(center - SHAKE_HALF_SWING_DEG),\n"
+        "                clamp_pan(center + SHAKE_HALF_SWING_DEG),",
+        ("tests/test_digests.py::test_tick_engine_event_timeline",),
+        "Removed the state no run varies",
+    ),
+    Mutant(
+        "variance_as_moment_difference",
+        "src/gazesim/body_tracker.py",
+        "    dev = d - d.sum(axis=1, keepdims=True) / divisor[:, None]\n"
+        "    dev[~visible] = 0.0\n"
+        "    dev *= dev\n"
+        "    sigma_d = np.maximum(dev.sum(axis=1) / divisor, sigma_floor_m2)\n",
+        "    mean = d.sum(axis=1) / divisor\n"
+        "    sigma_d = np.maximum("
+        "(d * d).sum(axis=1) / divisor - mean * mean, sigma_floor_m2)\n",
+        ("tests/test_body_tracker.py::TestBatchLikelihoods"
+         "::test_bit_identical_to_broadcast_kernel_on_a_tracker_run",),
+        "Exact visible-only particle likelihood",
+    ),
+    Mutant(
+        "seed_extra_entropy_unmixed",
+        "src/gazesim/seeding.py",
+        "    for word in entropy[_POOL_SIZE:]:\n",
+        "    for word in entropy[_POOL_SIZE:0]:\n",
+        ("tests/test_seeding.py::TestWordGroups::test_array_keys_beyond_four_words",),
+        "One batched, bit-exact event engine",
+    ),
+    Mutant(
+        "pcg_carry_dropped",
+        "src/gazesim/seeding.py",
+        "self.hi = hi + self.inc_hi + (self.lo < lo)",
+        "self.hi = hi + self.inc_hi",
+        ("tests/test_seeding.py::TestBatchedSeeding::test_pcg64_testset",),
+        "One batched, bit-exact event engine",
+    ),
+    Mutant(
+        "seed_word_counts_unsplit",
+        "src/gazesim/seeding.py",
+        "if len(words) == 1 or words[-1].all():",
+        "if True:",
+        ("tests/test_seeding.py::TestWordGroups::test_two_arguments_straddling_two_to_the_32",),
+        "One batched, bit-exact event engine",
+    ),
+    Mutant(
+        "random_without_shift",
+        "src/gazesim/seeding.py",
+        "(self.next64() >> 11).astype(np.float64)",
+        "self.next64().astype(np.float64)",
+        ("tests/test_seeding.py::TestBatchedSeeding"
+         "::test_matches_live_numpy_on_one_and_two_word_seeds",),
+        "One batched, bit-exact event engine",
+    ),
+    # The event engine's cell run is `_run_ticks`: a slip in its sensing
+    # block must move the event-mode pin, not only the tick-mode ones.
+    Mutant(
+        "recognizer_on_even_frames",
+        "src/gazesim/harness.py",
+        "srm = srm_update(srm, instant)",
+        "srm = srm_update(srm, instant) if frame % 2 == 0 else srm",
+        ("tests/test_digests.py::test_event_engine_timeline",),
+        "One tick loop",
+    ),
+    Mutant(
+        "recognizer_abort_removed",
+        "src/gazesim/harness.py",
+        "        if cstate.phase is Phase.OBSERVE and confirmed_input is None"
+        " and t >= ABORT_BUDGET_S:\n",
+        "        if False:\n",
+        ("tests/test_harness.py::TestRecognizerAbort"
+         "::test_event_mode_aborts_when_the_recognizer_never_confirms",),
+        "One tick loop",
+    ),
+)
+
+
+def run(mutant: Mutant) -> tuple[bool, str]:
+    """Whether the mutant was killed, and what happened."""
+    text = (ROOT / mutant.path).read_text(encoding="utf-8")
+    found = text.count(mutant.old)
+    if found != 1:
+        return False, f"old text occurs {found} times in {mutant.path}"
+    with tempfile.TemporaryDirectory(prefix=f"mutant-{mutant.name}-") as scratch:
+        copy = Path(scratch)
+        for name in COPIED:
+            source = ROOT / name
+            if source.is_dir():
+                shutil.copytree(source, copy / name, ignore=shutil.ignore_patterns(
+                    "__pycache__", ".pytest_cache", "*.egg-info"
+                ))
+            else:
+                shutil.copy2(source, copy / name)
+        (copy / mutant.path).write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+        command = [sys.executable, "-m", "pytest", "-x", "-q", *mutant.tests]
+        try:
+            proc = subprocess.run(
+                command, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
+            )
+        except subprocess.TimeoutExpired:
+            return False, f"pytest ran past {TIMEOUT_S} s"
+    last = (proc.stdout.strip().splitlines() or ["no output"])[-1]
+    if proc.returncode == 1:
+        return True, last
+    if proc.returncode == 0:
+        return False, f"survived: {last}"
+    return False, f"pytest exit {proc.returncode}: {last}"
+
+
+def main() -> int:
+    def timed(mutant: Mutant) -> tuple[bool, str, float]:
+        start = time.perf_counter()
+        return *run(mutant), time.perf_counter() - start
+
+    t0 = time.perf_counter()
+    failed = 0
+    with ThreadPoolExecutor(max_workers=JOBS) as pool:
+        for mutant, (killed, detail, seconds) in zip(MUTANTS, pool.map(timed, MUTANTS)):
+            failed += not killed
+            status = "killed" if killed else "FAILED"
+            print(f"{status:7} {mutant.name:30} {seconds:5.1f} s  {detail}", flush=True)
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} killed in {time.perf_counter() - t0:.1f} s")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

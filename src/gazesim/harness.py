@@ -13,16 +13,16 @@ so a trial's decisions are identical whichever engine runs it:
            Untraced, both tick modes sense only while the controller reads
            it (`ControllerState.reads_sensors`), and skip frames where it and
            the visitor are idle (`idle_until_s`); traced, every frame.
-- "event": the tick loop run once per cell without head camera noise or a
-           face: the visitor's turn and the recognizer while the controller
-           reads them, then the controller to Failure; a trial keeps that
-           run up to the window it responds in, and steps the controller on
-           from that window with the face at its drawn instant. Decisions
-           and latencies are drawn from the same per-decision streams, so
-           records match the tick engines. The trials of a
-           (method, situation) cell run as one batch: their seeds and
-           draws are computed over arrays, bit for bit the values of the
-           per-trial streams, and their records fill `Records` columns.
+- "event": the untraced ideal tick loop (`_run_ticks`) run once per cell with
+           no seed: no head camera noise and no response, so the controller
+           runs on to Failure. TRIAL_TIME_CAP_S bounds that run, and its aborts
+           name the "event cell". A trial keeps the run up to the window it
+           responds in, and steps the controller on from that window with the
+           face at its drawn instant. Decisions and latencies are drawn from
+           the same per-decision streams, so records match the tick engines.
+           The trials of a (method, situation) cell run as one batch: their
+           seeds and draws are computed over arrays, bit for bit the values of
+           the per-trial streams, and their records fill `Records` columns.
 """
 from __future__ import annotations
 
@@ -76,7 +76,7 @@ from .records import (  # noqa: F401  re-exported: the CSV form of the records
     read_records_csv,
     write_records_csv,
 )
-from .scenario import Scenario, noise_free_view
+from .scenario import Scenario
 from .seeding import (
     STREAM_FILTER,
     STREAM_GAZE,
@@ -152,7 +152,7 @@ def run_trial_detailed(
         if trace:
             _trace_events(trace, events)
         return TrialDetail(record=batch.records[0], events=events)
-    return _run_ticks(scenario, method, situation, seed, mode, trial_id, trace)
+    return _run_ticks(scenario, method, situation, seed, mode, trial_id, trace)[0]
 
 
 def _plan_response(
@@ -177,7 +177,7 @@ def _plan_response(
 
 
 def _frame_draws(
-    seed: int, full: bool
+    seed: int | None, full: bool
 ) -> Iterator[tuple[tuple[float, float], int | None, int | None]]:
     """Each frame's draws of a tick-mode trial, from frame 0 on: the head
     tracker's yaw and pitch standard normals, then in full mode the laser
@@ -185,7 +185,10 @@ def _frame_draws(
     streams (seed, STREAM_HEAD, frame) and derive_seed(seed, STREAM_LASER
     or STREAM_FILTER, frame), computed over a block of frames at a time.
     The first block has FRAME_BLOCK frames; each later one is as long as
-    the trial so far, so a long trial needs few blocks."""
+    the trial so far, so a long trial needs few blocks. Without a seed
+    there is no noise and no seed on any frame."""
+    if seed is None:  # repeat() is endless: the streams below are never reached
+        yield from repeat(((0.0, 0.0), None, None))
     start = 0
     while True:
         frames = np.arange(start, start + max(FRAME_BLOCK, start))
@@ -206,30 +209,19 @@ def _wake_frame(frame: int, wake_s: float | None) -> int:
     return frame if wake_s is None else max(frame, int(wake_s * 30.0) - 1)
 
 
-def _check_confirmed(
-    cstate: ControllerState,
-    confirmed: ViewingSituation | None,
-    situation: ViewingSituation,
-    t: float,
-    run: str,
-) -> None:
-    """Abort a run whose recognizer has not confirmed by ABORT_BUDGET_S."""
-    if cstate.phase is Phase.OBSERVE and confirmed is None and t >= ABORT_BUDGET_S:
-        raise TrialAbortError(
-            f"recognizer did not confirm {situation.value} within "
-            f"{ABORT_BUDGET_S:.0f} s ({run}, {cstate.method.value})"
-        )
-
-
 def _run_ticks(
     scenario: Scenario,
     method: Method,
     situation: ViewingSituation,
-    seed: int,
+    seed: int | None,
     mode: TrialMode,
     trial_id: int,
     trace: TraceWriter | None,
-) -> TrialDetail:
+) -> tuple[TrialDetail, list[tuple[ControllerState, int]]]:
+    """One tick-mode trial, and the controller and the number of events so
+    far as each response window opens. Without a seed the run is the event
+    engine's cell: no head camera noise, and no response drawn, so the
+    visitor never turns to the robot."""
     painting = scenario.painting_for(situation)
     human = make_human(scenario, painting.painting_id)
     cstate = make_controller(method)
@@ -239,7 +231,7 @@ def _run_ticks(
     seat_to_robot_deg = bearing_to(seat.position, robot.position)
     seat_bearing_deg = relative_bearing(robot, seat.position)
     draws = _frame_draws(seed, full=mode == "full")
-    run = f"trial {trial_id}"
+    run = "event cell" if seed is None else f"trial {trial_id}"
 
     tracker: BodyTracker | None = None
     if mode == "full":
@@ -250,6 +242,7 @@ def _run_ticks(
         )
 
     events_all: list[RobotEvent] = []
+    windows: list[tuple[ControllerState, int]] = []
     drawn_gaze_s: float | None = None
     measured_latency_s: float | None = None
     responding_action: RobotAction | None = None
@@ -262,7 +255,7 @@ def _run_ticks(
         if t > TRIAL_TIME_CAP_S:
             raise TrialAbortError(
                 f"trial exceeded {TRIAL_TIME_CAP_S} s without a terminal event "
-                f"(trial {trial_id}, {method.value})"
+                f"({run}, {method.value})"
             )
         human_step(human, scenario, t)
         if trace and human.attending != prev_attending:
@@ -307,7 +300,11 @@ def _run_ticks(
             else:
                 bearing_input = seat_bearing_deg
 
-        _check_confirmed(cstate, confirmed_input, situation, t, run)
+        if cstate.phase is Phase.OBSERVE and confirmed_input is None and t >= ABORT_BUDGET_S:
+            raise TrialAbortError(
+                f"recognizer did not confirm {situation.value} within "
+                f"{ABORT_BUDGET_S:.0f} s ({run}, {method.value})"
+            )
 
         face = human.attending == ROBOT_TARGET and face_detected(
             gaze_bearing_to(human, robot.position)
@@ -322,24 +319,27 @@ def _run_ticks(
             ),
             t,
         )
+        events_all.extend(events)
 
         if cstate.phase is Phase.AWAIT_RESPONSE and prev_phase is not Phase.AWAIT_RESPONSE:
+            windows.append((cstate, len(events_all)))
             action = cstate.action
             assert action is not None and cstate.window_start_s is not None
-            ok, latency = respond(
-                action, situation, derive_seed(seed, STREAM_RESPOND, cstate.plan_cursor)
-            )
-            if ok:
-                assert latency is not None
-                drawn_gaze_s = gaze_duration(
-                    method.ensure_blink, derive_seed(seed, STREAM_GAZE)
+            if seed is not None:
+                ok, latency = respond(
+                    action, situation, derive_seed(seed, STREAM_RESPOND, cstate.plan_cursor)
                 )
-                fire_s, _ = _plan_response(
-                    cstate.window_start_s,
-                    latency,
-                    gaze_bearing_to(human, robot.position),
-                )
-                schedule_response(human, float(fire_s), drawn_gaze_s)
+                if ok:
+                    assert latency is not None
+                    drawn_gaze_s = gaze_duration(
+                        method.ensure_blink, derive_seed(seed, STREAM_GAZE)
+                    )
+                    fire_s, _ = _plan_response(
+                        cstate.window_start_s,
+                        latency,
+                        gaze_bearing_to(human, robot.position),
+                    )
+                    schedule_response(human, float(fire_s), drawn_gaze_s)
 
         for event in events:
             if event.kind is EventKind.FACE_DETECTED:
@@ -348,7 +348,6 @@ def _run_ticks(
                 responding_action = cstate.action
             if trace:
                 trace.emit(t, "ctrl", event.kind.value, event.detail)
-        events_all.extend(events)
         if cstate.terminal:
             break
         frame += 1
@@ -371,7 +370,7 @@ def _run_ticks(
         gaze_time_s=drawn_gaze_s if succeeded else None,
         seed=seed,
     )
-    return TrialDetail(record=record, events=tuple(events_all))
+    return TrialDetail(record=record, events=tuple(events_all)), windows
 
 
 class _EventCell(NamedTuple):
@@ -392,42 +391,16 @@ class _EventCell(NamedTuple):
 def _event_cell(
     scenario: Scenario, method: Method, situation: ViewingSituation
 ) -> _EventCell:
-    """The tick loop of an untraced ideal trial without head camera noise or
-    a face: the visitor's turn and the recognizer stepped while the
-    controller reads them, then the controller alone to Failure."""
-    robot = scenario.robot_pose
-    human = make_human(scenario, scenario.painting_for(situation).painting_id)
-    cstate = make_controller(method)
-    srm = SrmState()
-    bearing_deg = relative_bearing(robot, scenario.human_seat.position)
-    events: list[RobotEvent] = []
-    windows: list[ControllerState] = []
-    window_events: list[int] = []
-    frame = 0
-    while not cstate.terminal:
-        t = frame / 30.0
-        if cstate.reads_sensors:
-            human_step(human, scenario, t)
-            view = noise_free_view(scenario, human.head, human.body_theta_deg)
-            srm = srm_update(srm, classify_instant(*view))
-            confirmed = situation if srm.confirmed is situation else None
-            _check_confirmed(cstate, confirmed, situation, t, "event cell")
-            inputs = ControllerInputs(confirmed=confirmed, human_bearing_deg=bearing_deg)
-        cstate, step_events = controller_step(cstate, inputs, t)
-        events.extend(step_events)
-        if cstate.window_start_s is not None and len(windows) == cstate.plan_cursor:
-            windows.append(cstate)
-            window_events.append(len(events))
-        frame = _wake_frame(frame + 1, cstate.idle_until_s)
-    return _EventCell(
-        method,
-        situation,
-        tuple(events),
-        tuple(windows),
-        tuple(window_events),
-        # The visitor as the head turn began, settled on the painting.
-        gaze_bearing_to(human, robot.position),
+    """The untraced ideal trial without a seed: no head camera noise and no
+    response, so the controller runs on to Failure."""
+    detail, windows = _run_ticks(scenario, method, situation, None, "ideal", 0, None)
+    states, counts = zip(*windows)
+    # The visitor as the head turn begins, settled on the painting.
+    yaw = scenario.painting_world_yaw(scenario.painting_for(situation))
+    offset = normalize_angle(
+        yaw - bearing_to(scenario.human_seat.position, scenario.robot_pose.position)
     )
+    return _EventCell(method, situation, detail.events, states, counts, offset)
 
 
 def _event_outcomes(

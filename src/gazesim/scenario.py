@@ -113,21 +113,15 @@ class Scenario:
         return normalize_angle(self.human_seat.heading_deg + painting.bearing_deg)
 
 
-def noise_free_view(
-    scenario: Scenario, head: HeadPose, body_theta_deg: float
-) -> tuple[HeadObservation, float]:
-    """The recognizer's view of the visitor without sensor noise: the head
-    camera's observation, and the body heading off the seat-to-robot bearing."""
-    to_robot = bearing_to(scenario.human_seat.position, scenario.robot_pose.position)
-    obs = observe_head(head, scenario.camera_pose, noise=(0.0, 0.0))
-    return obs, normalize_angle(body_theta_deg - to_robot)
-
-
 def _settled_view(scenario: Scenario, painting: Painting) -> tuple[HeadObservation, float]:
-    """The noise-free view of a visitor settled on a painting."""
+    """The recognizer's view of a visitor settled on a painting, without
+    sensor noise: the head camera's observation, and the body heading off
+    the seat-to-robot bearing."""
+    seat = scenario.human_seat.position
     yaw = scenario.painting_world_yaw(painting)
-    head = HeadPose(*scenario.human_seat.position, yaw, scenario.painting_pitch_deg)
-    return noise_free_view(scenario, head, yaw)
+    head = HeadPose(*seat, yaw, scenario.painting_pitch_deg)
+    obs = observe_head(head, scenario.camera_pose, noise=(0.0, 0.0))
+    return obs, normalize_angle(yaw - bearing_to(seat, scenario.robot_pose.position))
 
 
 def settled_instant(scenario: Scenario, painting: Painting) -> ViewingSituation | None:

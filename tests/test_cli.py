@@ -186,14 +186,17 @@ class TestSimulate:
         assert "Traceback" not in err
         assert out == ""
 
-    @pytest.mark.parametrize("mode", ["ideal", "full"])
+    @pytest.mark.parametrize("mode", ["ideal", "full", "event"])
     def test_trial_time_cap_exits_two(self, capsys, monkeypatch, mode):
+        # The event engine's cell run is the tick loop too, so the cap
+        # bounds it, and its abort names the cell rather than a trial.
         monkeypatch.setattr(harness, "TRIAL_TIME_CAP_S", 0.5)
         code, _, err = run_cli(
             ["simulate", "--method", "M4", "--situation", "OFOV", "--mode", mode], capsys
         )
+        run = "event cell" if mode == "event" else "trial 0"
         assert code == 2
-        assert "aborted: trial exceeded 0.5 s without a terminal event" in err
+        assert f"aborted: trial exceeded 0.5 s without a terminal event ({run}, M4)" in err
         assert "Traceback" not in err
 
 
