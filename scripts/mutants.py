@@ -44,6 +44,10 @@ class Mutant(NamedTuple):
     record: str  # the title of the CHANGES.md entry that records the check
 
 
+RECORDS_RECORD = "Columnar trial records from the event engine to `stats.json`"
+ZIGGURAT_RECORD = "A bit-exact, vectorised ziggurat `normal()` on `PCG64Streams`"
+ARRAY_RECORD = "Ideal mode finds each trial's confirm frame from arrays"
+
 MUTANTS = (
     Mutant(
         "wake_frame_late",
@@ -113,9 +117,10 @@ MUTANTS = (
     Mutant(
         "one_normal_for_yaw_and_pitch",
         "src/gazesim/harness.py",
-        "zip(head.normal(0.0, 1.0).tolist(), head.normal(0.0, 1.0).tolist())",
-        "zip(*[head.normal(0.0, 1.0).tolist()] * 2)",
-        ("tests/test_harness.py::TestFrameDraws::test_blocks_equal_the_per_frame_streams",),
+        "return head.normal(0.0, 1.0), head.normal(0.0, 1.0)",
+        "return (head.normal(0.0, 1.0),) * 2",
+        ("tests/test_harness.py::TestFrameDraws::test_blocks_equal_the_per_frame_streams",
+         "tests/test_digests.py::test_ideal_mode_all_methods"),
         "The tick modes draw each trial's per-frame noise and seeds a block of frames",
     ),
     Mutant(
@@ -216,14 +221,15 @@ MUTANTS = (
          "::test_matches_live_numpy_on_one_and_two_word_seeds",),
         "One batched, bit-exact event engine",
     ),
-    # The event engine's cell run is `_run_ticks`: a slip in its sensing
-    # block must move the event-mode pin, not only the tick-mode ones.
+    # Traced trials and full mode recognize frame by frame; untraced ideal
+    # trials and the event cell take their confirm frame from arrays.
     Mutant(
         "recognizer_on_even_frames",
         "src/gazesim/harness.py",
         "srm = srm_update(srm, instant)",
         "srm = srm_update(srm, instant) if frame % 2 == 0 else srm",
-        ("tests/test_digests.py::test_event_engine_timeline",),
+        ("tests/test_digests.py::test_simulate_trace",
+         "tests/test_harness.py::TestSkippedWaits::test_untraced_trials_equal_traced_ones"),
         "One tick loop",
     ),
     Mutant(
@@ -233,8 +239,123 @@ MUTANTS = (
         " and t >= ABORT_BUDGET_S:\n",
         "        if False:\n",
         ("tests/test_harness.py::TestRecognizerAbort"
-         "::test_event_mode_aborts_when_the_recognizer_never_confirms",),
+         "::test_event_mode_aborts_when_the_recognizer_never_confirms",
+         "tests/test_harness.py::TestRecognizerAbort"
+         "::test_ideal_mode_aborts_when_the_recognizer_never_confirms"),
         "One tick loop",
+    ),
+    Mutant(
+        "persistence_window_one_frame_short",
+        "src/gazesim/harness.py",
+        "done = frames - last_miss >= PERSISTENCE_FRAMES",
+        "done = frames - last_miss >= PERSISTENCE_FRAMES - 1",
+        ("tests/test_harness.py::TestArrayRecognizer::test_equals_the_folded_scalar_recognizer",
+         "tests/test_digests.py::test_event_engine_timeline"),
+        ARRAY_RECORD,
+    ),
+    Mutant(
+        "validity_from_the_noisy_yaw",
+        "src/gazesim/harness.py",
+        "valid = np.abs(true_yaw[view]) <= TRACKING_LIMIT_DEG",
+        "valid = np.abs(yaw) <= TRACKING_LIMIT_DEG",
+        ("tests/test_harness.py::TestArrayRecognizer::test_equals_the_folded_scalar_recognizer",),
+        ARRAY_RECORD,
+    ),
+    Mutant(
+        "visitor_adopted_one_frame_late",
+        "src/gazesim/harness.py",
+        "replace(states[min(frame, len(states)) - 1])",
+        "replace(states[min(frame, len(states)) - 2])",
+        ("tests/test_harness.py::TestSkippedWaits::test_no_jump_while_the_visitor_still_turns",),
+        ARRAY_RECORD,
+    ),
+    Mutant(
+        "running_sum_as_numpy_sum",
+        "src/gazesim/stats.py",
+        "return float(np.cumsum(values)[-1]) if len(values) else 0.0",
+        "return float(np.sum(values)) if len(values) else 0.0",
+        ("tests/test_records.py::TestStatisticsEqualTheListOracles",),
+        RECORDS_RECORD,
+    ),
+    Mutant(
+        "squares_as_products",
+        "src/gazesim/stats.py",
+        "return np.array([v**2 for v in values.tolist()])",
+        "return values * values",
+        ("tests/test_records.py::TestStatisticsEqualTheListOracles",),
+        RECORDS_RECORD,
+    ),
+    Mutant(
+        "cells_in_index_order",
+        "src/gazesim/stats.py",
+        "first = sorted((int(m.argmax()), c) for c, m in enumerate(members) if m.any())",
+        "first = [(0, c) for c, m in enumerate(members) if m.any()]",
+        ("tests/test_records.py::TestStatisticsEqualTheListOracles",),
+        RECORDS_RECORD,
+    ),
+    Mutant(
+        "field_count_unchecked",
+        "src/gazesim/records.py",
+        "        if len(parts) != 8:\n",
+        "        if False:\n",
+        ("tests/test_records.py::TestReader::test_malformed_line_reports_its_number",),
+        RECORDS_RECORD,
+    ),
+    Mutant(
+        "nan_spans_accepted",
+        "src/gazesim/records.py",
+        "span is not None and math.isnan(span) for span in spans",
+        "False for span in spans",
+        ("tests/test_records.py::TestReader",),
+        RECORDS_RECORD,
+    ),
+    Mutant(
+        "sensor_boundary_exclusive",
+        "src/gazesim/scenario.py",
+        "if getattr(self, key).distance_to(seat) <= reach:",
+        "if getattr(self, key).distance_to(seat) < reach:",
+        ("tests/test_config.py::TestValidation::test_sensor_must_clear_the_turning_body",),
+        RECORDS_RECORD,
+    ),
+    Mutant(
+        "normal_sign_unflipped",
+        "src/gazesim/seeding.py",
+        "        np.negative(x, out=x, where=((r >> 8) & 1).astype(bool))\n",
+        "",
+        ("tests/test_seeding.py::TestBatchedSeeding::test_normal_matches_live_numpy",),
+        ZIGGURAT_RECORD,
+    ),
+    Mutant(
+        "slow_path_state_not_written_back",
+        "src/gazesim/seeding.py",
+        "self.hi[i], self.lo[i] = state >> 64, state & 0xFFFFFFFFFFFFFFFF",
+        "pass",
+        ("tests/test_seeding.py::TestBatchedSeeding::test_normal_matches_live_numpy",),
+        ZIGGURAT_RECORD,
+    ),
+    Mutant(
+        "slow_path_from_the_post_draw_state",
+        "src/gazesim/seeding.py",
+        "before.take(slow).states()",
+        "self.take(slow).states()",
+        ("tests/test_seeding.py::TestBatchedSeeding::test_normal_matches_live_numpy",),
+        ZIGGURAT_RECORD,
+    ),
+    Mutant(
+        "rabs_mask_51_bits",
+        "src/gazesim/seeding.py",
+        "rabs = (r >> 9) & 0x000FFFFFFFFFFFFF",
+        "rabs = (r >> 9) & 0x0007FFFFFFFFFFFF",
+        ("tests/test_seeding.py::TestBatchedSeeding::test_normal_matches_live_numpy",),
+        ZIGGURAT_RECORD,
+    ),
+    Mutant(
+        "slow_path_bound_raised",
+        "src/gazesim/seeding.py",
+        "slow = np.flatnonzero(rabs >= _ZIGGURAT_KI[layer])",
+        "slow = np.flatnonzero(rabs >= _ZIGGURAT_KI[layer] + np.uint64(2**44))",
+        ("tests/test_seeding.py::TestBatchedSeeding::test_normal_matches_live_numpy",),
+        ZIGGURAT_RECORD,
     ),
 )
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 def normalize_angle(deg: float) -> float:
     """Wrap an angle in degrees onto (-180, +180]."""
@@ -23,6 +25,14 @@ def normalize_angle(deg: float) -> float:
     elif wrapped <= -180.0:
         wrapped += 360.0
     return wrapped + 0.0  # -0.0 -> 0.0
+
+
+def normalize_angles(deg: np.ndarray) -> np.ndarray:
+    """`normalize_angle` element-wise, bit for bit, on finite angles."""
+    wrapped = np.fmod(deg, 360.0)
+    wrapped -= 360.0 * (wrapped > 180.0)
+    wrapped += 360.0 * (wrapped <= -180.0)
+    return np.where((-180.0 < deg) & (deg <= 180.0), deg, wrapped) + 0.0
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,15 @@ so a trial's decisions are identical whichever engine runs it:
 - "full":  sensors simulated end to end (laser scans, particle filter,
            noisy head camera), 30 fps tick loop.
 - "ideal": tick loop with ground-truth body orientation and the noisy
-           head camera; no laser or filter.
-           Untraced, both tick modes sense only while the controller reads
-           it (`ControllerState.reads_sensors`), and skip frames where it and
-           the visitor are idle (`idle_until_s`); traced, every frame.
+           head camera; no laser or filter. Untraced, it senses no frame: the
+           visitor's turn to the painting is stepped once per room
+           (`_settling`), the recognizer labels its views plus each trial's
+           head noise over arrays, a cell's trials at once
+           (`_confirm_frames`), and the loop starts at the confirm frame.
+           Untraced full mode senses only while the controller reads it
+           (`ControllerState.reads_sensors`). Untraced, both skip frames where
+           it and the visitor are idle (`idle_until_s`); traced, they step and
+           sense every frame.
 - "event": the untraced ideal tick loop (`_run_ticks`) run once per cell with
            no seed: no head camera noise and no response, so the controller
            runs on to Failure. TRIAL_TIME_CAP_S bounds that run, and its aborts
@@ -29,8 +34,9 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
-from itertools import repeat
+from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
+from itertools import count, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Literal, NamedTuple
 
@@ -52,8 +58,8 @@ from .controller import (
     face_detected,
     make_controller,
 )
-from .geometry import Pose2, bearing_to, normalize_angle, relative_bearing
-from .head_tracker import observe_head
+from .geometry import Pose2, bearing_to, normalize_angle, normalize_angles, relative_bearing
+from .head_tracker import NOISE_SIGMA_DEG, TRACKING_LIMIT_DEG, observe_head, relative_yaw_deg
 from .human import (
     HEAD_TURN_SPEED_DEG_S,
     LATENCY_MAX_S,
@@ -89,21 +95,24 @@ from .seeding import (
     derive_seeds,
 )
 from .situation import (
+    PERSISTENCE_FRAMES,
     SITUATIONS,
     SrmState,
     ViewingSituation,
     classify_instant,
+    classify_instants,
     srm_update,
 )
 from .trace import TraceWriter
 
 ABORT_BUDGET_S = 10.0
 TRIAL_TIME_CAP_S = 60.0
-# Frames in the first block of a tick-mode trial's per-frame draws. An
-# untraced trial draws only for the frames it senses, up to the head turn:
-# 31 to 76 (median 44) in the default room, so one block covers them. Each
-# block costs about 0.3-0.5 ms of NumPy call overhead whatever its length.
+# Frames in the first block of a tick-mode trial's per-frame draws, and in
+# each block of an ideal cell's head noise. The recognizer confirms on frame
+# 29 to 74 in the default room, so one block covers it. Each block costs
+# about 0.3-0.5 ms of NumPy call overhead whatever its length.
 FRAME_BLOCK = 80
+CONFIRM_CHUNK = 256  # trials whose head noise is drawn at once
 
 TrialMode = Literal["full", "ideal", "event"]
 TRIAL_MODES = ("full", "ideal", "event")
@@ -145,14 +154,16 @@ def run_trial_detailed(
 ) -> TrialDetail:
     if mode not in TRIAL_MODES:
         raise ValueError(f"unknown trial mode {mode!r}")
+    seeds = np.asarray([seed])
     if mode == "event":
-        seeds = np.asarray([seed])
         batch = _run_event_batch(scenario, method, situation, seeds, trial_id)
         events = tuple(batch.events(0))
         if trace:
             _trace_events(trace, events)
         return TrialDetail(record=batch.records[0], events=events)
-    return _run_ticks(scenario, method, situation, seed, mode, trial_id, trace)[0]
+    untraced_ideal = mode == "ideal" and not trace
+    confirm = int(_confirm_frames(scenario, situation, seeds)[0]) if untraced_ideal else None
+    return _run_ticks(scenario, method, situation, seed, mode, trial_id, trace, confirm)[0]
 
 
 def _plan_response(
@@ -176,8 +187,16 @@ def _plan_response(
     return fire_s, detect_s
 
 
+def _head_noise(seed, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The head tracker's yaw and pitch standard normals on each frame: the
+    first two draws of stream (seed, STREAM_HEAD, frame), element-wise over
+    the seeds and frames as in `derive_rngs`."""
+    head = derive_rngs(seed, STREAM_HEAD, frames)
+    return head.normal(0.0, 1.0), head.normal(0.0, 1.0)
+
+
 def _frame_draws(
-    seed: int | None, full: bool
+    seed: int, full: bool
 ) -> Iterator[tuple[tuple[float, float], int | None, int | None]]:
     """Each frame's draws of a tick-mode trial, from frame 0 on: the head
     tracker's yaw and pitch standard normals, then in full mode the laser
@@ -185,15 +204,11 @@ def _frame_draws(
     streams (seed, STREAM_HEAD, frame) and derive_seed(seed, STREAM_LASER
     or STREAM_FILTER, frame), computed over a block of frames at a time.
     The first block has FRAME_BLOCK frames; each later one is as long as
-    the trial so far, so a long trial needs few blocks. Without a seed
-    there is no noise and no seed on any frame."""
-    if seed is None:  # repeat() is endless: the streams below are never reached
-        yield from repeat(((0.0, 0.0), None, None))
+    the trial so far, so a long trial needs few blocks."""
     start = 0
     while True:
         frames = np.arange(start, start + max(FRAME_BLOCK, start))
-        head = derive_rngs(seed, STREAM_HEAD, frames)
-        noise = zip(head.normal(0.0, 1.0).tolist(), head.normal(0.0, 1.0).tolist())
+        noise = zip(*(z.tolist() for z in _head_noise(seed, frames)))
         if full:
             laser = derive_seeds(seed, STREAM_LASER, frames).tolist()
             filter_ = derive_seeds(seed, STREAM_FILTER, frames).tolist()
@@ -209,6 +224,60 @@ def _wake_frame(frame: int, wake_s: float | None) -> int:
     return frame if wake_s is None else max(frame, int(wake_s * 30.0) - 1)
 
 
+@lru_cache(maxsize=16)
+def _settling(scenario: Scenario, situation: ViewingSituation) -> tuple:
+    """The visitor's seedless turn to the situation's painting, by `human_step`
+    from `make_human` until `idle_until_s` is set: the state after each frame,
+    then the true head yaw off the camera, head pitch and body angle off the
+    seat-to-robot bearing on each frame. Shared, so a state is copied to step."""
+    human = make_human(scenario, scenario.painting_for(situation).painting_id)
+    to_robot = bearing_to(scenario.human_seat.position, scenario.robot_pose.position)
+    states, views = [], []
+    for frame in count():
+        human_step(human, scenario, frame / 30.0)
+        states.append(replace(human))
+        yaw = relative_yaw_deg(human.head, scenario.camera_pose)
+        views.append((yaw, human.head.pitch_deg, normalize_angle(human.body_theta_deg - to_robot)))
+        if idle_until_s(human, scenario) is not None:
+            return tuple(states), *np.array(views).T
+
+
+def _confirm_frames(
+    scenario: Scenario, situation: ViewingSituation, seeds: np.ndarray | None
+) -> np.ndarray:
+    """Each seed's ideal-mode confirm frame: the first that closes
+    PERSISTENCE_FRAMES labels of the situation in a row, by `classify_instant`
+    on `_settling`'s views plus head noise, drawn FRAME_BLOCK frames at a time
+    for the trials not yet confirmed; else the frame past the abort budget.
+    Without seeds, one trial without noise."""
+    _, true_yaw, true_pitch, theta_rel = _settling(scenario, situation)
+    last = int(ABORT_BUDGET_S * 30.0)
+    confirm = np.full(1 if seeds is None else len(seeds), last + 1)
+    for chunk in range(0, len(confirm), CONFIRM_CHUNK):
+        rows = np.arange(chunk, min(chunk + CONFIRM_CHUNK, len(confirm)))
+        last_miss = np.full(len(rows), -1)
+        for start in range(0, last + 1, FRAME_BLOCK):
+            frames = np.arange(start, min(start + FRAME_BLOCK, last + 1))
+            view = np.minimum(frames, len(true_yaw) - 1)
+            noise = 0.0
+            if seeds is not None:
+                keys = np.repeat(seeds[rows], len(frames)), np.tile(frames, len(rows))
+                noise = np.reshape(_head_noise(*keys), (2, len(rows), len(frames)))
+            true = np.stack([true_yaw[view], true_pitch[view]])[:, None]
+            yaw, pitch = normalize_angles(true + (0.0 + NOISE_SIGMA_DEG * noise))
+            valid = np.abs(true_yaw[view]) <= TRACKING_LIMIT_DEG
+            labels = classify_instants(valid, yaw, pitch, theta_rel[view])
+            misses = np.where(labels == SITUATIONS.index(situation), -1, frames)
+            last_miss = np.maximum(np.maximum.accumulate(misses, axis=1), last_miss[:, None])
+            done = frames - last_miss >= PERSISTENCE_FRAMES
+            hit = done.any(axis=1)
+            confirm[rows[hit]] = frames[done[hit].argmax(axis=1)]
+            rows, last_miss = rows[~hit], last_miss[~hit, -1]
+            if not len(rows):
+                break
+    return confirm
+
+
 def _run_ticks(
     scenario: Scenario,
     method: Method,
@@ -217,11 +286,14 @@ def _run_ticks(
     mode: TrialMode,
     trial_id: int,
     trace: TraceWriter | None,
+    confirm: int | None,
 ) -> tuple[TrialDetail, list[tuple[ControllerState, int]]]:
     """One tick-mode trial, and the controller and the number of events so
     far as each response window opens. Without a seed the run is the event
     engine's cell: no head camera noise, and no response drawn, so the
-    visitor never turns to the robot."""
+    visitor never turns to the robot. Given its confirm frame (untraced
+    ideal mode), the trial senses nothing: it starts a tick or two short of
+    that frame, with the visitor `_settling` gives there."""
     painting = scenario.painting_for(situation)
     human = make_human(scenario, painting.painting_id)
     cstate = make_controller(method)
@@ -250,6 +322,10 @@ def _run_ticks(
     prev_confirmed = srm.confirmed
 
     frame = 0
+    if confirm is not None:
+        frame = _wake_frame(frame, confirm / 30.0)
+        states = _settling(scenario, situation)[0]
+        human = replace(states[min(frame, len(states)) - 1]) if frame else human
     while True:
         t = frame / 30.0
         if t > TRIAL_TIME_CAP_S:
@@ -263,7 +339,10 @@ def _run_ticks(
             prev_attending = human.attending
 
         confirmed_input = bearing_input = None
-        if trace or cstate.reads_sensors:
+        if confirm is not None:
+            confirmed_input = situation if frame >= confirm else None
+            bearing_input = seat_bearing_deg
+        elif trace or cstate.reads_sensors:
             head_noise, laser_seed, filter_seed = next(draws)
             if tracker is not None:
                 body_pose = Pose2(seat.x, seat.y, human.body_theta_deg)
@@ -393,13 +472,12 @@ def _event_cell(
 ) -> _EventCell:
     """The untraced ideal trial without a seed: no head camera noise and no
     response, so the controller runs on to Failure."""
-    detail, windows = _run_ticks(scenario, method, situation, None, "ideal", 0, None)
+    confirm = int(_confirm_frames(scenario, situation, None)[0])
+    detail, windows = _run_ticks(scenario, method, situation, None, "ideal", 0, None, confirm)
     states, counts = zip(*windows)
-    # The visitor as the head turn begins, settled on the painting.
-    yaw = scenario.painting_world_yaw(scenario.painting_for(situation))
-    offset = normalize_angle(
-        yaw - bearing_to(scenario.human_seat.position, scenario.robot_pose.position)
-    )
+    # The visitor's gaze off the robot as the head turn begins: settled, the
+    # head faces the painting, and so does the body.
+    offset = float(_settling(scenario, situation)[3][-1])
     return _EventCell(method, situation, detail.events, states, counts, offset)
 
 
@@ -515,9 +593,12 @@ def trial_identifier(
 
 
 def _trial_worker(
-    args: tuple[Scenario, Method, ViewingSituation, int, str, int, str | None],
+    args: tuple[Scenario, Method, ViewingSituation, int, str, int, str | None, int | None],
 ) -> TrialRecord:
-    scenario, method, situation, seed, mode, trial_id, trace_path = args
+    scenario, method, situation, seed, mode, trial_id, trace_path, confirm = args
+    if confirm is not None:  # untraced ideal: recognized with its cell's trials
+        detail, _ = _run_ticks(scenario, method, situation, seed, mode, trial_id, None, confirm)
+        return detail.record
     if trace_path is None:
         return run_trial(scenario, method, situation, seed, mode=mode, trial_id=trial_id)
     with open(trace_path, "w", encoding="utf-8") as fp:
@@ -582,11 +663,14 @@ def run_experiment(
                     _trace_events(TraceWriter(fp), batch.events(i))
         records = Records.concat(parts)
     else:
+        untraced_ideal = mode == "ideal" and trace_dir is None
         tasks = [
             (config.scenario, method, situation, seed, mode, first_id + rep,
-             _trace_path(trace_dir, first_id + rep))
+             _trace_path(trace_dir, first_id + rep), confirm)
             for first_id, method, situation, seeds in cells
-            for rep, seed in enumerate(seeds.tolist())
+            for rep, (seed, confirm) in enumerate(zip(seeds.tolist(), (
+                _confirm_frames(config.scenario, situation, seeds).tolist()
+                if untraced_ideal else repeat(None))))
         ]
         workers = min(jobs, os.cpu_count() or 1, len(tasks))
         if workers > 1:

@@ -10,7 +10,7 @@ spot in the viewer's field of view.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .geometry import HeadPose, Pose2, bearing_to, normalize_angle
 from .head_tracker import NOISE_SIGMA_DEG, HeadObservation, observe_head
@@ -49,7 +49,8 @@ class Scenario:
     camera_pose: Pose2
     human_seat: Pose2
     paintings: tuple[Painting, ...]
-    situation_map: dict[str, ViewingSituation]
+    # Unhashed, so a room can key a cache; equality still compares it.
+    situation_map: dict[str, ViewingSituation] = field(hash=False)
     body_semi_major_m: float = 0.25
     body_semi_minor_m: float = 0.15
     painting_pitch_deg: float = 5.0

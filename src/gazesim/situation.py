@@ -23,6 +23,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from .head_tracker import HeadObservation
 
 CENTRAL_HALF_WIDTH_DEG = 10.0
@@ -76,6 +78,17 @@ def classify_instant(head: HeadObservation, theta_rel_deg: float | None) -> Inst
     if theta_rel_deg is not None and abs(theta_rel_deg) > OUT_OF_VIEW_BODY_DEG:
         return ViewingSituation.OFOV
     return None
+
+
+def classify_instants(valid, yaw_deg, pitch_deg, theta_rel_deg) -> np.ndarray:
+    """`classify_instant` over broadcast arrays of head validity, observed
+    yaw and pitch, and body angle: each label's index in SITUATIONS, -1 for
+    unknown."""
+    alpha = np.abs(yaw_deg)
+    bands = (CENTRAL_HALF_WIDTH_DEG, NEAR_PERIPHERAL_LIMIT_DEG, FAR_PERIPHERAL_LIMIT_DEG)
+    head = np.select([alpha <= limit for limit in bands], [0, 1, 2], -1)
+    head = np.where(np.abs(pitch_deg) > PITCH_HALF_WIDTH_DEG, -1, head)
+    return np.where(valid, head, np.where(np.abs(theta_rel_deg) > OUT_OF_VIEW_BODY_DEG, 3, -1))
 
 
 @dataclass(frozen=True)

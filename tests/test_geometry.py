@@ -1,6 +1,7 @@
 import math
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -12,6 +13,7 @@ from gazesim.geometry import (
     bearing_to,
     move_toward_angle,
     normalize_angle,
+    normalize_angles,
     relative_bearing,
 )
 
@@ -72,6 +74,20 @@ class TestNormalizeAngle:
         got, expected = normalize_angle(a), oracles.normalize_angle(a)
         assert type(got) is type(expected) is float
         assert struct.pack("<d", got) == struct.pack("<d", expected)
+
+    @given(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([180.0, -180.0, 0.0, -0.0, 540.0, -540.0, 360.0, 1e308,
+                               math.nextafter(-180.0, 0.0), math.nextafter(180.0, 181.0)]),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_array_form_is_bit_identical(self, angles):
+        got = normalize_angles(np.array(angles)).tolist()
+        expected = [normalize_angle(a) for a in angles]
+        assert [struct.pack("<d", g) for g in got] == [struct.pack("<d", e) for e in expected]
 
     @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, a):

@@ -7,8 +7,9 @@ import pickle
 from unittest import mock
 
 import hypothesis
+import numpy as np
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from gazesim import controller, harness
 from gazesim.config import ConfigError, RunConfig, scenario_from_dict, scenario_to_dict
@@ -47,7 +48,7 @@ from gazesim.seeding import (
     derive_rng,
     derive_seed,
 )
-from gazesim.situation import SITUATIONS, ViewingSituation
+from gazesim.situation import SITUATIONS, SrmState, ViewingSituation, classify_instant, srm_update
 from gazesim.trace import TraceWriter
 from oracles import record_ticks, trial_seed
 
@@ -301,9 +302,10 @@ class TestTrialModes:
         assert all(tilt == 0.0 for _, _, tilt in ticks)
 
 
-def noise_free_draws(seed, full):
-    """Ideal mode's frame draws with the head camera noise zeroed."""
-    return itertools.repeat(((0.0, 0.0), None, None))
+def no_head_noise(seed, frames):
+    """The head camera's noise draws, zeroed: per frame in traced trials,
+    over arrays in untraced ones."""
+    return np.zeros(len(frames)), np.zeros(len(frames))
 
 
 def robot_events(detail):
@@ -318,7 +320,7 @@ class TestNoiseFreeRobotEvents:
 
     @pytest.mark.parametrize("room, situations", ROOMS)
     def test_event_and_ideal_robot_events_are_equal(self, monkeypatch, room, situations):
-        monkeypatch.setattr(harness, "_frame_draws", noise_free_draws)
+        monkeypatch.setattr(harness, "_head_noise", no_head_noise)
         for method in METHODS:
             for situation in situations:
                 for seed in range(3):
@@ -328,32 +330,152 @@ class TestNoiseFreeRobotEvents:
 
 
 class TestRecognizerAbort:
+    """Every valid room confirms its situations, so these stand in an array
+    labeler that labels every frame unknown. The trial then labels the
+    frames up to the budget, steps none past it, and aborts."""
+
+    @staticmethod
+    def never_confirms(monkeypatch):
+        """Label every frame unknown, and fail any controller step past the
+        budget; return the number of frames each labeler call labels."""
+        labeled = []
+
+        def unknown(valid, yaw, pitch, theta_rel):
+            labels = np.full(np.broadcast(valid, yaw, pitch, theta_rel).shape, -1)
+            labeled.append(labels.shape[-1])
+            return labels
+
+        step = harness.controller_step
+
+        def within_budget(state, inputs, t):
+            assert t <= harness.ABORT_BUDGET_S
+            return step(state, inputs, t)
+
+        monkeypatch.setattr(harness, "classify_instants", unknown)
+        monkeypatch.setattr(harness, "controller_step", within_budget)
+        return labeled
+
     def test_ideal_mode_aborts_when_the_recognizer_never_confirms(self, monkeypatch):
-        # Every valid room confirms its situations, so stand in a recognizer
-        # that labels every frame unknown.
-        monkeypatch.setattr(harness, "classify_instant", lambda head, theta_rel: None)
-        with pytest.raises(TrialAbortError, match="did not confirm CFOV within 10 s"):
+        labeled = self.never_confirms(monkeypatch)
+        with pytest.raises(TrialAbortError, match=r"did not confirm CFOV within 10 s \(trial"):
             run_trial(SC, Method.M1, CFOV, seed=0, mode="ideal")
+        assert sum(labeled) == harness.ABORT_BUDGET_S * 30 + 1
 
     def test_event_mode_aborts_when_the_recognizer_never_confirms(self, monkeypatch):
-        # The event engine steps the same recognizer and stops at the same
-        # budget. Without it the cell would wait for a confirm forever, so a
-        # frame past the budget fails the test instead of hanging it.
-        frames = itertools.count()
-
-        def unknown(head, theta_rel):
-            assert next(frames) <= harness.ABORT_BUDGET_S * 30
-            return None
-
-        monkeypatch.setattr(harness, "classify_instant", unknown)
+        # The event engine runs the same recognizer and stops at the same
+        # budget. Without the abort the cell would step on to the time cap.
+        labeled = self.never_confirms(monkeypatch)
         with pytest.raises(TrialAbortError, match=r"did not confirm CFOV within 10 s \(event"):
             run_trial(SC, Method.M1, CFOV, seed=0, mode="event")
+        assert sum(labeled) == harness.ABORT_BUDGET_S * 30 + 1
+
+
+BUDGET_FRAME = int(harness.ABORT_BUDGET_S * 30)
+
+
+def angles(*edges):
+    """Angles in (-180, 180], the given band edges among them."""
+    return st.sampled_from(edges) | st.floats(-180.0, 180.0, exclude_min=True)
+
+
+PAST_90 = math.nextafter(90.0, 180.0)
+# A view is the true head yaw off the camera, the head pitch and the body
+# angle; a run of frames repeats one view.
+VIEW_RUNS = st.lists(
+    st.tuples(
+        st.tuples(
+            angles(0.0, 10.0, -10.0, 70.0, -70.0, 90.0, -90.0, PAST_90, -PAST_90, 180.0),
+            angles(0.0, 5.0, 10.0, -10.0, math.nextafter(10.0, 11.0), 179.5),
+            angles(0.0, 90.0, -90.0, PAST_90, -PAST_90, 150.0, 180.0),
+        ),
+        st.integers(1, 70),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def folded_confirm(views, noise, situation):
+    """The scalar recognizer: `observe_head`, `classify_instant` and
+    `srm_update` on each frame up to the abort budget's, the last view
+    repeated. The first frame that confirms the situation, else the next
+    one past the budget."""
+    srm = SrmState()
+    camera = Pose2(0.0, 0.0, 0.0)
+    for frame in range(BUDGET_FRAME + 1):
+        yaw, pitch, theta_rel = views[min(frame, len(views) - 1)]
+        # From (-1, 0) the camera lies at bearing 0, so the relative yaw is yaw.
+        head = HeadPose(-1.0, 0.0, yaw, pitch)
+        observation = observe_head(head, camera, frame, noise=tuple(noise[frame]))
+        srm = srm_update(srm, classify_instant(observation, theta_rel))
+        if srm.confirmed is situation:
+            return frame
+    return BUDGET_FRAME + 1
+
+
+class TestArrayRecognizer:
+    """Untraced ideal trials take their confirm frame from
+    `_confirm_frames`, which labels a cell's frames over arrays. It equals
+    the scalar recognizer folded frame by frame, on any views and noise."""
+
+    CFOV_VIEW, NPFOV_VIEW, UNKNOWN_VIEW = (0.0, 0.0, 0.0), (40.0, 0.0, 0.0), (0.0, 50.0, 0.0)
+
+    @given(
+        runs=VIEW_RUNS,
+        situation=st.sampled_from(SITUATIONS),
+        sigmas=st.lists(st.sampled_from([0.0, 0.3, 1.0, 3.0]), min_size=1, max_size=3),
+        noise_seed=st.integers(0, 2**32 - 1),
+        block=st.integers(1, 90),
+    )
+    @settings(deadline=None, max_examples=150)
+    # CFOV confirms first, then NPFOV on frame 69; a streak one frame short,
+    # then nothing that confirms; a head one ulp past the tracking limit.
+    @example([(CFOV_VIEW, 40), (NPFOV_VIEW, 1)], NPFOV, [0.0], 0, 80)
+    @example([(CFOV_VIEW, 29), (UNKNOWN_VIEW, 1), (NPFOV_VIEW, 29), (UNKNOWN_VIEW, 1)],
+             CFOV, [0.0, 1.0], 5, 7)
+    @example([((PAST_90, 0.0, 90.0), 10), ((90.0, 0.0, 150.0), 1)], FPFOV, [0.0, 1.0], 3, 16)
+    @example([((-PAST_90, 0.0, PAST_90), 1)], OFOV, [0.0, 3.0], 1, 30)
+    def test_equals_the_folded_scalar_recognizer(
+        self, runs, situation, sigmas, noise_seed, block
+    ):
+        views = [view for view, frames in runs for _ in range(frames)]
+        rng = np.random.default_rng(noise_seed)
+        noise = np.stack([rng.normal(0.0, s, (BUDGET_FRAME + 1, 2)) for s in sigmas])
+        settling = ((),) + tuple(np.array(views).T)
+
+        def head_noise(seeds, frames):
+            return noise[seeds, frames, 0], noise[seeds, frames, 1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "_settling", lambda scenario, situation: settling)
+            patch.setattr(harness, "_head_noise", head_noise)
+            patch.setattr(harness, "FRAME_BLOCK", block)
+            patch.setattr(harness, "CONFIRM_CHUNK", 2)
+            got = harness._confirm_frames(SC, situation, np.arange(len(sigmas)))
+            seedless = harness._confirm_frames(SC, situation, None)
+        assert got.tolist() == [folded_confirm(views, rows, situation) for rows in noise]
+        assert seedless.tolist() == [folded_confirm(views, 0.0 * noise[0], situation)]
+
+    def test_settling_is_cached_per_room_value(self):
+        def room(**changes):
+            return dataclasses.replace(scenario_from_dict(scenario_to_dict(SC)), **changes)
+
+        first = harness._settling(room(), NPFOV)
+        assert harness._settling(room(), NPFOV) is first
+        camera = Pose2(SC.camera_pose.x, SC.camera_pose.y + 0.1, SC.camera_pose.heading_deg)
+        for other in (
+            room(camera_pose=camera),
+            room(painting_pitch_deg=4.0),
+            room(situation_map={**SC.situation_map, "P7": OFOV}),
+        ):
+            assert harness._settling(other, NPFOV) is not first
 
 
 class TestSensingPrefix:
-    """An untraced tick-mode trial senses up to the frame that begins the
+    """An untraced full-mode trial senses up to the frame that begins the
     head turn, the last one whose recognizer and bearing the controller
-    reads; a traced trial senses every frame. The trial is the same."""
+    reads. An untraced ideal trial senses no frame: its recognizer runs over
+    arrays. A traced trial senses every frame. The trial is the same."""
 
     @staticmethod
     def counted_trial(mode, method, situation, traced):
@@ -372,6 +494,10 @@ class TestSensingPrefix:
             harness, "synthesize_scan", counting("scan", harness.synthesize_scan)
         ), mock.patch.object(
             harness, "observe_head", counting("head", harness.observe_head)
+        ), mock.patch.object(
+            harness, "classify_instant", counting("label", harness.classify_instant)
+        ), mock.patch.object(
+            harness, "srm_update", counting("srm", harness.srm_update)
         ), mock.patch.object(
             harness.BodyTracker, "step", counting("filter", harness.BodyTracker.step)
         ), pytest.MonkeyPatch.context() as patch:
@@ -395,10 +521,10 @@ class TestSensingPrefix:
         turn_s = next(
             e.time_s for e in untraced.events if e.kind is EventKind.HEAD_TURN_START
         )
-        sensed = round(turn_s * 30) + 1
+        sensed = round(turn_s * 30) + 1 if mode == "full" else 0
         assert sensed < frames
-        names = ("scan", "filter", "head") if mode == "full" else ("head",)
-        assert calls == {name: sensed for name in names}
+        names = ("head", "label", "srm") + (("scan", "filter") if mode == "full" else ())
+        assert calls == {name: sensed for name in names if sensed}
         assert traced_calls == {name: frames for name in names}
 
 
@@ -448,18 +574,19 @@ class TestSkippedWaits:
     def test_frames_stepped_on_the_ideal_design(self, monkeypatch):
         steps = count_controller_steps(monkeypatch)
         run_experiment(RunConfig(n_per_cell=20, base_seed=42), mode="ideal")
-        # Stepping every frame of these 320 trials takes 91,412 steps.
-        assert steps["controller"] == 28_884
+        # Stepping every frame of these 320 trials takes 91,412 steps. Each
+        # starts a tick or two short of the frame its recognizer confirms on.
+        assert steps["controller"] == 14_268
 
     def test_no_jump_while_the_visitor_still_turns(self, monkeypatch):
         # In this room the first window opens before the visitor's body has
         # settled. Nothing reads the body after the head turn, so a jump
-        # that ignored the turn would change no record or event: 9,775 steps.
+        # that ignored the turn would change no record or event, only this.
         room = room_170()
         trials = [(method, seed) for method in METHODS for seed in range(1000, 1020)]
         steps = count_controller_steps(monkeypatch)
         untraced = [run_trial_detailed(room, m, OFOV, seed, mode="ideal") for m, seed in trials]
-        assert steps["controller"] == 10_383
+        assert steps["controller"] == 4_543
         for (method, seed), detail in zip(trials, untraced):
             traced = run_trial_detailed(
                 room, method, OFOV, seed, mode="ideal", trace=DiscardedTrace()
@@ -551,7 +678,7 @@ class TestPerturbedRooms:
                                 room, method, situation, seed, mode="ideal",
                                 trace=DiscardedTrace(),
                             )
-                        with mock.patch.object(harness, "_frame_draws", noise_free_draws):
+                        with mock.patch.object(harness, "_head_noise", no_head_noise):
                             quiet = run_trial_detailed(
                                 room, method, situation, seed, mode="ideal"
                             )

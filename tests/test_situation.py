@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +11,7 @@ from gazesim.situation import (
     SrmState,
     ViewingSituation,
     classify_instant,
+    classify_instants,
     srm_update,
 )
 
@@ -88,6 +92,33 @@ class TestClassifyInstant:
     def test_every_valid_observation_gets_at_most_one_label(self, yaw, pitch):
         label = classify_instant(obs(yaw, pitch), 0.0)
         assert label in (CFOV, NPFOV, FPFOV, None)
+
+
+def near(*edges):
+    """Angles on and one ulp either side of each edge, or any angle."""
+    ulps = [x for e in edges
+            for x in (math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf))]
+    return st.sampled_from(ulps) | st.floats(-180.0, 180.0)
+
+
+class TestClassifyInstants:
+    @given(
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                near(0.0, 10.0, -10.0, 70.0, -70.0, 90.0, -90.0),
+                near(10.0, -10.0),
+                near(90.0, -90.0, 180.0),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_equals_classify_instant_frame_by_frame(self, frames):
+        valid, yaw, pitch, theta_rel = map(np.array, zip(*frames))
+        expected = [classify_instant(obs(y, p, v), t) for v, y, p, t in frames]
+        got = classify_instants(valid, yaw, pitch, theta_rel).tolist()
+        assert got == [-1 if label is None else SITUATIONS.index(label) for label in expected]
 
 
 class TestSrmUpdate:
