@@ -47,6 +47,7 @@ class Mutant(NamedTuple):
 RECORDS_RECORD = "Columnar trial records from the event engine to `stats.json`"
 ZIGGURAT_RECORD = "A bit-exact, vectorised ziggurat `normal()` on `PCG64Streams`"
 ARRAY_RECORD = "Ideal mode finds each trial's confirm frame from arrays"
+CELL_RECORD = "Ideal designs share each cell's seedless run"
 
 MUTANTS = (
     Mutant(
@@ -268,6 +269,44 @@ MUTANTS = (
         "replace(states[min(frame, len(states)) - 2])",
         ("tests/test_harness.py::TestSkippedWaits::test_no_jump_while_the_visitor_still_turns",),
         ARRAY_RECORD,
+    ),
+    # An untraced ideal design shares one seedless run per confirm frame, and
+    # its responders step on from the window they answer.
+    Mutant(
+        "window_visitor_not_copied",
+        "src/gazesim/harness.py",
+        "replace(cell.visitors[k])",
+        "cell.visitors[k]",
+        ("tests/test_harness.py::TestIdealDesignCells::test_records_equal_traced_trials",
+         "tests/test_harness.py::TestSkippedWaits::test_frames_stepped_on_the_ideal_design"),
+        CELL_RECORD,
+    ),
+    Mutant(
+        "resumed_at_the_window_frame",
+        "src/gazesim/harness.py",
+        "cell.frames[k] + 1",
+        "cell.frames[k]",
+        ("tests/test_harness.py::TestIdealDesignCells::test_records_equal_traced_trials",
+         "tests/test_harness.py::TestSkippedWaits::test_frames_stepped_on_the_ideal_design"),
+        CELL_RECORD,
+    ),
+    Mutant(
+        "cell_runs_keyed_by_cell_only",
+        "src/gazesim/harness.py",
+        "confirm, group = int(confirms[first]),",
+        "confirm, group = int(confirms[0]),",
+        ("tests/test_harness.py::TestIdealDesignCells::test_records_equal_traced_trials",
+         "tests/test_harness.py::TestSkippedWaits::test_frames_stepped_on_the_ideal_design"),
+        CELL_RECORD,
+    ),
+    Mutant(
+        "empty_array_rows_from_the_longest",
+        "src/gazesim/seeding.py",
+        "n = 0 if 0 in lengths else max(lengths, default=1)",
+        "n = max(lengths, default=1)",
+        ("tests/test_seeding.py::TestBatchedSeeding"
+         "::test_empty_and_non_empty_arrays_give_no_rows",),
+        CELL_RECORD,
     ),
     Mutant(
         "running_sum_as_numpy_sum",

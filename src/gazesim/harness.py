@@ -8,16 +8,17 @@ so a trial's decisions are identical whichever engine runs it:
 
 - "full":  sensors simulated end to end (laser scans, particle filter,
            noisy head camera), 30 fps tick loop.
-- "ideal": tick loop with ground-truth body orientation and the noisy
-           head camera; no laser or filter. Untraced, it senses no frame: the
+- "ideal": tick loop with ground-truth body orientation and the noisy head
+           camera; no laser or filter. Untraced, it senses no frame: the
            visitor's turn to the painting is stepped once per room
-           (`_settling`), the recognizer labels its views plus each trial's
-           head noise over arrays, a cell's trials at once
-           (`_confirm_frames`), and the loop starts at the confirm frame.
-           Untraced full mode senses only while the controller reads it
-           (`ControllerState.reads_sensors`). Untraced, both skip frames where
-           it and the visitor are idle (`idle_until_s`); traced, they step and
-           sense every frame.
+           (`_settling`), the recognizer labels its views plus each trial's head
+           noise over arrays, a cell's trials at once (`_confirm_frames`), and
+           the loop starts at the confirm frame. A design's trials that confirm
+           on one frame share one event-cell run and the event engine's draws;
+           only responders step on, from their window. Untraced full mode senses
+           only while the controller reads it (`ControllerState.reads_sensors`).
+           Untraced, both skip frames where it and the visitor are idle
+           (`idle_until_s`); traced, they step and sense every frame.
 - "event": the untraced ideal tick loop (`_run_ticks`) run once per cell with
            no seed: no head camera noise and no response, so the controller
            runs on to Failure. TRIAL_TIME_CAP_S bounds that run, and its aborts
@@ -33,10 +34,11 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import nullcontext
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
-from itertools import count, repeat
+from itertools import chain, count, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Literal, NamedTuple
 
@@ -62,6 +64,7 @@ from .geometry import Pose2, bearing_to, normalize_angle, normalize_angles, rela
 from .head_tracker import NOISE_SIGMA_DEG, TRACKING_LIMIT_DEG, observe_head, relative_yaw_deg
 from .human import (
     HEAD_TURN_SPEED_DEG_S,
+    HumanState,
     LATENCY_MAX_S,
     LATENCY_MIN_S,
     ROBOT_TARGET,
@@ -287,15 +290,18 @@ def _run_ticks(
     trial_id: int,
     trace: TraceWriter | None,
     confirm: int | None,
-) -> tuple[TrialDetail, list[tuple[ControllerState, int]]]:
-    """One tick-mode trial, and the controller and the number of events so
-    far as each response window opens. Without a seed the run is the event
-    engine's cell: no head camera noise, and no response drawn, so the
-    visitor never turns to the robot. Given its confirm frame (untraced
-    ideal mode), the trial senses nothing: it starts a tick or two short of
-    that frame, with the visitor `_settling` gives there."""
-    painting = scenario.painting_for(situation)
-    human = make_human(scenario, painting.painting_id)
+    resume: tuple[_EventCell, int, float, float] | None = None,
+) -> tuple[TrialDetail, list[tuple[ControllerState, int, HumanState, int]]]:
+    """One tick-mode trial, and the controller, the number of events, a copy
+    of the visitor and the frame as each response window opens. Without a
+    seed the run is the event engine's cell: no head camera noise, and no
+    response drawn, so the visitor never turns to the robot. Given its
+    confirm frame (untraced ideal mode), the trial senses nothing: it starts
+    a tick or two short of that frame, with the visitor `_settling` gives
+    there. Given `resume` (such a cell run, the window k the trial answers,
+    fire_s, gaze_s), it goes on after window k's frame, its visitor set to
+    respond. Aborts name the trial, or the event cell if trial_id is None."""
+    human = make_human(scenario, scenario.painting_for(situation).painting_id)
     cstate = make_controller(method)
     srm = SrmState()
     robot = scenario.robot_pose
@@ -303,7 +309,7 @@ def _run_ticks(
     seat_to_robot_deg = bearing_to(seat.position, robot.position)
     seat_bearing_deg = relative_bearing(robot, seat.position)
     draws = _frame_draws(seed, full=mode == "full")
-    run = "event cell" if seed is None else f"trial {trial_id}"
+    run = "event cell" if trial_id is None else f"trial {trial_id}"
 
     tracker: BodyTracker | None = None
     if mode == "full":
@@ -314,7 +320,7 @@ def _run_ticks(
         )
 
     events_all: list[RobotEvent] = []
-    windows: list[tuple[ControllerState, int]] = []
+    windows: list[tuple[ControllerState, int, HumanState, int]] = []
     drawn_gaze_s: float | None = None
     measured_latency_s: float | None = None
     responding_action: RobotAction | None = None
@@ -322,11 +328,23 @@ def _run_ticks(
     prev_confirmed = srm.confirmed
 
     frame = 0
-    if confirm is not None:
+    if resume is not None:
+        cell, k, fire_s, drawn_gaze_s = resume
+        cstate, human, frame = cell.windows[k], replace(cell.visitors[k]), cell.frames[k] + 1
+        events_all = list(cell.events[: cell.window_events[k]])
+        schedule_response(human, fire_s, drawn_gaze_s)
+    elif confirm is not None:
         frame = _wake_frame(frame, confirm / 30.0)
         states = _settling(scenario, situation)[0]
         human = replace(states[min(frame, len(states)) - 1]) if frame else human
     while True:
+        if not trace:
+            wake = cstate.idle_until_s
+            # EnsureAttention ignores its inputs; elsewhere the visitor counts.
+            if wake is not None and cstate.phase is not Phase.ENSURE_ATTENTION:
+                visitor = idle_until_s(human, scenario)
+                wake = None if visitor is None else min(wake, visitor)
+            frame = _wake_frame(frame, wake)
         t = frame / 30.0
         if t > TRIAL_TIME_CAP_S:
             raise TrialAbortError(
@@ -401,7 +419,7 @@ def _run_ticks(
         events_all.extend(events)
 
         if cstate.phase is Phase.AWAIT_RESPONSE and prev_phase is not Phase.AWAIT_RESPONSE:
-            windows.append((cstate, len(events_all)))
+            windows.append((cstate, len(events_all), replace(human), frame))
             action = cstate.action
             assert action is not None and cstate.window_start_s is not None
             if seed is not None:
@@ -430,13 +448,6 @@ def _run_ticks(
         if cstate.terminal:
             break
         frame += 1
-        if not trace:
-            wake = cstate.idle_until_s
-            # EnsureAttention ignores its inputs; elsewhere the visitor counts.
-            if wake is not None and cstate.phase is not Phase.ENSURE_ATTENTION:
-                visitor = idle_until_s(human, scenario)
-                wake = None if visitor is None else min(wake, visitor)
-            frame = _wake_frame(frame, wake)
 
     succeeded = cstate.succeeded
     record = TrialRecord(
@@ -464,34 +475,36 @@ class _EventCell(NamedTuple):
     events: tuple[RobotEvent, ...]  # the run without a face
     windows: tuple[ControllerState, ...]  # the controller as each window opens
     window_events: tuple[int, ...]  # len(events) when each window opens
-    gaze_offset_deg: float
+    visitors: tuple[HumanState, ...]  # the visitor as each window opens, shared
+    frames: tuple[int, ...]  # the frame each window opens on
+    gaze_offsets_deg: tuple[float, ...]  # the visitor's gaze off the robot there
 
 
 def _event_cell(
-    scenario: Scenario, method: Method, situation: ViewingSituation
+    scenario: Scenario, method: Method, situation: ViewingSituation,
+    confirm: int | None = None, trial_id: int | None = None,
 ) -> _EventCell:
-    """The untraced ideal trial without a seed: no head camera noise and no
-    response, so the controller runs on to Failure."""
-    confirm = int(_confirm_frames(scenario, situation, None)[0])
-    detail, windows = _run_ticks(scenario, method, situation, None, "ideal", 0, None, confirm)
-    states, counts = zip(*windows)
-    # The visitor's gaze off the robot as the head turn begins: settled, the
-    # head faces the painting, and so does the body.
-    offset = float(_settling(scenario, situation)[3][-1])
-    return _EventCell(method, situation, detail.events, states, counts, offset)
+    """The untraced ideal trial without a seed, from the given confirm frame
+    or the noise-free one: no head camera noise and no response, so the
+    controller runs on to Failure. Aborts name trial_id, else the cell."""
+    if confirm is None:
+        confirm = int(_confirm_frames(scenario, situation, None)[0])
+    run = _run_ticks(scenario, method, situation, None, "ideal", trial_id, None, confirm)
+    states, counts, visitors, frames = zip(*run[1])
+    offsets = tuple(gaze_bearing_to(v, scenario.robot_pose.position) for v in visitors)
+    return _EventCell(method, situation, run[0].events, states, counts, visitors, frames, offsets)
 
 
 def _event_outcomes(
     cell: _EventCell, seeds: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every trial of a cell at once: the index of the prompt each trial
-    responds to (-1 when none does), when the face gate opens, and the
-    gaze span. The draws are those of `respond` and `gaze_duration` on
-    the same streams, computed over arrays."""
+    responds to (-1 when none does), when the visitor starts to turn and
+    when the face gate opens, and the gaze span. The draws are those of
+    `respond` and `gaze_duration` on the same streams, over arrays."""
     n = len(seeds)
     cursor = np.full(n, -1)
-    detect_s = np.full(n, math.nan)
-    gaze_s = np.full(n, math.nan)
+    fire_s, detect_s, gaze_s = np.full((3, n), math.nan)
     pending = np.arange(n)
     table = derive_response_table()
     for k, action in enumerate(cell.method.capture_plan):
@@ -500,8 +513,8 @@ def _event_outcomes(
         latency_s = rngs.uniform(LATENCY_MIN_S, LATENCY_MAX_S)[ok]
         hit = pending[ok]
         cursor[hit] = k
-        _, detect_s[hit] = _plan_response(
-            cell.windows[k].window_start_s, latency_s, cell.gaze_offset_deg
+        fire_s[hit], detect_s[hit] = _plan_response(
+            cell.windows[k].window_start_s, latency_s, cell.gaze_offsets_deg[k]
         )
         pending = pending[~ok]
         if not len(pending):
@@ -511,7 +524,7 @@ def _event_outcomes(
         gaze_s[hit] = gaze_durations(
             cell.method.ensure_blink, derive_rngs(derive_seeds(seeds[hit], STREAM_GAZE))
         )
-    return cursor, detect_s, gaze_s
+    return cursor, fire_s, detect_s, gaze_s
 
 
 class _EventBatch(NamedTuple):
@@ -535,7 +548,7 @@ def _run_event_batch(
 ) -> _EventBatch:
     """Trials of one cell with consecutive ids, from their seeds."""
     cell = _event_cell(scenario, method, situation)
-    cursor, detect_s, gaze_s = _event_outcomes(cell, seeds)
+    cursor, _, detect_s, gaze_s = _event_outcomes(cell, seeds)
     # Cursor -1, no response, takes the trailing -1.
     plan = np.array([ACTIONS.index(a) for a in method.capture_plan] + [-1], np.int8)
     n = len(seeds)
@@ -592,25 +605,35 @@ def trial_identifier(
     return (m * len(SITUATIONS) + s) * n_per_cell + rep
 
 
+def _ideal_cell(
+    args: tuple[Scenario, Method, ViewingSituation, np.ndarray, int],
+) -> list[TrialRecord]:
+    """An untraced ideal cell's trials, with consecutive ids. The trials that
+    confirm on one frame share its seedless run, in the order of their first
+    trial, which its aborts name. A trial that never responds steps no tick of
+    its own; a responder goes on from the run's window it answers."""
+    scenario, method, situation, seeds, first_id = args
+    confirms = _confirm_frames(scenario, situation, seeds)
+    rows = [TrialRecord(first_id + i, method, situation, False, None, None, None, seed)
+            for i, seed in enumerate(seeds.tolist())]
+    for first in np.sort(np.unique(confirms, return_index=True)[1]).tolist():
+        confirm, group = int(confirms[first]), np.flatnonzero(confirms == confirms[first])
+        cell = _event_cell(scenario, method, situation, confirm, first_id + first)
+        cursor, fire, _, gaze = _event_outcomes(cell, seeds[group])
+        hit = cursor >= 0
+        for i, k, fire_s, gaze_s in zip(*(a[hit].tolist() for a in (group, cursor, fire, gaze))):
+            rows[i] = _run_ticks(scenario, method, situation, rows[i].seed, "ideal", first_id + i,
+                                 None, confirm, (cell, k, fire_s, gaze_s))[0].record
+    return rows
+
+
 def _trial_worker(
-    args: tuple[Scenario, Method, ViewingSituation, int, str, int, str | None, int | None],
-) -> TrialRecord:
-    scenario, method, situation, seed, mode, trial_id, trace_path, confirm = args
-    if confirm is not None:  # untraced ideal: recognized with its cell's trials
-        detail, _ = _run_ticks(scenario, method, situation, seed, mode, trial_id, None, confirm)
-        return detail.record
-    if trace_path is None:
-        return run_trial(scenario, method, situation, seed, mode=mode, trial_id=trial_id)
-    with open(trace_path, "w", encoding="utf-8") as fp:
-        return run_trial(
-            scenario,
-            method,
-            situation,
-            seed,
-            mode=mode,
-            trial_id=trial_id,
-            trace=TraceWriter(fp),
-        )
+    args: tuple[Scenario, Method, ViewingSituation, int, str, int, str | None],
+) -> list[TrialRecord]:
+    scenario, method, situation, seed, mode, trial_id, trace_path = args
+    with open(trace_path, "w", encoding="utf-8") if trace_path else nullcontext() as fp:
+        trace = TraceWriter(fp) if fp else None
+        return [run_trial(scenario, method, situation, seed, mode, trial_id, trace)]
 
 
 def _trace_path(trace_dir: Path | None, trial_id: int) -> str | None:
@@ -628,9 +651,9 @@ def run_experiment(
     Seeds depend only on (base_seed, method, situation, rep), so a subset
     run reproduces the corresponding records of the full design exactly,
     and workers can run trials in any order. Event mode runs each cell as
-    one batch in this process, whatever `jobs` says. The tick modes run
-    trial by trial on a pool that never holds more workers than there are
-    cores or trials.
+    one batch in this process, whatever `jobs` says. An untraced ideal design
+    runs cell by cell, the other tick designs trial by trial, on a pool that
+    never holds more workers than there are cores or tasks.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
@@ -661,23 +684,24 @@ def run_experiment(
                 path = _trace_path(trace_dir, first_id + i)
                 with open(path, "w", encoding="utf-8") as fp:
                     _trace_events(TraceWriter(fp), batch.events(i))
-        records = Records.concat(parts)
+        return Records.concat(parts)
+    if mode == "ideal" and trace_dir is None:
+        worker = _ideal_cell
+        tasks = [(config.scenario, method, situation, seeds, first_id)
+                 for first_id, method, situation, seeds in cells]
     else:
-        untraced_ideal = mode == "ideal" and trace_dir is None
+        worker = _trial_worker
         tasks = [
             (config.scenario, method, situation, seed, mode, first_id + rep,
-             _trace_path(trace_dir, first_id + rep), confirm)
+             _trace_path(trace_dir, first_id + rep))
             for first_id, method, situation, seeds in cells
-            for rep, (seed, confirm) in enumerate(zip(seeds.tolist(), (
-                _confirm_frames(config.scenario, situation, seeds).tolist()
-                if untraced_ideal else repeat(None))))
+            for rep, seed in enumerate(seeds.tolist())
         ]
-        workers = min(jobs, os.cpu_count() or 1, len(tasks))
-        if workers > 1:
-            chunk = max(1, len(tasks) // (workers * 8))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_trial_worker, tasks, chunksize=chunk))
-        else:
-            rows = [_trial_worker(task) for task in tasks]
-        records = Records.from_rows(rows)
-    return records
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        chunk = max(1, len(tasks) // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(worker, tasks, chunksize=chunk))
+    else:
+        parts = [worker(task) for task in tasks]
+    return Records.from_rows(chain.from_iterable(parts))

@@ -131,17 +131,18 @@ class TestSeedDiscipline:
 def scalar_outcome(cell, seed):
     """One trial drawn decision by decision with `respond` and
     `gaze_duration`, the per-trial path the cell engine batches: the
-    responding prompt (-1 for none), the face-gate time and the gaze."""
+    responding prompt (-1 for none), when the visitor starts to turn, the
+    face-gate time and the gaze."""
     for k, action in enumerate(cell.method.capture_plan):
         ok, latency = respond(action, cell.situation, derive_seed(seed, STREAM_RESPOND, k))
         if ok:
-            b0 = abs(cell.gaze_offset_deg)
+            b0 = abs(cell.gaze_offsets_deg[k])
             turn_s = b0 / HEAD_TURN_SPEED_DEG_S
             arrival_s = cell.windows[k].window_start_s + max(latency, turn_s)
             detect_s = arrival_s - min(b0, FACE_TOLERANCE_DEG) / HEAD_TURN_SPEED_DEG_S
             gaze_s = gaze_duration(cell.method.ensure_blink, derive_seed(seed, STREAM_GAZE))
-            return k, detect_s, gaze_s
-    return -1, math.nan, math.nan
+            return k, arrival_s - turn_s, detect_s, gaze_s
+    return -1, math.nan, math.nan, math.nan
 
 
 class TestEventEngine:
@@ -150,8 +151,9 @@ class TestEventEngine:
     def test_cell_outcomes_equal_per_trial_draws(self, method, situation):
         seeds = trial_seeds(42, method, situation, 200)
         cell = harness._event_cell(SC, method, situation)
-        cursor, detect_s, gaze_s = harness._event_outcomes(cell, seeds)
-        batched = list(zip(cursor.tolist(), detect_s.tolist(), gaze_s.tolist()))
+        outcomes = harness._event_outcomes(cell, seeds)
+        cursor = outcomes[0]
+        batched = list(zip(*(column.tolist() for column in outcomes)))
         expected = [scalar_outcome(cell, seed) for seed in seeds.tolist()]
         # NaN marks a trial without response; compare it as None.
         def nan_free(rows):
@@ -164,7 +166,7 @@ class TestEventEngine:
     def test_single_trial_seeds_of_any_width(self, seed):
         for method in METHODS:
             cell = harness._event_cell(SC, method, OFOV)
-            k, detect_s, gaze_s = scalar_outcome(cell, seed)
+            k, _, detect_s, gaze_s = scalar_outcome(cell, seed)
             record = run_trial(SC, method, OFOV, seed, mode="event")
             assert record.seed == seed
             if k < 0:
@@ -192,13 +194,14 @@ class TestEventEngine:
     @pytest.mark.parametrize("room, situations", ROOMS)
     def test_gaze_offset_is_the_settled_painting_bearing(self, room, situations):
         # The recognizer confirms a label that persisted 30 frames, which only
-        # a head settled on the painting gives.
+        # a head settled on the painting gives, so every window sees it.
         to_robot = bearing_to(room.human_seat.position, room.robot_pose.position)
         for method in METHODS:
             for situation in situations:
                 yaw = room.painting_world_yaw(room.painting_for(situation))
                 cell = harness._event_cell(room, method, situation)
-                assert cell.gaze_offset_deg == normalize_angle(yaw - to_robot)
+                offset = normalize_angle(yaw - to_robot)
+                assert cell.gaze_offsets_deg == (offset,) * len(cell.windows)
 
 
 class TestFrameDraws:
@@ -329,6 +332,10 @@ class TestNoiseFreeRobotEvents:
                     assert robot_events(ev) == robot_events(ticked)
 
 
+# One cell whose trial ids start at 20.
+M1_NPFOV_N20 = RunConfig(n_per_cell=20, base_seed=42, methods=(Method.M1,), situations=(NPFOV,))
+
+
 class TestRecognizerAbort:
     """Every valid room confirms its situations, so these stand in an array
     labeler that labels every frame unknown. The trial then labels the
@@ -359,6 +366,14 @@ class TestRecognizerAbort:
         labeled = self.never_confirms(monkeypatch)
         with pytest.raises(TrialAbortError, match=r"did not confirm CFOV within 10 s \(trial"):
             run_trial(SC, Method.M1, CFOV, seed=0, mode="ideal")
+        assert sum(labeled) == harness.ABORT_BUDGET_S * 30 + 1
+
+    def test_ideal_design_aborts_name_the_first_trial_of_the_cell(self, monkeypatch):
+        # The cell's trials share one run from their one confirm frame.
+        labeled = self.never_confirms(monkeypatch)
+        message = r"did not confirm NPFOV within 10 s \(trial 20, M1\)"
+        with pytest.raises(TrialAbortError, match=message):
+            run_experiment(M1_NPFOV_N20, mode="ideal")
         assert sum(labeled) == harness.ABORT_BUDGET_S * 30 + 1
 
     def test_event_mode_aborts_when_the_recognizer_never_confirms(self, monkeypatch):
@@ -574,9 +589,11 @@ class TestSkippedWaits:
     def test_frames_stepped_on_the_ideal_design(self, monkeypatch):
         steps = count_controller_steps(monkeypatch)
         run_experiment(RunConfig(n_per_cell=20, base_seed=42), mode="ideal")
-        # Stepping every frame of these 320 trials takes 91,412 steps. Each
-        # starts a tick or two short of the frame its recognizer confirms on.
-        assert steps["controller"] == 14_268
+        # Stepping every frame of these 320 trials takes 91,412 steps, and
+        # starting each a tick or two short of its confirm frame 14,268. The
+        # trials of a cell that confirm on one frame (28 frames in all) share
+        # one run up to the window they answer; only responders step on.
+        assert steps["controller"] == 6_791
 
     def test_no_jump_while_the_visitor_still_turns(self, monkeypatch):
         # In this room the first window opens before the visitor's body has
@@ -605,6 +622,35 @@ class TestSkippedWaits:
             assert times == [frame / 30.0 for frame in range(len(times))]
             assert times[-1] == detail.events[-1].time_s
             assert detail == skipped
+
+
+class TestIdealDesignCells:
+    """An untraced ideal design runs cell by cell. The trials that confirm
+    on one frame share one seedless run, a trial that never responds steps
+    no tick of its own, and a responder steps on from the window it answers.
+    Each record equals the trial's traced run, which steps and senses every
+    frame."""
+
+    @pytest.mark.parametrize("room, situations", ROOMS)
+    def test_records_equal_traced_trials(self, room, situations):
+        config = RunConfig(n_per_cell=20, base_seed=42, scenario=room, situations=situations)
+        records = run_experiment(config, mode="ideal")
+        for record in records:
+            traced = run_trial_detailed(
+                room, record.method, record.situation, record.seed, mode="ideal",
+                trial_id=record.trial_id, trace=DiscardedTrace(),
+            )
+            assert record == traced.record
+        # The design shares runs and resumes them: its NPFOV and FPFOV cells
+        # hold two or three confirm frames, and M4 has trials that answer
+        # each of its prompts and trials that answer none.
+        frames = {
+            len(set(harness._confirm_frames(room, s, trial_seeds(42, m, s, 20)).tolist()))
+            for m in METHODS for s in situations if s in (NPFOV, FPFOV)
+        }
+        assert frames <= {2, 3} and 3 in frames
+        answered = {r.responding_action for r in records if r.method is Method.M4}
+        assert answered == {None, *Method.M4.capture_plan}
 
 
 ROOM_OFFSET_M = st.floats(-0.5, 0.5)
@@ -728,6 +774,15 @@ class TestRunExperiment:
         assert run_experiment(config, mode="ideal", jobs=2) == run_experiment(
             config, mode="ideal", jobs=1
         )
+
+    def test_ideal_time_cap_names_the_first_trial_of_the_cell(self, monkeypatch):
+        # Trial 20 confirms on frame 32 and trial 24 on frame 31: the runs of
+        # a cell go in the order of their first trial, so trial 20's aborts
+        # first, not the run that starts earliest.
+        monkeypatch.setattr(harness, "TRIAL_TIME_CAP_S", 0.5)
+        message = r"exceeded 0.5 s without a terminal event \(trial 20, M1\)"
+        with pytest.raises(TrialAbortError, match=message):
+            run_experiment(M1_NPFOV_N20, mode="ideal")
 
     def test_event_mode_starts_no_process(self, monkeypatch):
         def no_pool(*args, **kwargs):

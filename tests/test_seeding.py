@@ -201,6 +201,16 @@ class TestBatchedSeeding:
         assert streams.hi.shape == streams.inc_lo.shape == (0,)
         assert streams.normal(0.0, 1.0).shape == (0,)
 
+    @pytest.mark.parametrize("empty_first", [True, False])
+    def test_empty_and_non_empty_arrays_give_no_rows(self, empty_first):
+        # An empty array gives no rows, whatever the length of the others.
+        keys = (np.array([], np.uint64), np.arange(3))
+        if not empty_first:
+            keys = keys[::-1]
+        assert derive_seeds(*keys).shape == (0,)
+        streams = derive_rngs(*keys)
+        assert streams.hi.shape == streams.inc_lo.shape == (0,)
+
     def test_seeds_beyond_64_bits_in_an_array(self):
         keys = np.array([2**70 + 5, 3, 2**64], dtype=object)
         assert derive_seeds(keys, STREAM_GAZE).tolist() == [
