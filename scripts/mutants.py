@@ -48,6 +48,7 @@ RECORDS_RECORD = "Columnar trial records from the event engine to `stats.json`"
 ZIGGURAT_RECORD = "A bit-exact, vectorised ziggurat `normal()` on `PCG64Streams`"
 ARRAY_RECORD = "Ideal mode finds each trial's confirm frame from arrays"
 CELL_RECORD = "Ideal designs share each cell's seedless run"
+DRAW_RECORD = "One draw site for the visitor's response"
 
 MUTANTS = (
     Mutant(
@@ -275,8 +276,8 @@ MUTANTS = (
     Mutant(
         "window_visitor_not_copied",
         "src/gazesim/harness.py",
-        "replace(cell.visitors[k])",
-        "cell.visitors[k]",
+        "replace(resume.visitors[k])",
+        "resume.visitors[k]",
         ("tests/test_harness.py::TestIdealDesignCells::test_records_equal_traced_trials",
          "tests/test_harness.py::TestSkippedWaits::test_frames_stepped_on_the_ideal_design"),
         CELL_RECORD,
@@ -284,8 +285,8 @@ MUTANTS = (
     Mutant(
         "resumed_at_the_window_frame",
         "src/gazesim/harness.py",
-        "cell.frames[k] + 1",
-        "cell.frames[k]",
+        "resume.frames[k] + 1",
+        "resume.frames[k]",
         ("tests/test_harness.py::TestIdealDesignCells::test_records_equal_traced_trials",
          "tests/test_harness.py::TestSkippedWaits::test_frames_stepped_on_the_ideal_design"),
         CELL_RECORD,
@@ -307,6 +308,33 @@ MUTANTS = (
         ("tests/test_seeding.py::TestBatchedSeeding"
          "::test_empty_and_non_empty_arrays_give_no_rows",),
         CELL_RECORD,
+    ),
+    # Every engine takes each trial's answer from `_responses`; the tick loop
+    # schedules it as window k opens, or as a resumed run starts in it.
+    Mutant(
+        "answer_scheduled_one_window_late",
+        "src/gazesim/harness.py",
+        "cstate.plan_cursor == k:",
+        "cstate.plan_cursor == k + 1:",
+        ("tests/test_digests.py::test_ideal_mode_all_methods",
+         "tests/test_harness.py::TestEventEngine::test_single_trial_seeds_of_any_width"),
+        DRAW_RECORD,
+    ),
+    Mutant(
+        "face_gate_uncapped",
+        "src/gazesim/harness.py",
+        "np.minimum(b0, FACE_TOLERANCE_DEG)",
+        "b0",
+        ("tests/test_digests.py::test_event_mode_all_methods",),
+        DRAW_RECORD,
+    ),
+    Mutant(
+        "resumed_responder_never_scheduled",
+        "src/gazesim/harness.py",
+        "resume.frames[k] + 1\n",
+        "resume.frames[k] + 1\n        k = -1\n",
+        ("tests/test_harness.py::TestIdealDesignCells::test_records_equal_traced_trials",),
+        DRAW_RECORD,
     ),
     Mutant(
         "running_sum_as_numpy_sum",

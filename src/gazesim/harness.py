@@ -4,7 +4,9 @@ A trial seats the visitor in front of one painting, lets the recognizer
 settle on the intended viewing situation, then runs the robot's
 escalation protocol against the stochastic visitor until it succeeds or
 exhausts its plan. Three fidelity modes share one random-stream layout,
-so a trial's decisions are identical whichever engine runs it:
+and each trial's answer (the prompt it responds to, the latency and the
+gaze span) is drawn in one place for all of them, `_responses`, over
+arrays. So a trial's decisions are identical whichever engine runs it:
 
 - "full":  sensors simulated end to end (laser scans, particle filter,
            noisy head camera), 30 fps tick loop.
@@ -14,8 +16,8 @@ so a trial's decisions are identical whichever engine runs it:
            (`_settling`), the recognizer labels its views plus each trial's head
            noise over arrays, a cell's trials at once (`_confirm_frames`), and
            the loop starts at the confirm frame. A design's trials that confirm
-           on one frame share one event-cell run and the event engine's draws;
-           only responders step on, from their window. Untraced full mode senses
+           on one frame share one event-cell run; only responders step on,
+           from the window they answer. Untraced full mode senses
            only while the controller reads it (`ControllerState.reads_sensors`).
            Untraced, both skip frames where it and the visitor are idle
            (`idle_until_s`); traced, they step and sense every frame.
@@ -24,11 +26,9 @@ so a trial's decisions are identical whichever engine runs it:
            runs on to Failure. TRIAL_TIME_CAP_S bounds that run, and its aborts
            name the "event cell". A trial keeps the run up to the window it
            responds in, and steps the controller on from that window with the
-           face at its drawn instant. Decisions and latencies are drawn from
-           the same per-decision streams, so records match the tick engines.
-           The trials of a (method, situation) cell run as one batch: their
-           seeds and draws are computed over arrays, bit for bit the values of
-           the per-trial streams, and their records fill `Records` columns.
+           face at its drawn instant. The trials of a (method, situation)
+           cell run as one batch: their face instants are computed over arrays
+           (`_plan_response`), and their records fill `Records` columns.
 """
 from __future__ import annotations
 
@@ -70,12 +70,10 @@ from .human import (
     ROBOT_TARGET,
     derive_response_table,
     gaze_bearing_to,
-    gaze_duration,
     gaze_durations,
     human_step,
     idle_until_s,
     make_human,
-    respond,
     schedule_response,
 )
 from .laser import EllipseBody, synthesize_scan
@@ -166,27 +164,56 @@ def run_trial_detailed(
         return TrialDetail(record=batch.records[0], events=events)
     untraced_ideal = mode == "ideal" and not trace
     confirm = int(_confirm_frames(scenario, situation, seeds)[0]) if untraced_ideal else None
-    return _run_ticks(scenario, method, situation, seed, mode, trial_id, trace, confirm)[0]
+    answer = next(zip(*(a.tolist() for a in _responses(method, situation, seeds))))
+    return _run_ticks(scenario, method, situation, seed, mode, trial_id, trace, confirm, answer)[0]
+
+
+def _responses(
+    method: Method, situation: ViewingSituation, seeds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each trial's answer: the index of the prompt it responds to (-1 when
+    none does), the latency drawn there and the gaze span (NaN without a
+    response). The one place any engine draws them: the draws of `respond`
+    and `gaze_duration` on the per-decision streams, over arrays."""
+    n = len(seeds)
+    cursor = np.full(n, -1)
+    latency_s, gaze_s = np.full((2, n), math.nan)
+    pending = np.arange(n)
+    table = derive_response_table()
+    for k, action in enumerate(method.capture_plan):
+        rngs = derive_rngs(derive_seeds(seeds[pending], STREAM_RESPOND, k))
+        ok = rngs.random() < table[action][situation]
+        latency_s[pending[ok]] = rngs.uniform(LATENCY_MIN_S, LATENCY_MAX_S)[ok]
+        cursor[pending[ok]] = k
+        pending = pending[~ok]
+        if not len(pending):
+            break
+    hit = np.flatnonzero(cursor >= 0)
+    if len(hit):
+        gaze_s[hit] = gaze_durations(
+            method.ensure_blink, derive_rngs(derive_seeds(seeds[hit], STREAM_GAZE))
+        )
+    return cursor, latency_s, gaze_s
 
 
 def _plan_response(
-    window_start_s: float,
+    window_start_s: float | np.ndarray,
     latency_s: float | np.ndarray,
-    bearing_to_robot_deg: float,
+    bearing_to_robot_deg: float | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """When the visitor starts turning and when the face gate opens, for
-    one latency draw or an array of them.
+    one response or an array of them.
 
     The latency draw is the time from window start until the eyes land on
     the robot, so the turn is scheduled backward from that arrival. The
     gate opens once the remaining gaze offset is inside the face
     tolerance, a moment before arrival.
     """
-    b0 = abs(bearing_to_robot_deg)
+    b0 = np.abs(bearing_to_robot_deg)
     turn_s = b0 / HEAD_TURN_SPEED_DEG_S
     arrival_s = window_start_s + np.maximum(latency_s, turn_s)
     fire_s = arrival_s - turn_s
-    detect_s = arrival_s - min(b0, FACE_TOLERANCE_DEG) / HEAD_TURN_SPEED_DEG_S
+    detect_s = arrival_s - np.minimum(b0, FACE_TOLERANCE_DEG) / HEAD_TURN_SPEED_DEG_S
     return fire_s, detect_s
 
 
@@ -290,17 +317,19 @@ def _run_ticks(
     trial_id: int,
     trace: TraceWriter | None,
     confirm: int | None,
-    resume: tuple[_EventCell, int, float, float] | None = None,
+    answer: tuple[int, float, float] = (-1, math.nan, math.nan),
+    resume: _EventCell | None = None,
 ) -> tuple[TrialDetail, list[tuple[ControllerState, int, HumanState, int]]]:
     """One tick-mode trial, and the controller, the number of events, a copy
-    of the visitor and the frame as each response window opens. Without a
-    seed the run is the event engine's cell: no head camera noise, and no
-    response drawn, so the visitor never turns to the robot. Given its
-    confirm frame (untraced ideal mode), the trial senses nothing: it starts
-    a tick or two short of that frame, with the visitor `_settling` gives
-    there. Given `resume` (such a cell run, the window k the trial answers,
-    fire_s, gaze_s), it goes on after window k's frame, its visitor set to
-    respond. Aborts name the trial, or the event cell if trial_id is None."""
+    of the visitor and the frame as each response window opens. Once window
+    k of the `answer` (k, latency_s, gaze_s) from `_responses` opens, the
+    visitor is scheduled to respond. Without a seed or an answer the run is
+    the event engine's cell: no head camera noise, and the visitor never
+    turns to the robot. Given its confirm frame (untraced ideal mode), the
+    trial senses nothing: it starts a tick or two short of that frame, with
+    the visitor `_settling` gives there. Given `resume`, such a cell run, it
+    goes on after window k's frame. Aborts name the trial, or the event cell
+    if trial_id is None."""
     human = make_human(scenario, scenario.painting_for(situation).painting_id)
     cstate = make_controller(method)
     srm = SrmState()
@@ -321,7 +350,7 @@ def _run_ticks(
 
     events_all: list[RobotEvent] = []
     windows: list[tuple[ControllerState, int, HumanState, int]] = []
-    drawn_gaze_s: float | None = None
+    k, latency_s, gaze_s = answer
     measured_latency_s: float | None = None
     responding_action: RobotAction | None = None
     prev_attending = human.attending
@@ -329,15 +358,20 @@ def _run_ticks(
 
     frame = 0
     if resume is not None:
-        cell, k, fire_s, drawn_gaze_s = resume
-        cstate, human, frame = cell.windows[k], replace(cell.visitors[k]), cell.frames[k] + 1
-        events_all = list(cell.events[: cell.window_events[k]])
-        schedule_response(human, fire_s, drawn_gaze_s)
+        cstate, human, frame = resume.windows[k], replace(resume.visitors[k]), resume.frames[k] + 1
+        events_all = list(resume.events[: resume.window_events[k]])
     elif confirm is not None:
         frame = _wake_frame(frame, confirm / 30.0)
         states = _settling(scenario, situation)[0]
         human = replace(states[min(frame, len(states)) - 1]) if frame else human
     while True:
+        if cstate.phase is Phase.AWAIT_RESPONSE and cstate.plan_cursor == k:
+            # Window k opened on the frame before: the visitor answers it.
+            fire_s, _ = _plan_response(
+                cstate.window_start_s, latency_s, gaze_bearing_to(human, robot.position)
+            )
+            schedule_response(human, float(fire_s), gaze_s)
+            k = -1
         if not trace:
             wake = cstate.idle_until_s
             # EnsureAttention ignores its inputs; elsewhere the visitor counts.
@@ -420,23 +454,6 @@ def _run_ticks(
 
         if cstate.phase is Phase.AWAIT_RESPONSE and prev_phase is not Phase.AWAIT_RESPONSE:
             windows.append((cstate, len(events_all), replace(human), frame))
-            action = cstate.action
-            assert action is not None and cstate.window_start_s is not None
-            if seed is not None:
-                ok, latency = respond(
-                    action, situation, derive_seed(seed, STREAM_RESPOND, cstate.plan_cursor)
-                )
-                if ok:
-                    assert latency is not None
-                    drawn_gaze_s = gaze_duration(
-                        method.ensure_blink, derive_seed(seed, STREAM_GAZE)
-                    )
-                    fire_s, _ = _plan_response(
-                        cstate.window_start_s,
-                        latency,
-                        gaze_bearing_to(human, robot.position),
-                    )
-                    schedule_response(human, float(fire_s), drawn_gaze_s)
 
         for event in events:
             if event.kind is EventKind.FACE_DETECTED:
@@ -457,7 +474,7 @@ def _run_ticks(
         responded=succeeded,
         responding_action=responding_action if succeeded else None,
         response_latency_s=measured_latency_s if succeeded else None,
-        gaze_time_s=drawn_gaze_s if succeeded else None,
+        gaze_time_s=gaze_s if succeeded else None,
         seed=seed,
     )
     return TrialDetail(record=record, events=tuple(events_all)), windows
@@ -466,9 +483,10 @@ def _run_ticks(
 class _EventCell(NamedTuple):
     """One (method, situation) cell: the controller stepped without a face
     from the first prompt to Failure. A prompt is only reached when every
-    earlier window expired, so a trial that responds to prompt k has this
-    run's events up to window k, and goes on from the controller as it
-    opened that window."""
+    earlier window expired, so a trial whose answer is prompt k has this
+    run's events up to window k, and goes on from the controller and the
+    visitor as it opened that window: the event engine over arrays, an
+    untraced ideal trial by resuming `_run_ticks` there."""
 
     method: Method
     situation: ViewingSituation
@@ -495,38 +513,6 @@ def _event_cell(
     return _EventCell(method, situation, run[0].events, states, counts, visitors, frames, offsets)
 
 
-def _event_outcomes(
-    cell: _EventCell, seeds: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every trial of a cell at once: the index of the prompt each trial
-    responds to (-1 when none does), when the visitor starts to turn and
-    when the face gate opens, and the gaze span. The draws are those of
-    `respond` and `gaze_duration` on the same streams, over arrays."""
-    n = len(seeds)
-    cursor = np.full(n, -1)
-    fire_s, detect_s, gaze_s = np.full((3, n), math.nan)
-    pending = np.arange(n)
-    table = derive_response_table()
-    for k, action in enumerate(cell.method.capture_plan):
-        rngs = derive_rngs(derive_seeds(seeds[pending], STREAM_RESPOND, k))
-        ok = rngs.random() < table[action][cell.situation]
-        latency_s = rngs.uniform(LATENCY_MIN_S, LATENCY_MAX_S)[ok]
-        hit = pending[ok]
-        cursor[hit] = k
-        fire_s[hit], detect_s[hit] = _plan_response(
-            cell.windows[k].window_start_s, latency_s, cell.gaze_offsets_deg[k]
-        )
-        pending = pending[~ok]
-        if not len(pending):
-            break
-    hit = np.flatnonzero(cursor >= 0)
-    if len(hit):
-        gaze_s[hit] = gaze_durations(
-            cell.method.ensure_blink, derive_rngs(derive_seeds(seeds[hit], STREAM_GAZE))
-        )
-    return cursor, fire_s, detect_s, gaze_s
-
-
 class _EventBatch(NamedTuple):
     """The trials of one cell run by the event engine."""
 
@@ -548,17 +534,20 @@ def _run_event_batch(
 ) -> _EventBatch:
     """Trials of one cell with consecutive ids, from their seeds."""
     cell = _event_cell(scenario, method, situation)
-    cursor, _, detect_s, gaze_s = _event_outcomes(cell, seeds)
-    # Cursor -1, no response, takes the trailing -1.
+    cursor, latency_s, gaze_s = _responses(method, situation, seeds)
+    # Cursor -1, no response, takes the trailing -1 and a NaN latency.
     plan = np.array([ACTIONS.index(a) for a in method.capture_plan] + [-1], np.int8)
     n = len(seeds)
-    window_starts = np.array([window.window_start_s for window in cell.windows])
+    window_starts = np.array([window.window_start_s for window in cell.windows])[cursor]
+    _, detect_s = _plan_response(
+        window_starts, latency_s, np.array(cell.gaze_offsets_deg)[cursor]
+    )
     records = Records(
         trial_id=np.arange(first_trial_id, first_trial_id + n, dtype=np.int64),
         method=np.full(n, METHODS.index(method), np.int8),
         situation=np.full(n, SITUATIONS.index(situation), np.int8),
         action=plan[cursor],
-        latency=detect_s - window_starts[np.maximum(cursor, 0)],
+        latency=detect_s - window_starts,
         gaze=gaze_s,
         seed=seeds,
     )
@@ -614,16 +603,16 @@ def _ideal_cell(
     its own; a responder goes on from the run's window it answers."""
     scenario, method, situation, seeds, first_id = args
     confirms = _confirm_frames(scenario, situation, seeds)
+    answers = list(zip(*(a.tolist() for a in _responses(method, situation, seeds))))
     rows = [TrialRecord(first_id + i, method, situation, False, None, None, None, seed)
             for i, seed in enumerate(seeds.tolist())]
     for first in np.sort(np.unique(confirms, return_index=True)[1]).tolist():
         confirm, group = int(confirms[first]), np.flatnonzero(confirms == confirms[first])
         cell = _event_cell(scenario, method, situation, confirm, first_id + first)
-        cursor, fire, _, gaze = _event_outcomes(cell, seeds[group])
-        hit = cursor >= 0
-        for i, k, fire_s, gaze_s in zip(*(a[hit].tolist() for a in (group, cursor, fire, gaze))):
-            rows[i] = _run_ticks(scenario, method, situation, rows[i].seed, "ideal", first_id + i,
-                                 None, confirm, (cell, k, fire_s, gaze_s))[0].record
+        for i in group.tolist():
+            if answers[i][0] >= 0:
+                rows[i] = _run_ticks(scenario, method, situation, rows[i].seed, "ideal",
+                                     first_id + i, None, confirm, answers[i], cell)[0].record
     return rows
 
 

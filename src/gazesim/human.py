@@ -109,9 +109,9 @@ def escalation_success(method: Method, situation: ViewingSituation) -> float:
 def respond(
     action: RobotAction, situation: ViewingSituation, seed: int
 ) -> tuple[bool, float | None]:
-    """One response decision: does the person react to this prompt, and if
-    so, how long until their eyes land on the robot. The latency draw is
-    bounded so a positive decision always fits the response window."""
+    """The scalar reference of one `harness._responses` decision: does the
+    person react to this prompt, and if so, how long until their eyes land
+    on the robot, a draw bounded so it always fits the response window."""
     if action not in CAPTURE_ACTIONS:
         raise ValueError(f"{action} is not a prompt the person reacts to")
     rng = derive_rng(seed)
@@ -129,7 +129,7 @@ def _gaze_normal(blinked: bool) -> tuple[float, float]:
 
 
 def gaze_duration(blinked: bool, seed: int) -> float:
-    """How long the person keeps looking at the robot after gaze crossing."""
+    """The gaze span after gaze crossing: the scalar reference of `gaze_durations`."""
     mean, sd = _gaze_normal(blinked)
     rng = derive_rng(seed)
     while True:

@@ -128,53 +128,65 @@ class TestSeedDiscipline:
         assert trial_identifier(Method.M4, OFOV, 9, n) == 159
 
 
-def scalar_outcome(cell, seed):
-    """One trial drawn decision by decision with `respond` and
-    `gaze_duration`, the per-trial path the cell engine batches: the
-    responding prompt (-1 for none), when the visitor starts to turn, the
-    face-gate time and the gaze."""
-    for k, action in enumerate(cell.method.capture_plan):
-        ok, latency = respond(action, cell.situation, derive_seed(seed, STREAM_RESPOND, k))
+def scalar_outcome(method, situation, seed):
+    """One trial's answer drawn decision by decision with the scalar
+    reference draws, `respond` and `gaze_duration`: the prompt it answers
+    (-1 for none), the latency drawn there and the gaze span."""
+    for k, action in enumerate(method.capture_plan):
+        ok, latency = respond(action, situation, derive_seed(seed, STREAM_RESPOND, k))
         if ok:
-            b0 = abs(cell.gaze_offsets_deg[k])
-            turn_s = b0 / HEAD_TURN_SPEED_DEG_S
-            arrival_s = cell.windows[k].window_start_s + max(latency, turn_s)
-            detect_s = arrival_s - min(b0, FACE_TOLERANCE_DEG) / HEAD_TURN_SPEED_DEG_S
-            gaze_s = gaze_duration(cell.method.ensure_blink, derive_seed(seed, STREAM_GAZE))
-            return k, arrival_s - turn_s, detect_s, gaze_s
-    return -1, math.nan, math.nan, math.nan
+            return k, latency, gaze_duration(method.ensure_blink, derive_seed(seed, STREAM_GAZE))
+    return -1, math.nan, math.nan
+
+
+def face_gate_s(cell, k, latency_s):
+    """When the face gate opens on an answer to the cell's prompt k: the eyes
+    land on the robot latency_s after the window opens, or once the head has
+    turned, and the gate opens FACE_TOLERANCE_DEG before they land."""
+    b0 = abs(cell.gaze_offsets_deg[k])
+    turn_s = b0 / HEAD_TURN_SPEED_DEG_S
+    arrival_s = cell.windows[k].window_start_s + max(latency_s, turn_s)
+    return arrival_s - min(b0, FACE_TOLERANCE_DEG) / HEAD_TURN_SPEED_DEG_S
 
 
 class TestEventEngine:
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("situation", SITUATIONS)
     def test_cell_outcomes_equal_per_trial_draws(self, method, situation):
+        """`_responses`, where every engine draws its trials' answers, gives
+        the scalar reference draws, trial by trial."""
         seeds = trial_seeds(42, method, situation, 200)
-        cell = harness._event_cell(SC, method, situation)
-        outcomes = harness._event_outcomes(cell, seeds)
-        cursor = outcomes[0]
+        outcomes = harness._responses(method, situation, seeds)
         batched = list(zip(*(column.tolist() for column in outcomes)))
-        expected = [scalar_outcome(cell, seed) for seed in seeds.tolist()]
+        expected = [scalar_outcome(method, situation, seed) for seed in seeds.tolist()]
         # NaN marks a trial without response; compare it as None.
         def nan_free(rows):
             return [tuple(None if v != v else v for v in row) for row in rows]
 
         assert nan_free(batched) == nan_free(expected)
-        assert (cursor >= 0).any()
+        assert (outcomes[0] >= 0).any()
 
     @pytest.mark.parametrize("seed", [0, 2**32, 2**63 + 7, 2**64 - 1, 2**64, 2**70 + 3])
     def test_single_trial_seeds_of_any_width(self, seed):
-        for method in METHODS:
-            cell = harness._event_cell(SC, method, OFOV)
-            k, _, detect_s, gaze_s = scalar_outcome(cell, seed)
-            record = run_trial(SC, method, OFOV, seed, mode="event")
+        # A one-row seed array of a seed of 2**64 or more holds Python ints:
+        # every engine draws the answer from it, and answers that prompt.
+        runs = [(method, "event", None) for method in METHODS]
+        traces = (None, DiscardedTrace())
+        runs += [(method, "ideal", trace) for method in METHODS for trace in traces]
+        runs += [(Method.M4, "full", None)]
+        for method, mode, trace in runs:
+            k, latency_s, gaze_s = scalar_outcome(method, OFOV, seed)
+            record = run_trial(SC, method, OFOV, seed, mode=mode, trace=trace)
             assert record.seed == seed
             if k < 0:
                 assert not record.responded
                 continue
             assert record.responding_action is method.capture_plan[k]
-            assert record.response_latency_s == detect_s - cell.windows[k].window_start_s
             assert record.gaze_time_s == gaze_s
+            if mode == "event":
+                cell = harness._event_cell(SC, method, OFOV)
+                detect_s = face_gate_s(cell, k, latency_s)
+                assert record.response_latency_s == detect_s - cell.windows[k].window_start_s
 
     def test_the_ensure_phase_is_the_controllers(self, monkeypatch):
         # Past the face the engine steps controller_step, so it keeps the
@@ -774,6 +786,23 @@ class TestRunExperiment:
         assert run_experiment(config, mode="ideal", jobs=2) == run_experiment(
             config, mode="ideal", jobs=1
         )
+
+    def test_parallel_trials_equal_serial_ones(self, tmp_path):
+        # Full and traced designs run trial by trial: each trial is a task
+        # that draws its own answer in the worker.
+        full = RunConfig(n_per_cell=1, base_seed=5, methods=(Method.M4,))
+        assert run_experiment(full, mode="full", jobs=2) == run_experiment(
+            full, mode="full", jobs=1
+        )
+        traced = RunConfig(n_per_cell=2, base_seed=5, methods=(Method.M1, Method.M4))
+        runs = [
+            run_experiment(traced, mode="ideal", jobs=jobs, trace_dir=tmp_path / str(jobs))
+            for jobs in (2, 1)
+        ]
+        assert runs[0] == runs[1]
+        files = [sorted((tmp_path / str(jobs)).iterdir()) for jobs in (2, 1)]
+        assert len(files[0]) == len(runs[0]) == 16
+        assert [f.read_bytes() for f in files[0]] == [f.read_bytes() for f in files[1]]
 
     def test_ideal_time_cap_names_the_first_trial_of_the_cell(self, monkeypatch):
         # Trial 20 confirms on frame 32 and trial 24 on frame 31: the runs of
