@@ -49,13 +49,14 @@ ZIGGURAT_RECORD = "A bit-exact, vectorised ziggurat `normal()` on `PCG64Streams`
 ARRAY_RECORD = "Ideal mode finds each trial's confirm frame from arrays"
 CELL_RECORD = "Ideal designs share each cell's seedless run"
 DRAW_RECORD = "One draw site for the visitor's response"
+WINDOW_RECORD = "One snapshot per response window"
 
 MUTANTS = (
     Mutant(
         "wake_frame_late",
         "src/gazesim/harness.py",
-        "max(frame, int(wake_s * 30.0) - 1)",
-        "max(frame, int(wake_s * 30.0) + 1)",
+        "max(frame, int(wake_s * FRAME_RATE_HZ) - 1)",
+        "max(frame, int(wake_s * FRAME_RATE_HZ) + 1)",
         ("tests/test_harness.py::TestSkippedWaits::test_untraced_trials_equal_traced_ones",
          "tests/test_digests.py::test_event_engine_timeline"),
         "Tick modes jump over the frames where nothing can change",
@@ -92,8 +93,8 @@ MUTANTS = (
     Mutant(
         "responder_events_one_late",
         "src/gazesim/harness.py",
-        "cell.events[: cell.window_events[cursor]]",
-        "cell.events[: cell.window_events[cursor] + 1]",
+        "list(window.events), window.controller",
+        "list(self.cell.events[: len(window.events) + 1]), window.controller",
         ("tests/test_harness.py::TestNoiseFreeRobotEvents",),
         "The event engine takes its robot timeline from `controller_step`",
     ),
@@ -228,8 +229,8 @@ MUTANTS = (
     Mutant(
         "recognizer_on_even_frames",
         "src/gazesim/harness.py",
-        "srm = srm_update(srm, instant)",
-        "srm = srm_update(srm, instant) if frame % 2 == 0 else srm",
+        "prior, srm = srm, srm_update(srm, instant)",
+        "prior, srm = srm, (srm_update(srm, instant) if frame % 2 == 0 else srm)",
         ("tests/test_digests.py::test_simulate_trace",
          "tests/test_harness.py::TestSkippedWaits::test_untraced_trials_equal_traced_ones"),
         "One tick loop",
@@ -276,17 +277,19 @@ MUTANTS = (
     Mutant(
         "window_visitor_not_copied",
         "src/gazesim/harness.py",
-        "replace(resume.visitors[k])",
-        "resume.visitors[k]",
+        "replace(resume.visitor)",
+        "resume.visitor",
         ("tests/test_harness.py::TestIdealDesignCells::test_records_equal_traced_trials",
-         "tests/test_harness.py::TestSkippedWaits::test_frames_stepped_on_the_ideal_design"),
+         "tests/test_harness.py::TestSkippedWaits::test_frames_stepped_on_the_ideal_design",
+         "tests/test_harness.py::TestResponseWindows"
+         "::test_a_resumed_run_leaves_its_window_unchanged"),
         CELL_RECORD,
     ),
     Mutant(
         "resumed_at_the_window_frame",
         "src/gazesim/harness.py",
-        "resume.frames[k] + 1",
-        "resume.frames[k]",
+        "resume.frame + 1",
+        "resume.frame",
         ("tests/test_harness.py::TestIdealDesignCells::test_records_equal_traced_trials",
          "tests/test_harness.py::TestSkippedWaits::test_frames_stepped_on_the_ideal_design"),
         CELL_RECORD,
@@ -331,10 +334,38 @@ MUTANTS = (
     Mutant(
         "resumed_responder_never_scheduled",
         "src/gazesim/harness.py",
-        "resume.frames[k] + 1\n",
-        "resume.frames[k] + 1\n        k = -1\n",
+        "resume.frame + 1\n",
+        "resume.frame + 1\n        k = -1\n",
         ("tests/test_harness.py::TestIdealDesignCells::test_records_equal_traced_trials",),
         DRAW_RECORD,
+    ),
+    # A response window is one `_Window` snapshot, and a trial's outcome is
+    # read off its run: the final controller and the face event.
+    Mutant(
+        "window_events_one_short",
+        "src/gazesim/harness.py",
+        "_Window(cstate, tuple(events_all), ",
+        "_Window(cstate, tuple(events_all[:-1]), ",
+        ("tests/test_harness.py::TestResponseWindows::test_each_window_is_its_prompt_as_it_opens",
+         "tests/test_digests.py::test_event_engine_timeline"),
+        WINDOW_RECORD,
+    ),
+    Mutant(
+        "responding_action_of_the_first_prompt",
+        "src/gazesim/harness.py",
+        "responding_action=cstate.action if succeeded",
+        "responding_action=method.capture_plan[0] if succeeded",
+        ("tests/test_digests.py::test_ideal_mode_all_methods",
+         "tests/test_harness.py::TestEventEngine::test_single_trial_seeds_of_any_width"),
+        WINDOW_RECORD,
+    ),
+    Mutant(
+        "attending_read_after_the_step",
+        "src/gazesim/harness.py",
+        "        attending = human.attending\n        human_step(human, scenario, t)\n",
+        "        human_step(human, scenario, t)\n        attending = human.attending\n",
+        ("tests/test_digests.py::test_simulate_trace",),
+        WINDOW_RECORD,
     ),
     Mutant(
         "running_sum_as_numpy_sum",

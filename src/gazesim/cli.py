@@ -22,7 +22,7 @@ import numpy as np
 
 from .body_tracker import BodyTracker
 from .config import ConfigError, RunConfig, parse_config
-from .controller import METHODS, Method
+from .controller import FRAME_RATE_HZ, METHODS, Method
 from .geometry import Pose2, normalize_angle
 from .harness import (
     TrialAbortError,
@@ -298,7 +298,7 @@ def _cmd_track_demo(args: argparse.Namespace) -> int:
         draws = zip(range(args.frames), _frame_draws(base, full=True))
         for frame, (_, laser_seed, filter_seed) in draws:
             if args.motion == "turn" and frame >= 30:
-                heading = normalize_angle(heading + 60.0 / 30.0)
+                heading = normalize_angle(heading + 60.0 / FRAME_RATE_HZ)
             body = EllipseBody(Pose2(seat.x, seat.y, heading), *semi_axes)
             scan = synthesize_scan(sensor, body, seed=laser_seed)
             estimate = tracker.step(scan, seed=filter_seed)
@@ -364,7 +364,8 @@ def guarded(prog: str, command, args: argparse.Namespace) -> int:
         print(f"{prog}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:  # inputs are read as ConfigErrors, so this is an output
-        print(f"{prog}: cannot write {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
+        name = exc.filename or ("stdout" if isinstance(exc, BrokenPipeError) else "output")
+        print(f"{prog}: cannot write {name}: {exc.strerror or exc}", file=sys.stderr)
         return 1
     except TrialAbortError as exc:
         print(f"{prog}: aborted: {exc}", file=sys.stderr)

@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 
 from .situation import ViewingSituation
 
-TICK_S = 1.0 / 30.0
+FRAME_RATE_HZ = 30.0
+TICK_S = 1.0 / FRAME_RATE_HZ
 
 PAN_MIN_DEG = -159.0
 PAN_MAX_DEG = 159.0

@@ -2,11 +2,11 @@
 
 A trial seats the visitor in front of one painting, lets the recognizer
 settle on the intended viewing situation, then runs the robot's
-escalation protocol against the stochastic visitor until it succeeds or
-exhausts its plan. Three fidelity modes share one random-stream layout,
-and each trial's answer (the prompt it responds to, the latency and the
-gaze span) is drawn in one place for all of them, `_responses`, over
-arrays. So a trial's decisions are identical whichever engine runs it:
+escalation protocol against the stochastic visitor. Each prompt opens a
+response window; the trial succeeds in the window the visitor answers, or
+fails once the plan is spent. Each trial's answer (the prompt, the latency
+and the gaze span) is drawn in one place for the three fidelity modes,
+`_responses`, over arrays, so its decisions are the same in each:
 
 - "full":  sensors simulated end to end (laser scans, particle filter,
            noisy head camera), 30 fps tick loop.
@@ -17,18 +17,19 @@ arrays. So a trial's decisions are identical whichever engine runs it:
            noise over arrays, a cell's trials at once (`_confirm_frames`), and
            the loop starts at the confirm frame. A design's trials that confirm
            on one frame share one event-cell run; only responders step on,
-           from the window they answer. Untraced full mode senses
+           from the `_Window` they answer. Untraced full mode senses
            only while the controller reads it (`ControllerState.reads_sensors`).
            Untraced, both skip frames where it and the visitor are idle
            (`idle_until_s`); traced, they step and sense every frame.
 - "event": the untraced ideal tick loop (`_run_ticks`) run once per cell with
            no seed: no head camera noise and no response, so the controller
            runs on to Failure. TRIAL_TIME_CAP_S bounds that run, and its aborts
-           name the "event cell". A trial keeps the run up to the window it
-           responds in, and steps the controller on from that window with the
-           face at its drawn instant. The trials of a (method, situation)
-           cell run as one batch: their face instants are computed over arrays
-           (`_plan_response`), and their records fill `Records` columns.
+           name the "event cell". The run keeps a `_Window` as each window
+           opens: the controller, the events so far, the visitor and the frame.
+           A trial steps the controller on from the window it answers, with the
+           face at its drawn instant. A cell's trials run as one batch: their
+           face instants come from `_plan_response` over arrays, and their
+           records fill `Records` columns.
 """
 from __future__ import annotations
 
@@ -51,10 +52,10 @@ from .controller import (
     ControllerState,
     EventKind,
     FACE_TOLERANCE_DEG,
+    FRAME_RATE_HZ,
     Method,
     METHODS,
     Phase,
-    RobotAction,
     RobotEvent,
     controller_step,
     face_detected,
@@ -251,7 +252,7 @@ def _frame_draws(
 def _wake_frame(frame: int, wake_s: float | None) -> int:
     """The next frame to step when nothing changes before wake_s: a tick or
     two short of it, so each comparison still first holds on a stepped frame."""
-    return frame if wake_s is None else max(frame, int(wake_s * 30.0) - 1)
+    return frame if wake_s is None else max(frame, int(wake_s * FRAME_RATE_HZ) - 1)
 
 
 @lru_cache(maxsize=16)
@@ -264,7 +265,7 @@ def _settling(scenario: Scenario, situation: ViewingSituation) -> tuple:
     to_robot = bearing_to(scenario.human_seat.position, scenario.robot_pose.position)
     states, views = [], []
     for frame in count():
-        human_step(human, scenario, frame / 30.0)
+        human_step(human, scenario, frame / FRAME_RATE_HZ)
         states.append(replace(human))
         yaw = relative_yaw_deg(human.head, scenario.camera_pose)
         views.append((yaw, human.head.pitch_deg, normalize_angle(human.body_theta_deg - to_robot)))
@@ -281,7 +282,7 @@ def _confirm_frames(
     for the trials not yet confirmed; else the frame past the abort budget.
     Without seeds, one trial without noise."""
     _, true_yaw, true_pitch, theta_rel = _settling(scenario, situation)
-    last = int(ABORT_BUDGET_S * 30.0)
+    last = int(ABORT_BUDGET_S * FRAME_RATE_HZ)
     confirm = np.full(1 if seeds is None else len(seeds), last + 1)
     for chunk in range(0, len(confirm), CONFIRM_CHUNK):
         rows = np.arange(chunk, min(chunk + CONFIRM_CHUNK, len(confirm)))
@@ -308,6 +309,16 @@ def _confirm_frames(
     return confirm
 
 
+class _Window(NamedTuple):
+    """A response window as it opens: the controller, the run's events so
+    far, a copy of the visitor and the frame."""
+
+    controller: ControllerState
+    events: tuple[RobotEvent, ...]
+    visitor: HumanState
+    frame: int
+
+
 def _run_ticks(
     scenario: Scenario,
     method: Method,
@@ -318,18 +329,17 @@ def _run_ticks(
     trace: TraceWriter | None,
     confirm: int | None,
     answer: tuple[int, float, float] = (-1, math.nan, math.nan),
-    resume: _EventCell | None = None,
-) -> tuple[TrialDetail, list[tuple[ControllerState, int, HumanState, int]]]:
-    """One tick-mode trial, and the controller, the number of events, a copy
-    of the visitor and the frame as each response window opens. Once window
-    k of the `answer` (k, latency_s, gaze_s) from `_responses` opens, the
-    visitor is scheduled to respond. Without a seed or an answer the run is
-    the event engine's cell: no head camera noise, and the visitor never
-    turns to the robot. Given its confirm frame (untraced ideal mode), the
-    trial senses nothing: it starts a tick or two short of that frame, with
-    the visitor `_settling` gives there. Given `resume`, such a cell run, it
-    goes on after window k's frame. Aborts name the trial, or the event cell
-    if trial_id is None."""
+    resume: _Window | None = None,
+) -> tuple[TrialDetail, list[_Window]]:
+    """One tick-mode trial, and a `_Window` as each response window opens.
+    Once window k of the `answer` (k, latency_s, gaze_s) from `_responses`
+    opens, the visitor is scheduled to respond. Without a seed or an answer
+    the run is the event engine's cell: no head camera noise, and the
+    visitor never turns to the robot. Given its confirm frame (untraced
+    ideal mode), the trial senses nothing: it starts a tick or two short of
+    that frame, with the visitor `_settling` gives there. Given `resume`, a
+    window of such a run, it goes on from the next frame. Aborts name the
+    trial, or the event cell if trial_id is None."""
     human = make_human(scenario, scenario.painting_for(situation).painting_id)
     cstate = make_controller(method)
     srm = SrmState()
@@ -348,20 +358,15 @@ def _run_ticks(
             seed=derive_seed(seed, STREAM_INIT),
         )
 
-    events_all: list[RobotEvent] = []
-    windows: list[tuple[ControllerState, int, HumanState, int]] = []
+    events_all: list[RobotEvent] = list(resume.events) if resume else []
+    windows: list[_Window] = []
     k, latency_s, gaze_s = answer
-    measured_latency_s: float | None = None
-    responding_action: RobotAction | None = None
-    prev_attending = human.attending
-    prev_confirmed = srm.confirmed
 
     frame = 0
     if resume is not None:
-        cstate, human, frame = resume.windows[k], replace(resume.visitors[k]), resume.frames[k] + 1
-        events_all = list(resume.events[: resume.window_events[k]])
+        cstate, human, frame = resume.controller, replace(resume.visitor), resume.frame + 1
     elif confirm is not None:
-        frame = _wake_frame(frame, confirm / 30.0)
+        frame = _wake_frame(frame, confirm / FRAME_RATE_HZ)
         states = _settling(scenario, situation)[0]
         human = replace(states[min(frame, len(states)) - 1]) if frame else human
     while True:
@@ -379,16 +384,16 @@ def _run_ticks(
                 visitor = idle_until_s(human, scenario)
                 wake = None if visitor is None else min(wake, visitor)
             frame = _wake_frame(frame, wake)
-        t = frame / 30.0
+        t = frame / FRAME_RATE_HZ
         if t > TRIAL_TIME_CAP_S:
             raise TrialAbortError(
                 f"trial exceeded {TRIAL_TIME_CAP_S} s without a terminal event "
                 f"({run}, {method.value})"
             )
+        attending = human.attending
         human_step(human, scenario, t)
-        if trace and human.attending != prev_attending:
+        if trace and human.attending != attending:
             trace.emit(t, "human", "attending", {"target": human.attending})
-            prev_attending = human.attending
 
         confirmed_input = bearing_input = None
         if confirm is not None:
@@ -396,6 +401,7 @@ def _run_ticks(
             bearing_input = seat_bearing_deg
         elif trace or cstate.reads_sensors:
             head_noise, laser_seed, filter_seed = next(draws)
+            bearing_input = seat_bearing_deg
             if tracker is not None:
                 body_pose = Pose2(seat.x, seat.y, human.body_theta_deg)
                 scan = synthesize_scan(
@@ -409,10 +415,11 @@ def _run_ticks(
                 )
                 estimate = tracker.step(scan, seed=filter_seed)
                 theta_rel = body_orientation_for_srm(estimate, robot)
+                if estimate.converged:
+                    bearing_input = relative_bearing(robot, (estimate.x, estimate.y))
                 if trace:
                     trace.emit(t, "btm", "estimate", {"frame": frame, **asdict(estimate)})
             else:
-                estimate = None
                 theta_rel = normalize_angle(human.body_theta_deg - seat_to_robot_deg)
 
             observation = observe_head(
@@ -421,15 +428,10 @@ def _run_ticks(
             if trace:
                 trace.emit(t, "hdtm", "observation", observation)
             instant = classify_instant(observation, theta_rel)
-            srm = srm_update(srm, instant)
-            if trace and srm.confirmed is not prev_confirmed:
+            prior, srm = srm, srm_update(srm, instant)
+            if trace and srm.confirmed is not prior.confirmed:
                 trace.emit(t, "srm", "confirmed", {"situation": srm.confirmed})
-                prev_confirmed = srm.confirmed
             confirmed_input = situation if srm.confirmed is situation else None
-            if estimate is not None and estimate.converged:
-                bearing_input = relative_bearing(robot, (estimate.x, estimate.y))
-            else:
-                bearing_input = seat_bearing_deg
 
         if cstate.phase is Phase.OBSERVE and confirmed_input is None and t >= ABORT_BUDGET_S:
             raise TrialAbortError(
@@ -453,27 +455,22 @@ def _run_ticks(
         events_all.extend(events)
 
         if cstate.phase is Phase.AWAIT_RESPONSE and prev_phase is not Phase.AWAIT_RESPONSE:
-            windows.append((cstate, len(events_all), replace(human), frame))
-
-        for event in events:
-            if event.kind is EventKind.FACE_DETECTED:
-                assert cstate.window_start_s is not None
-                measured_latency_s = t - cstate.window_start_s
-                responding_action = cstate.action
-            if trace:
-                trace.emit(t, "ctrl", event.kind.value, event.detail)
+            windows.append(_Window(cstate, tuple(events_all), replace(human), frame))
+        if trace:
+            _trace_events(trace, events)
         if cstate.terminal:
             break
         frame += 1
 
     succeeded = cstate.succeeded
+    face_s = next((e.time_s for e in events_all if e.kind is EventKind.FACE_DETECTED), None)
     record = TrialRecord(
         trial_id=trial_id,
         method=method,
         situation=situation,
         responded=succeeded,
-        responding_action=responding_action if succeeded else None,
-        response_latency_s=measured_latency_s if succeeded else None,
+        responding_action=cstate.action if succeeded else None,
+        response_latency_s=face_s - cstate.window_start_s if succeeded else None,
         gaze_time_s=gaze_s if succeeded else None,
         seed=seed,
     )
@@ -482,20 +479,13 @@ def _run_ticks(
 
 class _EventCell(NamedTuple):
     """One (method, situation) cell: the controller stepped without a face
-    from the first prompt to Failure. A prompt is only reached when every
-    earlier window expired, so a trial whose answer is prompt k has this
-    run's events up to window k, and goes on from the controller and the
-    visitor as it opened that window: the event engine over arrays, an
+    from the first prompt to Failure, and each window it opened. A prompt is
+    only reached when every earlier window expired, so a trial that answers
+    prompt k goes on from window k: the event engine over arrays, an
     untraced ideal trial by resuming `_run_ticks` there."""
 
-    method: Method
-    situation: ViewingSituation
     events: tuple[RobotEvent, ...]  # the run without a face
-    windows: tuple[ControllerState, ...]  # the controller as each window opens
-    window_events: tuple[int, ...]  # len(events) when each window opens
-    visitors: tuple[HumanState, ...]  # the visitor as each window opens, shared
-    frames: tuple[int, ...]  # the frame each window opens on
-    gaze_offsets_deg: tuple[float, ...]  # the visitor's gaze off the robot there
+    windows: list[_Window]
 
 
 def _event_cell(
@@ -508,9 +498,7 @@ def _event_cell(
     if confirm is None:
         confirm = int(_confirm_frames(scenario, situation, None)[0])
     run = _run_ticks(scenario, method, situation, None, "ideal", trial_id, None, confirm)
-    states, counts, visitors, frames = zip(*run[1])
-    offsets = tuple(gaze_bearing_to(v, scenario.robot_pose.position) for v in visitors)
-    return _EventCell(method, situation, run[0].events, states, counts, visitors, frames, offsets)
+    return _EventCell(run[0].events, run[1])
 
 
 class _EventBatch(NamedTuple):
@@ -522,7 +510,18 @@ class _EventBatch(NamedTuple):
     detect_s: np.ndarray
 
     def events(self, i: int) -> list[RobotEvent]:
-        return _event_timeline(self.cell, int(self.cursor[i]), float(self.detect_s[i]))
+        """Trial i's events: its window's, then the controller stepped on with
+        the face at its instant and at each instant it waits for until done."""
+        if self.cursor[i] < 0:
+            return list(self.cell.events)
+        window = self.cell.windows[self.cursor[i]]
+        events, cstate = list(window.events), window.controller
+        inputs, t = ControllerInputs(face_detected=True), float(self.detect_s[i])
+        while not cstate.terminal:
+            cstate, step_events = controller_step(cstate, inputs, t)
+            events.extend(step_events)
+            inputs, t = ControllerInputs(), cstate.idle_until_s
+        return events
 
 
 def _run_event_batch(
@@ -538,10 +537,11 @@ def _run_event_batch(
     # Cursor -1, no response, takes the trailing -1 and a NaN latency.
     plan = np.array([ACTIONS.index(a) for a in method.capture_plan] + [-1], np.int8)
     n = len(seeds)
-    window_starts = np.array([window.window_start_s for window in cell.windows])[cursor]
-    _, detect_s = _plan_response(
-        window_starts, latency_s, np.array(cell.gaze_offsets_deg)[cursor]
-    )
+    robot = scenario.robot_pose.position
+    window_starts, offsets = np.array([
+        (w.controller.window_start_s, gaze_bearing_to(w.visitor, robot)) for w in cell.windows
+    ])[cursor].T
+    _, detect_s = _plan_response(window_starts, latency_s, offsets)
     records = Records(
         trial_id=np.arange(first_trial_id, first_trial_id + n, dtype=np.int64),
         method=np.full(n, METHODS.index(method), np.int8),
@@ -552,21 +552,6 @@ def _run_event_batch(
         seed=seeds,
     )
     return _EventBatch(cell, records, cursor, detect_s)
-
-
-def _event_timeline(cell: _EventCell, cursor: int, detect_s: float) -> list[RobotEvent]:
-    """One trial's events, from the prompt it responded to and when: the
-    cell's run up to that window, then the controller stepped on from it
-    with the face at detect_s and at each instant it waits for until done."""
-    if cursor < 0:
-        return list(cell.events)
-    events = list(cell.events[: cell.window_events[cursor]])
-    cstate, inputs, t = cell.windows[cursor], ControllerInputs(face_detected=True), detect_s
-    while not cstate.terminal:
-        cstate, step_events = controller_step(cstate, inputs, t)
-        events.extend(step_events)
-        inputs, t = ControllerInputs(), cstate.idle_until_s
-    return events
 
 
 def _trace_events(trace: TraceWriter, events: Iterable[RobotEvent]) -> None:
@@ -612,7 +597,8 @@ def _ideal_cell(
         for i in group.tolist():
             if answers[i][0] >= 0:
                 rows[i] = _run_ticks(scenario, method, situation, rows[i].seed, "ideal",
-                                     first_id + i, None, confirm, answers[i], cell)[0].record
+                                     first_id + i, None, confirm, answers[i],
+                                     cell.windows[answers[i][0]])[0].record
     return rows
 
 

@@ -1,5 +1,9 @@
+import errno
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,6 +61,23 @@ class TestCalibrate:
         assert reproduced["M1"]["CFOV"] == pytest.approx(0.92, abs=1e-12)
         assert reproduced["M4"]["OFOV"] == pytest.approx(0.92, abs=1e-12)
         assert reproduced["M3"] == reproduced["M4"]
+
+    def test_closed_stdout_exits_one_naming_stdout(self):
+        # Printing to a pipe whose reader has gone raises BrokenPipeError,
+        # an OSError without a filename.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = Path(__file__).resolve().parents[1] / "src"
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "gazesim", "calibrate"], stdout=write_end,
+                stderr=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 1
+        assert result.stderr == f"gazesim: cannot write stdout: {os.strerror(errno.EPIPE)}\n"
 
 
 class TestSimulate:
@@ -223,6 +244,20 @@ class TestExperiment:
         code, stdout, err = run_cli(argv, capsys)
         assert code == 1
         assert err == f"gazesim: cannot write {results}: Is a directory\n"
+        assert stdout == ""
+
+    def test_a_write_error_without_a_filename_exits_one(self, tmp_path, capsys, monkeypatch):
+        # A write that fails midway, on a full disk say, names no file.
+        def disk_full(path, records):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, "write_records_csv", disk_full)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"n_per_cell": 2}))
+        argv = ["experiment", "--config", str(config_path), "--out", str(tmp_path / "o")]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 1
+        assert err == f"gazesim: cannot write output: {os.strerror(errno.ENOSPC)}\n"
         assert stdout == ""
 
     def test_writes_all_outputs(self, tmp_path, capsys):

@@ -34,7 +34,7 @@ from gazesim.harness import (
     trial_seeds,
     write_records_csv,
 )
-from gazesim.human import HEAD_TURN_SPEED_DEG_S, gaze_duration, respond
+from gazesim.human import HEAD_TURN_SPEED_DEG_S, gaze_bearing_to, gaze_duration, respond
 from gazesim.geometry import HeadPose, Pose2, bearing_to, normalize_angle
 from gazesim.head_tracker import NOISE_SIGMA_DEG, observe_head, relative_yaw_deg
 from gazesim.records import Records
@@ -143,9 +143,10 @@ def face_gate_s(cell, k, latency_s):
     """When the face gate opens on an answer to the cell's prompt k: the eyes
     land on the robot latency_s after the window opens, or once the head has
     turned, and the gate opens FACE_TOLERANCE_DEG before they land."""
-    b0 = abs(cell.gaze_offsets_deg[k])
+    window = cell.windows[k]
+    b0 = abs(gaze_bearing_to(window.visitor, SC.robot_pose.position))
     turn_s = b0 / HEAD_TURN_SPEED_DEG_S
-    arrival_s = cell.windows[k].window_start_s + max(latency_s, turn_s)
+    arrival_s = window.controller.window_start_s + max(latency_s, turn_s)
     return arrival_s - min(b0, FACE_TOLERANCE_DEG) / HEAD_TURN_SPEED_DEG_S
 
 
@@ -186,7 +187,8 @@ class TestEventEngine:
             if mode == "event":
                 cell = harness._event_cell(SC, method, OFOV)
                 detect_s = face_gate_s(cell, k, latency_s)
-                assert record.response_latency_s == detect_s - cell.windows[k].window_start_s
+                start_s = cell.windows[k].controller.window_start_s
+                assert record.response_latency_s == detect_s - start_s
 
     def test_the_ensure_phase_is_the_controllers(self, monkeypatch):
         # Past the face the engine steps controller_step, so it keeps the
@@ -213,7 +215,55 @@ class TestEventEngine:
                 yaw = room.painting_world_yaw(room.painting_for(situation))
                 cell = harness._event_cell(room, method, situation)
                 offset = normalize_angle(yaw - to_robot)
-                assert cell.gaze_offsets_deg == (offset,) * len(cell.windows)
+                offsets = [gaze_bearing_to(w.visitor, room.robot_pose.position)
+                           for w in cell.windows]
+                assert offsets == [offset] * len(cell.windows)
+
+
+class TestResponseWindows:
+    """A cell run records each response window as it opens: the controller
+    awaiting prompt k, the run's events up to that prompt, a copy of the
+    visitor and the frame."""
+
+    # The last event before each prompt's window: a head movement's end, or
+    # the utterance, since speech opens its window with no event of its own.
+    OPENED_BY = {
+        RobotAction.HT: EventKind.HEAD_TURN_END,
+        RobotAction.HS: EventKind.HEAD_SHAKE_END,
+        RobotAction.RT: EventKind.UTTERANCE,
+    }
+
+    @pytest.mark.parametrize("room, situations", ROOMS)
+    def test_each_window_is_its_prompt_as_it_opens(self, room, situations):
+        for method in METHODS:
+            for situation in situations:
+                cell = harness._event_cell(room, method, situation)
+                assert len(cell.windows) == len(method.capture_plan)
+                for k, window in enumerate(cell.windows):
+                    assert window.controller.phase is controller.Phase.AWAIT_RESPONSE
+                    assert window.controller.plan_cursor == k
+                    assert cell.events[: len(window.events)] == window.events
+                    assert window.events[-1].kind is self.OPENED_BY[method.capture_plan[k]]
+                    # No face comes in the seedless run: the window expires next.
+                    assert cell.events[len(window.events)].kind is EventKind.WINDOW_EXPIRED
+                frames = [window.frame for window in cell.windows]
+                assert all(a < b for a, b in zip(frames, frames[1:]))
+
+    @pytest.mark.parametrize("situation", SITUATIONS)
+    def test_a_resumed_run_leaves_its_window_unchanged(self, situation):
+        method = Method.M4
+        confirm = int(harness._confirm_frames(SC, situation, None)[0])
+        cell = harness._event_cell(SC, method, situation, confirm)
+        # The gaze outlasts the trial, so a visitor stepped in place would
+        # still face the robot at its end.
+        for k, window in enumerate(cell.windows):
+            visitor = dataclasses.replace(window.visitor)
+            detail, _ = harness._run_ticks(
+                SC, method, situation, 0, "ideal", 0, None, confirm, (k, 1.0, 10.0), window
+            )
+            assert detail.record.responding_action is method.capture_plan[k]
+            assert detail.record.gaze_time_s == 10.0
+            assert window.visitor == visitor
 
 
 class TestFrameDraws:
