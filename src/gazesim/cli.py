@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import replace
@@ -203,9 +204,7 @@ def write_report_files(
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    seed = _seed_flag(args.seed)
-    if seed is None:
-        seed = config.base_seed
+    seed = config.base_seed if args.seed is None else _seed_flag(args.seed)
     method = Method(args.method)
     situation = ViewingSituation(args.situation)
     # The design check: the room must map a painting to the situation.
@@ -268,8 +267,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     for action in CAPTURE_ACTIONS:
         row = "".join(f"{table[action][s]:>10.6f}" for s in SITUATIONS)
         print(f"{action.value:<10}{row}")
-    print()
-    print("reproduced cumulative success per method")
+    print("\nreproduced cumulative success per method")
     print(header)
     for method in METHODS:
         row = "".join(f"{reproduced[method.value][s.value]:>10.6f}" for s in SITUATIONS)
@@ -359,11 +357,15 @@ def guarded(prog: str, command, args: argparse.Namespace) -> int:
     """command(args), with its errors as exit codes: 1 for a ConfigError or
     an output that cannot be written, 2 for a trial that aborts."""
     try:
-        return command(args)
+        code = command(args)
+        sys.stdout.flush()  # a reader that has gone fails here, not in the flush at exit
+        return code
     except ConfigError as exc:
         print(f"{prog}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:  # inputs are read as ConfigErrors, so this is an output
+        if isinstance(exc, BrokenPipeError):  # stdout's: its flush at exit writes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         name = exc.filename or ("stdout" if isinstance(exc, BrokenPipeError) else "output")
         print(f"{prog}: cannot write {name}: {exc.strerror or exc}", file=sys.stderr)
         return 1

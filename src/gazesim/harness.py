@@ -485,7 +485,7 @@ class _EventCell(NamedTuple):
     untraced ideal trial by resuming `_run_ticks` there."""
 
     events: tuple[RobotEvent, ...]  # the run without a face
-    windows: list[_Window]
+    windows: tuple[_Window, ...]
 
 
 def _event_cell(
@@ -498,7 +498,7 @@ def _event_cell(
     if confirm is None:
         confirm = int(_confirm_frames(scenario, situation, None)[0])
     run = _run_ticks(scenario, method, situation, None, "ideal", trial_id, None, confirm)
-    return _EventCell(run[0].events, run[1])
+    return _EventCell(run[0].events, tuple(run[1]))
 
 
 class _EventBatch(NamedTuple):

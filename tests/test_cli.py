@@ -62,17 +62,21 @@ class TestCalibrate:
         assert reproduced["M4"]["OFOV"] == pytest.approx(0.92, abs=1e-12)
         assert reproduced["M3"] == reproduced["M4"]
 
-    def test_closed_stdout_exits_one_naming_stdout(self):
+    # calibrate's output waits in stdout's buffer until the flush; full
+    # mode's trace fills it and fails mid-run. Stdout is block-buffered, as
+    # on any pipe, and no bytes left in its buffer fail again at exit.
+    @pytest.mark.parametrize("argv", [["calibrate"], ["simulate", "--mode", "full"]])
+    def test_closed_stdout_exits_one_naming_stdout(self, argv):
         # Printing to a pipe whose reader has gone raises BrokenPipeError,
         # an OSError without a filename.
         read_end, write_end = os.pipe()
         os.close(read_end)
-        src = Path(__file__).resolve().parents[1] / "src"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
         try:
             result = subprocess.run(
-                [sys.executable, "-m", "gazesim", "calibrate"], stdout=write_end,
-                stderr=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
-                timeout=120,
+                [sys.executable, "-m", "gazesim", *argv], stdout=write_end,
+                stderr=subprocess.PIPE, text=True, env=env, timeout=120,
             )
         finally:
             os.close(write_end)
