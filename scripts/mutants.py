@@ -50,6 +50,7 @@ ARRAY_RECORD = "Ideal mode finds each trial's confirm frame from arrays"
 CELL_RECORD = "Ideal designs share each cell's seedless run"
 DRAW_RECORD = "One draw site for the visitor's response"
 WINDOW_RECORD = "One snapshot per response window"
+FACADE_RECORD = "One import path per name"
 
 MUTANTS = (
     Mutant(
@@ -366,6 +367,16 @@ MUTANTS = (
         "        human_step(human, scenario, t)\n        attending = human.attending\n",
         ("tests/test_digests.py::test_simulate_trace",),
         WINDOW_RECORD,
+    ),
+    # `run_experiment` numbers each cell's ids method-major, as in the full design.
+    Mutant(
+        "trial_ids_situation_major",
+        "src/gazesim/harness.py",
+        "((m * len(SITUATIONS) + s) * n, method, situation,",
+        "((s * len(METHODS) + m) * n, method, situation,",
+        ("tests/test_harness.py::TestRunExperiment::test_full_crossing_in_trial_id_order",
+         "tests/test_harness.py::TestSeedDiscipline::test_trial_identifier_layout"),
+        FACADE_RECORD,
     ),
     Mutant(
         "running_sum_as_numpy_sum",

@@ -207,10 +207,9 @@ def _begin_action(
                 center,
             ),
         )
-    if action is RobotAction.RT:
-        events.append(RobotEvent(clock_s, EventKind.UTTERANCE, UTTERANCE_TEXT))
-        return replace(state, deadline_s=clock_s + UTTERANCE_DURATION_S)
-    raise ValueError(f"{action} is not a capture action")
+    # RobotAction.RT, the plan's one other action
+    events.append(RobotEvent(clock_s, EventKind.UTTERANCE, UTTERANCE_TEXT))
+    return replace(state, deadline_s=clock_s + UTTERANCE_DURATION_S)
 
 
 def _open_window(state: ControllerState, start_s: float) -> ControllerState:
@@ -234,10 +233,8 @@ def _execute_step(
         return state
     if action is RobotAction.HT:
         speed, end = TURN_SPEED_DEG_S, EventKind.HEAD_TURN_END
-    elif action is RobotAction.HS:
+    else:  # RobotAction.HS
         speed, end = SHAKE_SPEED_DEG_S, EventKind.HEAD_SHAKE_END
-    else:
-        raise AssertionError(f"executing non-capture action {action}")
     target, *rest = state.waypoints
     pan = _move_joint(state.pan_deg, target, speed)
     if pan != target:
@@ -320,9 +317,8 @@ def controller_step(
         return _execute_step(state, clock_s, events), events
     if state.phase is Phase.AWAIT_RESPONSE:
         return _await_step(state, inputs, clock_s, events), events
-    if state.phase is Phase.ENSURE_ATTENTION:
-        return _ensure_step(state, clock_s, events), events
-    raise AssertionError(f"unhandled phase {state.phase}")
+    # Phase.ENSURE_ATTENTION, the one phase left
+    return _ensure_step(state, clock_s, events), events
 
 
 def face_detected(gaze_bearing_deg: float) -> bool:

@@ -570,15 +570,6 @@ def trial_seeds(
     )
 
 
-def trial_identifier(
-    method: Method, situation: ViewingSituation, rep: int, n_per_cell: int
-) -> int:
-    """Canonical trial id: stable across method/situation subsets."""
-    m = METHODS.index(method)
-    s = SITUATIONS.index(situation)
-    return (m * len(SITUATIONS) + s) * n_per_cell + rep
-
-
 def _ideal_cell(
     args: tuple[Scenario, Method, ViewingSituation, np.ndarray, int],
 ) -> list[TrialRecord]:
@@ -638,16 +629,13 @@ def run_experiment(
         trace_dir = Path(trace_dir)
         trace_dir.mkdir(parents=True, exist_ok=True)
     n = config.n_per_cell
-    # In trial id order: each cell's ids are one consecutive block.
-    cells = sorted(
-        [
-            (trial_identifier(method, situation, 0, n), method, situation,
-             trial_seeds(config.base_seed, method, situation, n))
-            for method in config.methods
-            for situation in config.situations
-        ],
-        key=lambda cell: cell[0],
-    )
+    # In trial id order; each cell's block of ids is numbered as in the full design.
+    cells = [
+        ((m * len(SITUATIONS) + s) * n, method, situation,
+         trial_seeds(config.base_seed, method, situation, n))
+        for m, method in enumerate(METHODS) if method in config.methods
+        for s, situation in enumerate(SITUATIONS) if situation in config.situations
+    ]
     if mode == "event":
         parts = []
         for first_id, method, situation, seeds in cells:

@@ -351,6 +351,42 @@ class TestExperiment:
         assert code == 1
         assert "n_per_cell" in err
 
+    # One bad value for each type check of the config and its scenario.
+    @pytest.mark.parametrize(
+        "keys, value, message",
+        [
+            (("scenario", "body_semi_major_m"), "0.3",
+             "scenario.body_semi_major_m: expected a number, got '0.3'"),
+            (("trace",), "yes", "trace: expected true or false, got 'yes'"),
+            (("output_dir",), 3, "output_dir: expected a string, got 3"),
+            (("scenario",), [1], "scenario: expected an object"),
+            (("scenario", "paintings"), {}, "scenario.paintings: expected a list"),
+            (("scenario", "paintings", 0), "P1", "scenario.paintings[0]: expected an object"),
+            (("scenario", "paintings", 0), {"id": "P1"},
+             "scenario.paintings[0]: needs id and bearing_deg"),
+            (("scenario", "situation_map"), [], "scenario.situation_map: expected an object"),
+        ],
+    )
+    def test_each_type_check_exits_one_naming_its_key(
+        self, tmp_path, capsys, keys, value, message
+    ):
+        config = {"scenario": scenario_to_dict(default_scenario())}
+        *parents, last = keys
+        target = config
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            ["experiment", "--config", str(config_path), "--out", str(out_dir)], capsys
+        )
+        assert code == 1
+        assert err == f"gazesim: {message}\n"
+        assert out == ""
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize(
         "key,value",
         [
@@ -609,6 +645,15 @@ class TestReport:
     def test_missing_results_exits_one(self, tmp_path, capsys):
         code, _, err = run_cli(["report", str(tmp_path / "nope.csv")], capsys)
         assert code == 1
+
+    def test_header_only_results_exits_one(self, tmp_path, capsys):
+        results = tmp_path / "results.csv"
+        results.write_text(RESULTS_CSV_HEADER + "\n")
+        code, out, err = run_cli(["report", str(results), "--out", str(tmp_path / "rep")], capsys)
+        assert code == 1
+        assert err == f"gazesim: {results}: no records\n"
+        assert out == ""
+        assert not (tmp_path / "rep").exists()
 
     @pytest.mark.parametrize("responded", ["yes", "True", "1", ""])
     def test_non_boolean_responded_exits_one(self, tmp_path, capsys, responded):

@@ -125,6 +125,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="methods"):
             parse_config('{"methods": []}')
 
+    # A parsed list is never empty, so only a RunConfig built in Python
+    # reaches these two checks.
+    @pytest.mark.parametrize("key", ["methods", "situations"])
+    def test_empty_design_axis_rejected_in_python(self, key):
+        with pytest.raises(ConfigError, match=rf"^{key}: must not be empty$"):
+            RunConfig(**{key: ()})
+
     def test_methods_canonical_order(self):
         config = parse_config('{"methods": ["M4", "M1"]}')
         assert config.methods == (Method.M1, Method.M4)

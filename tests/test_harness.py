@@ -30,7 +30,6 @@ from gazesim.harness import (
     run_experiment,
     run_trial,
     run_trial_detailed,
-    trial_identifier,
     trial_seeds,
     write_records_csv,
 )
@@ -121,11 +120,22 @@ class TestSeedDiscipline:
         assert base != trial_seed(43, Method.M1, CFOV, 0)
 
     def test_trial_identifier_layout(self):
+        # Method-major over the full design, so a subset run keeps each id.
         n = 10
-        assert trial_identifier(Method.M1, CFOV, 0, n) == 0
-        assert trial_identifier(Method.M1, NPFOV, 0, n) == 10
-        assert trial_identifier(Method.M2, CFOV, 3, n) == 43
-        assert trial_identifier(Method.M4, OFOV, 9, n) == 159
+
+        def trial_id(records, method, situation, rep):
+            seed = int(trial_seeds(42, method, situation, n)[rep])
+            [row] = [r for r in records
+                     if (r.method, r.situation, r.seed) == (method, situation, seed)]
+            return row.trial_id
+
+        full = run_experiment(RunConfig(n_per_cell=n, base_seed=42))
+        assert trial_id(full, Method.M1, CFOV, 0) == 0
+        assert trial_id(full, Method.M1, NPFOV, 0) == 10
+        assert trial_id(full, Method.M2, CFOV, 3) == 43
+        assert trial_id(full, Method.M4, OFOV, 9) == 159
+        subset = RunConfig(n_per_cell=n, base_seed=42, methods=(Method.M2,), situations=(CFOV,))
+        assert trial_id(run_experiment(subset), Method.M2, CFOV, 3) == 43
 
 
 def scalar_outcome(method, situation, seed):

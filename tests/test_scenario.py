@@ -206,5 +206,19 @@ class TestValidation:
         with pytest.raises(KeyError):
             sc.painting("NOPE")
 
+    def test_body_wider_than_it_is_long_rejected(self):
+        sc = default_scenario()
+        with pytest.raises(RoomError, match=r"^body_semi_minor_m: require") as caught:
+            dataclasses.replace(sc, body_semi_minor_m=sc.body_semi_major_m + 0.01)
+        assert len(caught.value.errors) == 1
+
+    def test_situation_lookup_raises_for_an_unmapped_situation(self):
+        sc, ofov = default_scenario(), ViewingSituation.OFOV
+        room = dataclasses.replace(
+            sc, situation_map={p: s for p, s in sc.situation_map.items() if s is not ofov}
+        )
+        with pytest.raises(KeyError, match="no painting mapped to"):
+            room.painting_for(ofov)
+
     def test_bearing_normalized(self):
         assert Painting("A", 350.0).bearing_deg == pytest.approx(-10.0)
