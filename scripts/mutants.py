@@ -51,6 +51,7 @@ CELL_RECORD = "Ideal designs share each cell's seedless run"
 DRAW_RECORD = "One draw site for the visitor's response"
 WINDOW_RECORD = "One snapshot per response window"
 FACADE_RECORD = "One import path per name"
+RESPONDER_RECORD = "Ideal-mode responders over arrays"
 
 MUTANTS = (
     Mutant(
@@ -274,32 +275,12 @@ MUTANTS = (
         ARRAY_RECORD,
     ),
     # An untraced ideal design shares one seedless run per confirm frame, and
-    # its responders step on from the window they answer.
-    Mutant(
-        "window_visitor_not_copied",
-        "src/gazesim/harness.py",
-        "replace(resume.visitor)",
-        "resume.visitor",
-        ("tests/test_harness.py::TestIdealDesignCells::test_records_equal_traced_trials",
-         "tests/test_harness.py::TestSkippedWaits::test_frames_stepped_on_the_ideal_design",
-         "tests/test_harness.py::TestResponseWindows"
-         "::test_a_resumed_run_leaves_its_window_unchanged"),
-        CELL_RECORD,
-    ),
-    Mutant(
-        "resumed_at_the_window_frame",
-        "src/gazesim/harness.py",
-        "resume.frame + 1",
-        "resume.frame",
-        ("tests/test_harness.py::TestIdealDesignCells::test_records_equal_traced_trials",
-         "tests/test_harness.py::TestSkippedWaits::test_frames_stepped_on_the_ideal_design"),
-        CELL_RECORD,
-    ),
+    # takes each responder's record from the window it answers.
     Mutant(
         "cell_runs_keyed_by_cell_only",
         "src/gazesim/harness.py",
-        "confirm, group = int(confirms[first]),",
-        "confirm, group = int(confirms[0]),",
+        "confirm, run = int(confirms[first]),",
+        "confirm, run = int(confirms[0]),",
         ("tests/test_harness.py::TestIdealDesignCells::test_records_equal_traced_trials",
          "tests/test_harness.py::TestSkippedWaits::test_frames_stepped_on_the_ideal_design"),
         CELL_RECORD,
@@ -314,7 +295,7 @@ MUTANTS = (
         CELL_RECORD,
     ),
     # Every engine takes each trial's answer from `_responses`; the tick loop
-    # schedules it as window k opens, or as a resumed run starts in it.
+    # schedules it as window k opens.
     Mutant(
         "answer_scheduled_one_window_late",
         "src/gazesim/harness.py",
@@ -332,14 +313,6 @@ MUTANTS = (
         ("tests/test_digests.py::test_event_mode_all_methods",),
         DRAW_RECORD,
     ),
-    Mutant(
-        "resumed_responder_never_scheduled",
-        "src/gazesim/harness.py",
-        "resume.frame + 1\n",
-        "resume.frame + 1\n        k = -1\n",
-        ("tests/test_harness.py::TestIdealDesignCells::test_records_equal_traced_trials",),
-        DRAW_RECORD,
-    ),
     # A response window is one `_Window` snapshot, and a trial's outcome is
     # read off its run: the final controller and the face event.
     Mutant(
@@ -354,8 +327,8 @@ MUTANTS = (
     Mutant(
         "responding_action_of_the_first_prompt",
         "src/gazesim/harness.py",
-        "responding_action=cstate.action if succeeded",
-        "responding_action=method.capture_plan[0] if succeeded",
+        "(cstate.action, face_s",
+        "(method.capture_plan[0], face_s",
         ("tests/test_digests.py::test_ideal_mode_all_methods",
          "tests/test_harness.py::TestEventEngine::test_single_trial_seeds_of_any_width"),
         WINDOW_RECORD,
@@ -367,6 +340,42 @@ MUTANTS = (
         "        human_step(human, scenario, t)\n        attending = human.attending\n",
         ("tests/test_digests.py::test_simulate_trace",),
         WINDOW_RECORD,
+    ),
+    # An untraced ideal responder's face frame: its fire frame, the first the
+    # tick loop would fire on, plus the turn of the visitor `_settling` has
+    # on the frame before.
+    Mutant(
+        "fire_frame_floor_at_the_window_frame",
+        "src/gazesim/harness.py",
+        "_fire_frames(fire_s, window.frame + 1)",
+        "_fire_frames(fire_s, window.frame)",
+        ("tests/test_harness.py::TestIdealDesignCells::test_records_equal_traced_trials",),
+        RESPONDER_RECORD,
+    ),
+    Mutant(
+        "fire_frame_ceiling_never_lowered",
+        "src/gazesim/harness.py",
+        "    frames -= (frames > first) & ((frames - 1) / FRAME_RATE_HZ >= fire_s)\n",
+        "",
+        ("tests/test_harness.py::TestFireFrames",),
+        RESPONDER_RECORD,
+    ),
+    Mutant(
+        "turn_from_the_window_visitor",
+        "src/gazesim/harness.py",
+        "np.minimum(fire - 1, last)",
+        "np.minimum(window.frame, last)",
+        ("tests/test_harness.py::TestResponseWindows"
+         "::test_responders_equal_traced_trials_while_the_head_turns",),
+        RESPONDER_RECORD,
+    ),
+    Mutant(
+        "face_past_the_deadline_accepted",
+        "src/gazesim/harness.py",
+        "if (face_s >= window.controller.deadline_s - TIME_EPS_S).any():",
+        "if False:",
+        ("tests/test_harness.py::TestResponseWindows::test_a_face_at_the_window_deadline_raises",),
+        RESPONDER_RECORD,
     ),
     # `run_experiment` numbers each cell's ids method-major, as in the full design.
     Mutant(

@@ -37,10 +37,12 @@ class RunConfig:
     trace: bool = False
 
     def __post_init__(self) -> None:
-        if not self.methods:
-            raise ConfigError("methods: must not be empty")
-        if not self.situations:
-            raise ConfigError("situations: must not be empty")
+        for key in ("methods", "situations"):
+            entries = getattr(self, key)
+            if not entries:
+                raise ConfigError(f"{key}: must not be empty")
+            if len(set(entries)) != len(entries):
+                raise ConfigError(f"{key}: duplicate entries")
         if self.n_per_cell < 1:
             raise ConfigError(f"n_per_cell: must be >= 1, got {self.n_per_cell}")
         if self.base_seed < 0:
@@ -183,12 +185,10 @@ def _parse_name(canonical: tuple, name: Any, path: str):
 
 
 def _parse_name_list(value: Any, path: str, canonical: tuple) -> tuple:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected a non-empty list")
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a list")
     parsed = [_parse_name(canonical, v, f"{path}[{i}]") for i, v in enumerate(value)]
-    if len(set(parsed)) != len(parsed):
-        raise ConfigError(f"{path}: duplicate entries")
-    return tuple(item for item in canonical if item in parsed)
+    return tuple(sorted(parsed, key=canonical.index))
 
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}

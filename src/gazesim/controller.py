@@ -96,9 +96,6 @@ class EventKind(enum.Enum):
     SUCCESS = "Success"
     FAILURE = "Failure"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
 
 @dataclass(frozen=True)
 class RobotEvent:

@@ -16,9 +16,10 @@ and the gaze span) is drawn in one place for the three fidelity modes,
            (`_settling`), the recognizer labels its views plus each trial's head
            noise over arrays, a cell's trials at once (`_confirm_frames`), and
            the loop starts at the confirm frame. A design's trials that confirm
-           on one frame share one event-cell run; only responders step on,
-           from the `_Window` they answer. Untraced full mode senses
-           only while the controller reads it (`ControllerState.reads_sensors`).
+           on one frame share one event-cell run; each responder's record comes
+           from the `_Window` it answers, over arrays (`_ideal_cell`). Untraced
+           full mode senses only while the controller reads it
+           (`ControllerState.reads_sensors`).
            Untraced, both skip frames where it and the visitor are idle
            (`idle_until_s`); traced, they step and sense every frame.
 - "event": the untraced ideal tick loop (`_run_ticks`) run once per cell with
@@ -39,7 +40,7 @@ from contextlib import nullcontext
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
-from itertools import chain, count, repeat
+from itertools import count, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Literal, NamedTuple
 
@@ -57,6 +58,7 @@ from .controller import (
     METHODS,
     Phase,
     RobotEvent,
+    TIME_EPS_S,
     controller_step,
     face_detected,
     make_controller,
@@ -320,16 +322,9 @@ class _Window(NamedTuple):
 
 
 def _run_ticks(
-    scenario: Scenario,
-    method: Method,
-    situation: ViewingSituation,
-    seed: int | None,
-    mode: TrialMode,
-    trial_id: int,
-    trace: TraceWriter | None,
-    confirm: int | None,
+    scenario: Scenario, method: Method, situation: ViewingSituation, seed: int | None,
+    mode: TrialMode, trial_id: int, trace: TraceWriter | None, confirm: int | None,
     answer: tuple[int, float, float] = (-1, math.nan, math.nan),
-    resume: _Window | None = None,
 ) -> tuple[TrialDetail, list[_Window]]:
     """One tick-mode trial, and a `_Window` as each response window opens.
     Once window k of the `answer` (k, latency_s, gaze_s) from `_responses`
@@ -337,8 +332,7 @@ def _run_ticks(
     the run is the event engine's cell: no head camera noise, and the
     visitor never turns to the robot. Given its confirm frame (untraced
     ideal mode), the trial senses nothing: it starts a tick or two short of
-    that frame, with the visitor `_settling` gives there. Given `resume`, a
-    window of such a run, it goes on from the next frame. Aborts name the
+    that frame, with the visitor `_settling` gives there. Aborts name the
     trial, or the event cell if trial_id is None."""
     human = make_human(scenario, scenario.painting_for(situation).painting_id)
     cstate = make_controller(method)
@@ -358,14 +352,12 @@ def _run_ticks(
             seed=derive_seed(seed, STREAM_INIT),
         )
 
-    events_all: list[RobotEvent] = list(resume.events) if resume else []
+    events_all: list[RobotEvent] = []
     windows: list[_Window] = []
     k, latency_s, gaze_s = answer
 
     frame = 0
-    if resume is not None:
-        cstate, human, frame = resume.controller, replace(resume.visitor), resume.frame + 1
-    elif confirm is not None:
+    if confirm is not None:
         frame = _wake_frame(frame, confirm / FRAME_RATE_HZ)
         states = _settling(scenario, situation)[0]
         human = replace(states[min(frame, len(states)) - 1]) if frame else human
@@ -464,16 +456,8 @@ def _run_ticks(
 
     succeeded = cstate.succeeded
     face_s = next((e.time_s for e in events_all if e.kind is EventKind.FACE_DETECTED), None)
-    record = TrialRecord(
-        trial_id=trial_id,
-        method=method,
-        situation=situation,
-        responded=succeeded,
-        responding_action=cstate.action if succeeded else None,
-        response_latency_s=face_s - cstate.window_start_s if succeeded else None,
-        gaze_time_s=gaze_s if succeeded else None,
-        seed=seed,
-    )
+    outcome = (cstate.action, face_s - cstate.window_start_s, gaze_s) if succeeded else (None,) * 3
+    record = TrialRecord(trial_id, method, situation, succeeded, *outcome, seed)
     return TrialDetail(record=record, events=tuple(events_all)), windows
 
 
@@ -481,8 +465,7 @@ class _EventCell(NamedTuple):
     """One (method, situation) cell: the controller stepped without a face
     from the first prompt to Failure, and each window it opened. A prompt is
     only reached when every earlier window expired, so a trial that answers
-    prompt k goes on from window k: the event engine over arrays, an
-    untraced ideal trial by resuming `_run_ticks` there."""
+    prompt k goes on from window k, at its face instant or frame."""
 
     events: tuple[RobotEvent, ...]  # the run without a face
     windows: tuple[_Window, ...]
@@ -525,33 +508,35 @@ class _EventBatch(NamedTuple):
 
 
 def _run_event_batch(
-    scenario: Scenario,
-    method: Method,
-    situation: ViewingSituation,
-    seeds: np.ndarray,
-    first_trial_id: int,
+    scenario: Scenario, method: Method, situation: ViewingSituation,
+    seeds: np.ndarray, first_trial_id: int,
 ) -> _EventBatch:
     """Trials of one cell with consecutive ids, from their seeds."""
     cell = _event_cell(scenario, method, situation)
     cursor, latency_s, gaze_s = _responses(method, situation, seeds)
-    # Cursor -1, no response, takes the trailing -1 and a NaN latency.
-    plan = np.array([ACTIONS.index(a) for a in method.capture_plan] + [-1], np.int8)
-    n = len(seeds)
     robot = scenario.robot_pose.position
+    # Cursor -1, no response, takes the last window and a NaN latency.
     window_starts, offsets = np.array([
         (w.controller.window_start_s, gaze_bearing_to(w.visitor, robot)) for w in cell.windows
     ])[cursor].T
     _, detect_s = _plan_response(window_starts, latency_s, offsets)
-    records = Records(
-        trial_id=np.arange(first_trial_id, first_trial_id + n, dtype=np.int64),
-        method=np.full(n, METHODS.index(method), np.int8),
-        situation=np.full(n, SITUATIONS.index(situation), np.int8),
-        action=plan[cursor],
-        latency=detect_s - window_starts,
-        gaze=gaze_s,
-        seed=seeds,
-    )
+    records = _cell_records(method, situation, seeds, first_trial_id, cursor,
+                            detect_s - window_starts, gaze_s)
     return _EventBatch(cell, records, cursor, detect_s)
+
+
+def _cell_records(
+    method: Method, situation: ViewingSituation, seeds: np.ndarray, first_id: int,
+    cursor: np.ndarray, latency_s: np.ndarray, gaze_s: np.ndarray,
+) -> Records:
+    """A cell's records with consecutive ids, from each trial's answered
+    prompt (-1 for none), latency and gaze span (NaN for none)."""
+    plan = np.array([ACTIONS.index(a) for a in method.capture_plan] + [-1], np.int8)
+    n = len(seeds)
+    return Records(np.arange(first_id, first_id + n, dtype=np.int64),
+                   np.full(n, METHODS.index(method), np.int8),
+                   np.full(n, SITUATIONS.index(situation), np.int8),
+                   plan[cursor], latency_s, gaze_s, seeds)
 
 
 def _trace_events(trace: TraceWriter, events: Iterable[RobotEvent]) -> None:
@@ -570,36 +555,63 @@ def trial_seeds(
     )
 
 
-def _ideal_cell(
-    args: tuple[Scenario, Method, ViewingSituation, np.ndarray, int],
-) -> list[TrialRecord]:
+def _fire_frames(fire_s: np.ndarray, first: int) -> np.ndarray:
+    """The frame the tick loop fires each response on: the first f >= first
+    with f / FRAME_RATE_HZ >= fire_s. The ceiling of fire_s in frames, moved
+    a frame where its rounding and that comparison disagree."""
+    frames = np.maximum(np.ceil(fire_s * FRAME_RATE_HZ).astype(np.int64), first)
+    frames -= (frames > first) & ((frames - 1) / FRAME_RATE_HZ >= fire_s)
+    return frames + (frames / FRAME_RATE_HZ < fire_s)
+
+
+@lru_cache(maxsize=1024)
+def _face_delay(scenario: Scenario, situation: ViewingSituation, start: int) -> int:
+    """The frames a visitor in `_settling`'s state `start` steps after the
+    one it fires on until the face gate opens. Once fired, its head turns to
+    the robot whatever the clock, so the state alone decides."""
+    human = replace(_settling(scenario, situation)[0][start], pending_fire_s=-math.inf)
+    robot = scenario.robot_pose.position
+    for delay in count():
+        human_step(human, scenario, 0.0)
+        if face_detected(gaze_bearing_to(human, robot)):
+            return delay
+
+
+def _ideal_cell(args: tuple[Scenario, Method, ViewingSituation, np.ndarray, int]) -> Records:
     """An untraced ideal cell's trials, with consecutive ids. The trials that
     confirm on one frame share its seedless run, in the order of their first
-    trial, which its aborts name. A trial that never responds steps no tick of
-    its own; a responder goes on from the run's window it answers."""
+    trial, which its aborts name. Once a window opens the controller reads
+    only the face, so a responder's record is its face frame's: its fire
+    frame, plus the turn of the run's visitor (`_settling`'s) on the frame before."""
     scenario, method, situation, seeds, first_id = args
     confirms = _confirm_frames(scenario, situation, seeds)
-    answers = list(zip(*(a.tolist() for a in _responses(method, situation, seeds))))
-    rows = [TrialRecord(first_id + i, method, situation, False, None, None, None, seed)
-            for i, seed in enumerate(seeds.tolist())]
+    cursor, latency_s, gaze_s = _responses(method, situation, seeds)
+    last = len(_settling(scenario, situation)[0]) - 1
+    robot = scenario.robot_pose.position
     for first in np.sort(np.unique(confirms, return_index=True)[1]).tolist():
-        confirm, group = int(confirms[first]), np.flatnonzero(confirms == confirms[first])
+        confirm, run = int(confirms[first]), f"trial {first_id + first}"
         cell = _event_cell(scenario, method, situation, confirm, first_id + first)
-        for i in group.tolist():
-            if answers[i][0] >= 0:
-                rows[i] = _run_ticks(scenario, method, situation, rows[i].seed, "ideal",
-                                     first_id + i, None, confirm, answers[i],
-                                     cell.windows[answers[i][0]])[0].record
-    return rows
+        for k, window in enumerate(cell.windows):
+            rows = np.flatnonzero((confirms == confirm) & (cursor == k))
+            start_s = window.controller.window_start_s
+            bearing = gaze_bearing_to(window.visitor, robot)
+            fire_s, _ = _plan_response(start_s, latency_s[rows], bearing)
+            fire = _fire_frames(fire_s, window.frame + 1)
+            delays = [_face_delay(scenario, situation, i)
+                      for i in np.minimum(fire - 1, last).tolist()]
+            face_s = (fire + np.array(delays, np.int64)) / FRAME_RATE_HZ
+            if (face_s >= window.controller.deadline_s - TIME_EPS_S).any():
+                raise RuntimeError(f"a face at window {k}'s deadline ({run}, {method.value})")
+            latency_s[rows] = face_s - start_s
+    return _cell_records(method, situation, seeds, first_id, cursor, latency_s, gaze_s)
 
 
 def _trial_worker(
     args: tuple[Scenario, Method, ViewingSituation, int, str, int, str | None],
-) -> list[TrialRecord]:
-    scenario, method, situation, seed, mode, trial_id, trace_path = args
+) -> Records:
+    *trial, trace_path = args
     with open(trace_path, "w", encoding="utf-8") if trace_path else nullcontext() as fp:
-        trace = TraceWriter(fp) if fp else None
-        return [run_trial(scenario, method, situation, seed, mode, trial_id, trace)]
+        return Records.from_rows([run_trial(*trial, TraceWriter(fp) if fp else None)])
 
 
 def _trace_path(trace_dir: Path | None, trial_id: int) -> str | None:
@@ -667,4 +679,4 @@ def run_experiment(
             parts = list(pool.map(worker, tasks, chunksize=chunk))
     else:
         parts = [worker(task) for task in tasks]
-    return Records.from_rows(chain.from_iterable(parts))
+    return Records.concat(parts)

@@ -21,8 +21,6 @@ def _plain(value: Any) -> Any:
         return _plain(asdict(value))
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
     if isinstance(value, float):
         return round(value, 9)
     return value

@@ -125,12 +125,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match="methods"):
             parse_config('{"methods": []}')
 
-    # A parsed list is never empty, so only a RunConfig built in Python
-    # reaches these two checks.
     @pytest.mark.parametrize("key", ["methods", "situations"])
     def test_empty_design_axis_rejected_in_python(self, key):
         with pytest.raises(ConfigError, match=rf"^{key}: must not be empty$"):
             RunConfig(**{key: ()})
+
+    # A repeated entry would run its cells twice under the same trial ids.
+    @pytest.mark.parametrize(
+        "key, entry", [("methods", Method.M1), ("situations", ViewingSituation.OFOV)]
+    )
+    def test_repeated_design_axis_entry_rejected_in_python(self, key, entry):
+        with pytest.raises(ConfigError, match=rf"^{key}: duplicate entries$"):
+            RunConfig(n_per_cell=1, **{key: (entry, entry)})
 
     def test_methods_canonical_order(self):
         config = parse_config('{"methods": ["M4", "M1"]}')

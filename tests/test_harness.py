@@ -86,6 +86,18 @@ def room_170():
     return scenario_from_dict(room)
 
 
+def turning_room():
+    """room_170 with the seat turned 60 deg off the robot and P6 at 179 deg,
+    the one painting mapped (OFOV). The body is 90 deg off the robot after
+    a 30 deg turn, so the recognizer confirms and the first window opens on
+    frame 46, while the head still turns to P6 until frame 59."""
+    room = scenario_to_dict(room_170())
+    room["human_seat"][2] += 60.0
+    room["paintings"][5] = {"id": "P6", "bearing_deg": 179.0}
+    room["situation_map"] = {"P6": "OFOV"}
+    return scenario_from_dict(room)
+
+
 ROOMS = [(SC, SITUATIONS), (swing_room(), (NPFOV, OFOV)), (room_170(), SITUATIONS)]
 
 
@@ -259,21 +271,70 @@ class TestResponseWindows:
                 frames = [window.frame for window in cell.windows]
                 assert all(a < b for a, b in zip(frames, frames[1:]))
 
-    @pytest.mark.parametrize("situation", SITUATIONS)
-    def test_a_resumed_run_leaves_its_window_unchanged(self, situation):
-        method = Method.M4
-        confirm = int(harness._confirm_frames(SC, situation, None)[0])
-        cell = harness._event_cell(SC, method, situation, confirm)
-        # The gaze outlasts the trial, so a visitor stepped in place would
-        # still face the robot at its end.
-        for k, window in enumerate(cell.windows):
-            visitor = dataclasses.replace(window.visitor)
-            detail, _ = harness._run_ticks(
-                SC, method, situation, 0, "ideal", 0, None, confirm, (k, 1.0, 10.0), window
+    def test_responders_equal_traced_trials_while_the_head_turns(self, monkeypatch):
+        """An untraced ideal design takes a responder's face frame from the
+        window it answers: its fire frame, plus the turn of the visitor the
+        run has on the frame before. In this room the first window opens
+        while the head still turns, so that visitor differs from trial to
+        trial and from the window's."""
+        room = turning_room()
+        starts = []
+        delay = harness._face_delay
+
+        def spied(scenario, situation, start):
+            starts.append(start)
+            return delay(scenario, situation, start)
+
+        monkeypatch.setattr(harness, "_face_delay", spied)
+        config = RunConfig(n_per_cell=100, base_seed=42, scenario=room, situations=(OFOV,))
+        records = run_experiment(config, mode="ideal")
+        responders = [r for r in records if r.responded]
+        for record in responders:
+            traced = run_trial_detailed(
+                room, record.method, OFOV, record.seed, mode="ideal",
+                trial_id=record.trial_id, trace=DiscardedTrace(),
             )
-            assert detail.record.responding_action is method.capture_plan[k]
-            assert detail.record.gaze_time_s == 10.0
-            assert window.visitor == visitor
+            assert record == traced.record
+        # Eight of the responders to the first prompt fire before the head
+        # settles, from six head yaws that neither the window's visitor nor
+        # the settled one has.
+        assert len(starts) == len(responders) == 214
+        states = harness._settling(room, OFOV)[0]
+        window = harness._event_cell(room, Method.M1, OFOV).windows[0]
+        assert window.frame == 46
+        turning = {states[i].head_yaw_deg for i in starts} - {
+            window.visitor.head_yaw_deg, states[-1].head_yaw_deg
+        }
+        assert len(turning) == 6
+
+    def test_a_face_at_the_window_deadline_raises(self, monkeypatch):
+        # A face comes about the longer of the latency (at most 3.5 s) and the
+        # turn (at most 2 s) into its 4 s window. In a 1 s window it comes
+        # past the deadline, and the design refuses to guess the record.
+        monkeypatch.setattr(controller, "RESPONSE_WINDOW_S", 1.0)
+        with pytest.raises(RuntimeError, match=r"face at window 0's deadline \(trial 20, M1\)"):
+            run_experiment(M1_NPFOV_N20, mode="ideal")
+
+
+class TestFireFrames:
+    """A responder's fire frame is the first frame f at or past the first
+    one it may fire on with f / 30 >= fire_s, as the tick loop compares."""
+
+    @staticmethod
+    def looped(fire_s, first):
+        frame = max(first, math.floor(fire_s * 30) - 2)
+        while frame / 30.0 < fire_s:
+            frame += 1
+        return frame
+
+    @pytest.mark.parametrize("first", [0, 40, 1_000, 2_999])
+    def test_equals_the_loops_comparison_at_every_frame_edge(self, first):
+        # The ceiling of fire_s * 30 is a frame late or early on dozens of
+        # these frame times and their neighbouring floats.
+        times = [f / 30.0 for f in range(3_000)]
+        fire_s = np.array([math.nextafter(t, d) for t in times for d in (-1.0, t, 99.0)])
+        got = harness._fire_frames(fire_s, first)
+        assert got.tolist() == [self.looped(x, first) for x in fire_s.tolist()]
 
 
 class TestFrameDraws:
@@ -664,8 +725,9 @@ class TestSkippedWaits:
         # Stepping every frame of these 320 trials takes 91,412 steps, and
         # starting each a tick or two short of its confirm frame 14,268. The
         # trials of a cell that confirm on one frame (28 frames in all) share
-        # one run up to the window they answer; only responders step on.
-        assert steps["controller"] == 6_791
+        # one run, and a responder's record comes from the window it answers
+        # without a step of its own: the 28 runs step 978 frames.
+        assert steps["controller"] == 978
 
     def test_no_jump_while_the_visitor_still_turns(self, monkeypatch):
         # In this room the first window opens before the visitor's body has
@@ -896,6 +958,12 @@ class TestRunExperiment:
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):
             run_experiment(dataclasses.replace(RunConfig(), n_per_cell=0))
+
+    def test_unknown_mode_rejected(self, tmp_path):
+        # Before any trace directory is made or any cell runs.
+        with pytest.raises(ValueError, match="unknown trial mode 'fast'"):
+            run_experiment(RunConfig(n_per_cell=1), mode="fast", trace_dir=tmp_path / "t")
+        assert not (tmp_path / "t").exists()
 
 
 class TestCsvRoundTrip:

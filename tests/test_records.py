@@ -120,6 +120,8 @@ class TestRowView:
         assert records != Records.from_rows(self.ROWS[::-1])
         assert Records.concat([records.take([0]), records.take([1])]) == records
         assert records[1:] == self.ROWS[1:] and isinstance(records[1:], Records)
+        # Anything else is left to its own __eq__, and so is unequal.
+        assert records.__eq__(3) is NotImplemented and records != "records"
 
     def test_design_rows_equal_their_columns(self):
         records = run_experiment(RunConfig(n_per_cell=5, base_seed=3))

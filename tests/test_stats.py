@@ -210,6 +210,10 @@ class TestAnova:
         with pytest.raises(ValueError):
             anova_two_way(cells)
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="^empty grid$"):
+            anova_two_way({})
+
     def test_single_observation_cells_rejected(self):
         cells = {
             (m, s): [1.0]
