@@ -52,6 +52,7 @@ DRAW_RECORD = "One draw site for the visitor's response"
 WINDOW_RECORD = "One snapshot per response window"
 FACADE_RECORD = "One import path per name"
 RESPONDER_RECORD = "Ideal-mode responders over arrays"
+BATCH_RECORD = "A design's answers drawn once per batch of cells"
 
 MUTANTS = (
     Mutant(
@@ -376,6 +377,45 @@ MUTANTS = (
         "if False:",
         ("tests/test_harness.py::TestResponseWindows::test_a_face_at_the_window_deadline_raises",),
         RESPONDER_RECORD,
+    ),
+    # A design draws its answers over batches of whole cells, each row at its
+    # own method and situation, and hands each cell its slice.
+    Mutant(
+        "probability_at_the_next_situation",
+        "src/gazesim/harness.py",
+        "np.asarray(methods) * len(SITUATIONS) + situations,",
+        "np.asarray(methods) * len(SITUATIONS) + (np.asarray(situations) + 1) % 4,",
+        ("tests/test_harness.py::TestEventEngine::test_cell_outcomes_equal_per_trial_draws",
+         "tests/test_digests.py::test_event_mode_all_methods"),
+        BATCH_RECORD,
+    ),
+    Mutant(
+        "answer_slices_shifted_one_row",
+        "src/gazesim/harness.py",
+        "column.reshape(len(batch), n)",
+        "np.roll(column, 1).reshape(len(batch), n)",
+        ("tests/test_harness.py::TestEventEngine"
+         "::test_one_batch_of_all_cells_equals_per_trial_draws",
+         "tests/test_digests.py::test_ideal_mode_all_methods"),
+        BATCH_RECORD,
+    ),
+    Mutant(
+        "blink_of_the_first_responder",
+        "src/gazesim/harness.py",
+        "gaze_durations(blinks[cell[hit]] > 0, streams)",
+        "gaze_durations(blinks[cell[hit[:1]]] > 0, streams)",
+        ("tests/test_harness.py::TestEventEngine"
+         "::test_one_batch_of_all_cells_equals_per_trial_draws",),
+        BATCH_RECORD,
+    ),
+    Mutant(
+        "batch_past_the_row_cap",
+        "src/gazesim/harness.py",
+        "step = max(1, RESPONSE_BATCH // n)",
+        "step = RESPONSE_BATCH // n + 1",
+        ("tests/test_harness.py::TestRunExperiment"
+         "::test_answer_batches_cut_between_cells_give_the_same_records",),
+        BATCH_RECORD,
     ),
     # `run_experiment` numbers each cell's ids method-major, as in the full design.
     Mutant(

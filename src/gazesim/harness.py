@@ -6,31 +6,28 @@ escalation protocol against the stochastic visitor. Each prompt opens a
 response window; the trial succeeds in the window the visitor answers, or
 fails once the plan is spent. Each trial's answer (the prompt, the latency
 and the gaze span) is drawn in one place for the three fidelity modes,
-`_responses`, over arrays, so its decisions are the same in each:
+`_responses`, over arrays, so its decisions are the same in each. A design
+draws them over as many whole cells at once as RESPONSE_BATCH holds
+(`_design_responses`), and hands each engine its cell's; a trial draws its own.
 
 - "full":  sensors simulated end to end (laser scans, particle filter,
-           noisy head camera), 30 fps tick loop.
+           noisy head camera), 30 fps tick loop. Untraced, it senses only
+           while the controller reads it (`ControllerState.reads_sensors`).
 - "ideal": tick loop with ground-truth body orientation and the noisy head
            camera; no laser or filter. Untraced, it senses no frame: the
-           visitor's turn to the painting is stepped once per room
-           (`_settling`), the recognizer labels its views plus each trial's head
-           noise over arrays, a cell's trials at once (`_confirm_frames`), and
-           the loop starts at the confirm frame. A design's trials that confirm
-           on one frame share one event-cell run; each responder's record comes
-           from the `_Window` it answers, over arrays (`_ideal_cell`). Untraced
-           full mode senses only while the controller reads it
-           (`ControllerState.reads_sensors`).
+           visitor's turn is stepped once per room (`_settling`), the
+           recognizer labels its views plus each trial's head noise over
+           arrays (`_confirm_frames`), and the trials that confirm on one
+           frame share one event-cell run; each responder's record comes from
+           the `_Window` it answers, over arrays (`_ideal_cell`).
            Untraced, both skip frames where it and the visitor are idle
            (`idle_until_s`); traced, they step and sense every frame.
 - "event": the untraced ideal tick loop (`_run_ticks`) run once per cell with
-           no seed: no head camera noise and no response, so the controller
-           runs on to Failure. TRIAL_TIME_CAP_S bounds that run, and its aborts
-           name the "event cell". The run keeps a `_Window` as each window
-           opens: the controller, the events so far, the visitor and the frame.
-           A trial steps the controller on from the window it answers, with the
-           face at its drawn instant. A cell's trials run as one batch: their
-           face instants come from `_plan_response` over arrays, and their
-           records fill `Records` columns.
+           no seed and no response, so the controller runs on to Failure
+           within TRIAL_TIME_CAP_S; its aborts name the "event cell". A trial
+           steps the controller on from the `_Window` it answers, with the face
+           at its instant from `_plan_response`. A cell's trials run as one
+           batch over arrays, and their records fill `Records` columns.
 """
 from __future__ import annotations
 
@@ -117,6 +114,7 @@ TRIAL_TIME_CAP_S = 60.0
 # about 0.3-0.5 ms of NumPy call overhead whatever its length.
 FRAME_BLOCK = 80
 CONFIRM_CHUNK = 256  # trials whose head noise is drawn at once
+RESPONSE_BATCH = 4096  # trials whose answers are drawn at once, in whole cells
 
 TrialMode = Literal["full", "ideal", "event"]
 TRIAL_MODES = ("full", "ideal", "event")
@@ -159,51 +157,69 @@ def run_trial_detailed(
     if mode not in TRIAL_MODES:
         raise ValueError(f"unknown trial mode {mode!r}")
     seeds = np.asarray([seed])
+    answer = _responses(seeds, METHODS.index(method), SITUATIONS.index(situation))
     if mode == "event":
-        batch = _run_event_batch(scenario, method, situation, seeds, trial_id)
+        batch = _run_event_batch(scenario, method, situation, seeds, trial_id, answer)
         events = tuple(batch.events(0))
         if trace:
             _trace_events(trace, events)
         return TrialDetail(record=batch.records[0], events=events)
     untraced_ideal = mode == "ideal" and not trace
     confirm = int(_confirm_frames(scenario, situation, seeds)[0]) if untraced_ideal else None
-    answer = next(zip(*(a.tolist() for a in _responses(method, situation, seeds))))
+    answer = next(zip(*(a.tolist() for a in answer)))
     return _run_ticks(scenario, method, situation, seed, mode, trial_id, trace, confirm, answer)[0]
 
 
-def _responses(
-    method: Method, situation: ViewingSituation, seeds: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each trial's answer: the index of the prompt it responds to (-1 when
-    none does), the latency drawn there and the gaze span (NaN without a
-    response). The one place any engine draws them: the draws of `respond`
-    and `gaze_duration` on the per-decision streams, over arrays."""
+@lru_cache(maxsize=1)
+def _response_table() -> np.ndarray:
+    """Column METHODS index * 4 + SITUATIONS index: each prompt's response probability
+    (NaN past the plan), then whether the method blinks (the gaze span's normal)."""
+    table, plans = derive_response_table(), [m.capture_plan for m in METHODS]
+    pad = [math.nan] * max(map(len, plans))
+    return np.array([([table[a][s] for a in plan] + pad)[:len(pad)] + [m.ensure_blink]
+                     for m, plan in zip(METHODS, plans) for s in SITUATIONS]).T.copy()
+
+
+def _responses(seeds: np.ndarray, methods: np.ndarray | int, situations: np.ndarray | int,
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each trial's answer from its seed and METHODS and SITUATIONS indexes, by
+    the draws of `respond` and `gaze_duration` over arrays: the prompt it answers
+    (-1 for none), the latency drawn there and the gaze span (NaN for none)."""
     n = len(seeds)
     cursor = np.full(n, -1)
     latency_s, gaze_s = np.full((2, n), math.nan)
     pending = np.arange(n)
-    table = derive_response_table()
-    for k, action in enumerate(method.capture_plan):
+    *probs, blinks = _response_table()
+    cell = np.broadcast_to(np.asarray(methods) * len(SITUATIONS) + situations, n)
+    for k, prob in enumerate(probs):
+        pending = pending[~np.isnan(prob[cell[pending]])]  # NaN: past the cell's plan
+        if not len(pending):
+            break
         rngs = derive_rngs(derive_seeds(seeds[pending], STREAM_RESPOND, k))
-        ok = rngs.random() < table[action][situation]
+        ok = rngs.random() < prob[cell[pending]]
         latency_s[pending[ok]] = rngs.uniform(LATENCY_MIN_S, LATENCY_MAX_S)[ok]
         cursor[pending[ok]] = k
         pending = pending[~ok]
-        if not len(pending):
-            break
     hit = np.flatnonzero(cursor >= 0)
     if len(hit):
-        gaze_s[hit] = gaze_durations(
-            method.ensure_blink, derive_rngs(derive_seeds(seeds[hit], STREAM_GAZE))
-        )
+        streams = derive_rngs(derive_seeds(seeds[hit], STREAM_GAZE))
+        gaze_s[hit] = gaze_durations(blinks[cell[hit]] > 0, streams)
     return cursor, latency_s, gaze_s
 
 
-def _plan_response(
-    window_start_s: float | np.ndarray,
-    latency_s: float | np.ndarray,
-    bearing_to_robot_deg: float | np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+def _design_responses(cells: list, n: int) -> Iterator[tuple[tuple, tuple[np.ndarray, ...]]]:
+    """Each (first id, method, situation, seeds) cell of n trials with its
+    `_responses`, drawn over as many whole cells at once as RESPONSE_BATCH holds."""
+    step = max(1, RESPONSE_BATCH // n)
+    for batch in (cells[i:i + step] for i in range(0, len(cells), step)):
+        _, methods, situations, seeds = zip(*batch)
+        answers = _responses(np.concatenate(seeds), np.repeat(list(map(METHODS.index, methods)), n),
+                             np.repeat(list(map(SITUATIONS.index, situations)), n))
+        yield from zip(batch, zip(*(column.reshape(len(batch), n) for column in answers)))
+
+
+def _plan_response(window_start_s: float | np.ndarray, latency_s: float | np.ndarray,
+                   bearing_to_robot_deg: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """When the visitor starts turning and when the face gate opens, for
     one response or an array of them.
 
@@ -509,11 +525,10 @@ class _EventBatch(NamedTuple):
 
 def _run_event_batch(
     scenario: Scenario, method: Method, situation: ViewingSituation,
-    seeds: np.ndarray, first_trial_id: int,
+    seeds: np.ndarray, first_trial_id: int, answers: tuple[np.ndarray, ...],
 ) -> _EventBatch:
-    """Trials of one cell with consecutive ids, from their seeds."""
-    cell = _event_cell(scenario, method, situation)
-    cursor, latency_s, gaze_s = _responses(method, situation, seeds)
+    """Trials of one cell with consecutive ids, from their seeds and answers."""
+    (cursor, latency_s, gaze_s), cell = answers, _event_cell(scenario, method, situation)
     robot = scenario.robot_pose.position
     # Cursor -1, no response, takes the last window and a NaN latency.
     window_starts, offsets = np.array([
@@ -577,15 +592,14 @@ def _face_delay(scenario: Scenario, situation: ViewingSituation, start: int) -> 
             return delay
 
 
-def _ideal_cell(args: tuple[Scenario, Method, ViewingSituation, np.ndarray, int]) -> Records:
-    """An untraced ideal cell's trials, with consecutive ids. The trials that
-    confirm on one frame share its seedless run, in the order of their first
-    trial, which its aborts name. Once a window opens the controller reads
-    only the face, so a responder's record is its face frame's: its fire
-    frame, plus the turn of the run's visitor (`_settling`'s) on the frame before."""
-    scenario, method, situation, seeds, first_id = args
+def _ideal_cell(args: tuple) -> Records:
+    """An untraced ideal cell's trials with consecutive ids, from its seeds and
+    answers. The trials that confirm on one frame share its seedless run, in the
+    order of their first trial, which its aborts name. Once a window opens the
+    controller reads only the face, so a responder's record is its face frame's:
+    its fire frame, plus the turn of the run's visitor (`_settling`'s) on the frame before."""
+    scenario, first_id, method, situation, seeds, (cursor, latency_s, gaze_s) = args
     confirms = _confirm_frames(scenario, situation, seeds)
-    cursor, latency_s, gaze_s = _responses(method, situation, seeds)
     last = len(_settling(scenario, situation)[0]) - 1
     robot = scenario.robot_pose.position
     for first in np.sort(np.unique(confirms, return_index=True)[1]).tolist():
@@ -650,8 +664,8 @@ def run_experiment(
     ]
     if mode == "event":
         parts = []
-        for first_id, method, situation, seeds in cells:
-            batch = _run_event_batch(config.scenario, method, situation, seeds, first_id)
+        for (first_id, method, situation, seeds), answer in _design_responses(cells, n):
+            batch = _run_event_batch(config.scenario, method, situation, seeds, first_id, answer)
             parts.append(batch.records)
             if trace_dir is None:
                 continue
@@ -662,8 +676,7 @@ def run_experiment(
         return Records.concat(parts)
     if mode == "ideal" and trace_dir is None:
         worker = _ideal_cell
-        tasks = [(config.scenario, method, situation, seeds, first_id)
-                 for first_id, method, situation, seeds in cells]
+        tasks = [(config.scenario, *cell, answer) for cell, answer in _design_responses(cells, n)]
     else:
         worker = _trial_worker
         tasks = [

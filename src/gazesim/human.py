@@ -138,15 +138,17 @@ def gaze_duration(blinked: bool, seed: int) -> float:
             return draw
 
 
-def gaze_durations(blinked: bool, streams: PCG64Streams) -> np.ndarray:
-    """`gaze_duration` on every stream at once: streams whose draw is at
-    or below GAZE_MIN_S draw again, and only they, until none is."""
-    mean, sd = _gaze_normal(blinked)
-    gaze = streams.normal(mean, sd)
+def gaze_durations(blinked: bool | np.ndarray, streams: PCG64Streams) -> np.ndarray:
+    """`gaze_duration` on every stream at once, blinked or not (one flag or one
+    per stream): streams whose draw is at or below GAZE_MIN_S draw again, and
+    only they, until none is. `mean + sd * z` is `normal(mean, sd)`'s own sum."""
+    normals = np.array([_gaze_normal(True), _gaze_normal(False)])[:, :, None]
+    mean, sd = np.where(np.broadcast_to(blinked, streams.hi.shape), *normals)
+    gaze = mean + sd * streams.normal(0.0, 1.0)
     redo = np.flatnonzero(gaze <= GAZE_MIN_S)
     while len(redo):
         again = streams.take(redo)
-        gaze[redo] = again.normal(mean, sd)
+        gaze[redo] = mean[redo] + sd[redo] * again.normal(0.0, 1.0)
         streams.hi[redo], streams.lo[redo] = again.hi, again.lo
         redo = redo[gaze[redo] <= GAZE_MIN_S]
     return gaze

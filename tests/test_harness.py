@@ -161,6 +161,23 @@ def scalar_outcome(method, situation, seed):
     return -1, math.nan, math.nan
 
 
+def nan_free(rows):
+    """Answer rows with NaN, which marks a trial without response, as None."""
+    return [tuple(None if v != v else v for v in row) for row in rows]
+
+
+def count_drawn_rows(monkeypatch):
+    """The row count of each `_responses` call from here on, in call order."""
+    rows, responses = [], harness._responses
+
+    def counted(seeds, *axes):
+        rows.append(len(seeds))
+        return responses(seeds, *axes)
+
+    monkeypatch.setattr(harness, "_responses", counted)
+    return rows
+
+
 def face_gate_s(cell, k, latency_s):
     """When the face gate opens on an answer to the cell's prompt k: the eyes
     land on the robot latency_s after the window opens, or once the head has
@@ -179,15 +196,30 @@ class TestEventEngine:
         """`_responses`, where every engine draws its trials' answers, gives
         the scalar reference draws, trial by trial."""
         seeds = trial_seeds(42, method, situation, 200)
-        outcomes = harness._responses(method, situation, seeds)
+        cell = np.full((2, 200), [[METHODS.index(method)], [SITUATIONS.index(situation)]])
+        outcomes = harness._responses(seeds, *cell)
         batched = list(zip(*(column.tolist() for column in outcomes)))
         expected = [scalar_outcome(method, situation, seed) for seed in seeds.tolist()]
-        # NaN marks a trial without response; compare it as None.
-        def nan_free(rows):
-            return [tuple(None if v != v else v for v in row) for row in rows]
-
         assert nan_free(batched) == nan_free(expected)
         assert (outcomes[0] >= 0).any()
+
+    def test_one_batch_of_all_cells_equals_per_trial_draws(self, monkeypatch):
+        """A design draws its answers over whole cells at once: here all 16
+        cells in one `_responses` call, whose rows mix every method and
+        situation. Each trial's answer is still the scalar reference draws'."""
+        n = 40
+        cells = [((m * 4 + s) * n, method, situation, trial_seeds(42, method, situation, n))
+                 for m, method in enumerate(METHODS) for s, situation in enumerate(SITUATIONS)]
+        rows = count_drawn_rows(monkeypatch)
+        drawn = list(harness._design_responses(cells, n))
+        assert rows == [16 * n]
+        assert [cell[0] for cell, _ in drawn] == [cell[0] for cell in cells]
+        for (_, method, situation, seeds), answer in drawn:
+            batched = list(zip(*(column.tolist() for column in answer)))
+            expected = [scalar_outcome(method, situation, seed) for seed in seeds.tolist()]
+            assert nan_free(batched) == nan_free(expected)
+        cursors = np.concatenate([answer[0] for _, answer in drawn])
+        assert set(cursors.tolist()) == {-1, 0, 1, 2}
 
     @pytest.mark.parametrize("seed", [0, 2**32, 2**63 + 7, 2**64 - 1, 2**64, 2**70 + 3])
     def test_single_trial_seeds_of_any_width(self, seed):
@@ -760,10 +792,10 @@ class TestSkippedWaits:
 
 class TestIdealDesignCells:
     """An untraced ideal design runs cell by cell. The trials that confirm
-    on one frame share one seedless run, a trial that never responds steps
-    no tick of its own, and a responder steps on from the window it answers.
-    Each record equals the trial's traced run, which steps and senses every
-    frame."""
+    on one frame share one seedless run, and no trial steps a tick of its
+    own: a responder's record is computed over arrays from the window it
+    answers. Each record equals the trial's traced run, which steps and
+    senses every frame."""
 
     @pytest.mark.parametrize("room, situations", ROOMS)
     def test_records_equal_traced_trials(self, room, situations):
@@ -775,9 +807,9 @@ class TestIdealDesignCells:
                 trial_id=record.trial_id, trace=DiscardedTrace(),
             )
             assert record == traced.record
-        # The design shares runs and resumes them: its NPFOV and FPFOV cells
-        # hold two or three confirm frames, and M4 has trials that answer
-        # each of its prompts and trials that answer none.
+        # The design shares runs and answers from their windows: its NPFOV
+        # and FPFOV cells hold two or three confirm frames, and M4 has trials
+        # that answer each of its prompts and trials that answer none.
         frames = {
             len(set(harness._confirm_frames(room, s, trial_seeds(42, m, s, 20)).tolist()))
             for m in METHODS for s in situations if s in (NPFOV, FPFOV)
@@ -902,6 +934,22 @@ class TestRunExperiment:
         )
         matching = [r for r in full if r.method is Method.M4 and r.situation is OFOV]
         assert sub == matching
+
+    @pytest.mark.parametrize("cap, rows", [
+        (1, [3] * 16),  # every cell of 3 trials drawn alone
+        (7, [6] * 8),  # two cells per batch
+        (10, [9] * 5 + [3]),  # three cells per batch, the last batch one cell
+    ])
+    def test_answer_batches_cut_between_cells_give_the_same_records(self, cap, rows, monkeypatch):
+        config = RunConfig(n_per_cell=3, base_seed=42)
+        drawn = count_drawn_rows(monkeypatch)
+        whole = {mode: run_experiment(config, mode=mode) for mode in ("event", "ideal")}
+        assert drawn == [48, 48]
+        drawn.clear()
+        monkeypatch.setattr(harness, "RESPONSE_BATCH", cap)
+        for mode, records in whole.items():
+            assert run_experiment(config, mode=mode) == records
+        assert drawn == rows * 2
 
     def test_parallel_equals_serial(self):
         config = RunConfig(n_per_cell=2, base_seed=5)
