@@ -53,6 +53,7 @@ WINDOW_RECORD = "One snapshot per response window"
 FACADE_RECORD = "One import path per name"
 RESPONDER_RECORD = "Ideal-mode responders over arrays"
 BATCH_RECORD = "A design's answers drawn once per batch of cells"
+ENGINE_RECORD = "One cell engine for event and untraced ideal designs"
 
 MUTANTS = (
     Mutant(
@@ -97,7 +98,7 @@ MUTANTS = (
         "responder_events_one_late",
         "src/gazesim/harness.py",
         "list(window.events), window.controller",
-        "list(self.cell.events[: len(window.events) + 1]), window.controller",
+        "list(self.run_events[: len(window.events) + 1]), window.controller",
         ("tests/test_harness.py::TestNoiseFreeRobotEvents",),
         "The event engine takes its robot timeline from `controller_step`",
     ),
@@ -373,7 +374,7 @@ MUTANTS = (
     Mutant(
         "face_past_the_deadline_accepted",
         "src/gazesim/harness.py",
-        "if (face_s >= window.controller.deadline_s - TIME_EPS_S).any():",
+        "if (face_s[rows] >= window.controller.deadline_s - TIME_EPS_S).any():",
         "if False:",
         ("tests/test_harness.py::TestResponseWindows::test_a_face_at_the_window_deadline_raises",),
         RESPONDER_RECORD,
@@ -416,6 +417,27 @@ MUTANTS = (
         ("tests/test_harness.py::TestRunExperiment"
          "::test_answer_batches_cut_between_cells_give_the_same_records",),
         BATCH_RECORD,
+    ),
+    # Event and untraced ideal designs share `_cell_batch`: event trials all
+    # share the noise-free run, and only ideal responders face on a frame.
+    Mutant(
+        "event_trials_grouped_by_noisy_confirms",
+        "src/gazesim/harness.py",
+        "seeds if ideal else None)",
+        "seeds)",
+        ("tests/test_digests.py::test_event_engine_timeline",
+         "tests/test_harness.py::TestRunExperiment"
+         "::test_event_trace_files_equal_single_trial_traces"),
+        ENGINE_RECORD,
+    ),
+    Mutant(
+        "ideal_face_instant_unrounded",
+        "src/gazesim/harness.py",
+        "            if ideal:\n",
+        "            if False:\n",
+        ("tests/test_harness.py::TestIdealDesignCells::test_records_equal_traced_trials",
+         "tests/test_digests.py::test_ideal_mode_all_methods"),
+        ENGINE_RECORD,
     ),
     # `run_experiment` numbers each cell's ids method-major, as in the full design.
     Mutant(

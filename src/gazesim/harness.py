@@ -15,19 +15,17 @@ draws them over as many whole cells at once as RESPONSE_BATCH holds
            while the controller reads it (`ControllerState.reads_sensors`).
 - "ideal": tick loop with ground-truth body orientation and the noisy head
            camera; no laser or filter. Untraced, it senses no frame: the
-           visitor's turn is stepped once per room (`_settling`), the
+           visitor's turn is stepped once per room (`_settling`), and the
            recognizer labels its views plus each trial's head noise over
-           arrays (`_confirm_frames`), and the trials that confirm on one
-           frame share one event-cell run; each responder's record comes from
-           the `_Window` it answers, over arrays (`_ideal_cell`).
-           Untraced, both skip frames where it and the visitor are idle
-           (`idle_until_s`); traced, they step and sense every frame.
-- "event": the untraced ideal tick loop (`_run_ticks`) run once per cell with
-           no seed and no response, so the controller runs on to Failure
-           within TRIAL_TIME_CAP_S; its aborts name the "event cell". A trial
-           steps the controller on from the `_Window` it answers, with the face
-           at its instant from `_plan_response`. A cell's trials run as one
-           batch over arrays, and their records fill `Records` columns.
+           arrays (`_confirm_frames`). Untraced, both tick modes skip frames
+           where the controller and the visitor are idle (`idle_until_s`);
+           traced, they step and sense every frame.
+- "event": untraced ideal mode without head noise. Event and untraced ideal
+           designs share one cell engine, `_cell_batch`: the trials that
+           confirm on one frame share one seedless `_run_ticks` run, which
+           steps on to Failure (event mode's aborts name the "event cell"),
+           and each responder's record comes from the `_Window` it answers,
+           at its face instant from `_plan_response`, on a frame in ideal mode.
 """
 from __future__ import annotations
 
@@ -159,7 +157,7 @@ def run_trial_detailed(
     seeds = np.asarray([seed])
     answer = _responses(seeds, METHODS.index(method), SITUATIONS.index(situation))
     if mode == "event":
-        batch = _run_event_batch(scenario, method, situation, seeds, trial_id, answer)
+        batch = _cell_batch(scenario, trial_id, method, situation, seeds, answer, mode)
         events = tuple(batch.events(0))
         if trace:
             _trace_events(trace, events)
@@ -345,7 +343,7 @@ def _run_ticks(
     """One tick-mode trial, and a `_Window` as each response window opens.
     Once window k of the `answer` (k, latency_s, gaze_s) from `_responses`
     opens, the visitor is scheduled to respond. Without a seed or an answer
-    the run is the event engine's cell: no head camera noise, and the
+    the run is a `_cell_batch` cell's: no head camera noise, and the
     visitor never turns to the robot. Given its confirm frame (untraced
     ideal mode), the trial senses nothing: it starts a tick or two short of
     that frame, with the visitor `_settling` gives there. Aborts name the
@@ -477,69 +475,6 @@ def _run_ticks(
     return TrialDetail(record=record, events=tuple(events_all)), windows
 
 
-class _EventCell(NamedTuple):
-    """One (method, situation) cell: the controller stepped without a face
-    from the first prompt to Failure, and each window it opened. A prompt is
-    only reached when every earlier window expired, so a trial that answers
-    prompt k goes on from window k, at its face instant or frame."""
-
-    events: tuple[RobotEvent, ...]  # the run without a face
-    windows: tuple[_Window, ...]
-
-
-def _event_cell(
-    scenario: Scenario, method: Method, situation: ViewingSituation,
-    confirm: int | None = None, trial_id: int | None = None,
-) -> _EventCell:
-    """The untraced ideal trial without a seed, from the given confirm frame
-    or the noise-free one: no head camera noise and no response, so the
-    controller runs on to Failure. Aborts name trial_id, else the cell."""
-    if confirm is None:
-        confirm = int(_confirm_frames(scenario, situation, None)[0])
-    run = _run_ticks(scenario, method, situation, None, "ideal", trial_id, None, confirm)
-    return _EventCell(run[0].events, tuple(run[1]))
-
-
-class _EventBatch(NamedTuple):
-    """The trials of one cell run by the event engine."""
-
-    cell: _EventCell
-    records: Records
-    cursor: np.ndarray
-    detect_s: np.ndarray
-
-    def events(self, i: int) -> list[RobotEvent]:
-        """Trial i's events: its window's, then the controller stepped on with
-        the face at its instant and at each instant it waits for until done."""
-        if self.cursor[i] < 0:
-            return list(self.cell.events)
-        window = self.cell.windows[self.cursor[i]]
-        events, cstate = list(window.events), window.controller
-        inputs, t = ControllerInputs(face_detected=True), float(self.detect_s[i])
-        while not cstate.terminal:
-            cstate, step_events = controller_step(cstate, inputs, t)
-            events.extend(step_events)
-            inputs, t = ControllerInputs(), cstate.idle_until_s
-        return events
-
-
-def _run_event_batch(
-    scenario: Scenario, method: Method, situation: ViewingSituation,
-    seeds: np.ndarray, first_trial_id: int, answers: tuple[np.ndarray, ...],
-) -> _EventBatch:
-    """Trials of one cell with consecutive ids, from their seeds and answers."""
-    (cursor, latency_s, gaze_s), cell = answers, _event_cell(scenario, method, situation)
-    robot = scenario.robot_pose.position
-    # Cursor -1, no response, takes the last window and a NaN latency.
-    window_starts, offsets = np.array([
-        (w.controller.window_start_s, gaze_bearing_to(w.visitor, robot)) for w in cell.windows
-    ])[cursor].T
-    _, detect_s = _plan_response(window_starts, latency_s, offsets)
-    records = _cell_records(method, situation, seeds, first_trial_id, cursor,
-                            detect_s - window_starts, gaze_s)
-    return _EventBatch(cell, records, cursor, detect_s)
-
-
 def _cell_records(
     method: Method, situation: ViewingSituation, seeds: np.ndarray, first_id: int,
     cursor: np.ndarray, latency_s: np.ndarray, gaze_s: np.ndarray,
@@ -592,32 +527,80 @@ def _face_delay(scenario: Scenario, situation: ViewingSituation, start: int) -> 
             return delay
 
 
-def _ideal_cell(args: tuple) -> Records:
-    """An untraced ideal cell's trials with consecutive ids, from its seeds and
-    answers. The trials that confirm on one frame share its seedless run, in the
-    order of their first trial, which its aborts name. Once a window opens the
-    controller reads only the face, so a responder's record is its face frame's:
-    its fire frame, plus the turn of the run's visitor (`_settling`'s) on the frame before."""
-    scenario, first_id, method, situation, seeds, (cursor, latency_s, gaze_s) = args
-    confirms = _confirm_frames(scenario, situation, seeds)
+class _CellBatch(NamedTuple):
+    """A cell's trials run by `_cell_batch`, with the last seedless run they
+    share: its events and the windows it opened (event mode's one run)."""
+
+    run_events: tuple[RobotEvent, ...]
+    windows: list[_Window]
+    records: Records
+    cursor: np.ndarray
+    face_s: np.ndarray
+
+    def events(self, i: int) -> list[RobotEvent]:
+        """Event trial i's events: its window's, then the controller stepped on
+        with the face at its instant and at each instant it waits for until done."""
+        if self.cursor[i] < 0:
+            return list(self.run_events)
+        window = self.windows[self.cursor[i]]
+        events, cstate = list(window.events), window.controller
+        inputs, t = ControllerInputs(face_detected=True), float(self.face_s[i])
+        while not cstate.terminal:
+            cstate, step_events = controller_step(cstate, inputs, t)
+            events.extend(step_events)
+            inputs, t = ControllerInputs(), cstate.idle_until_s
+        return events
+
+
+def _cell_batch(
+    scenario: Scenario, first_id: int, method: Method, situation: ViewingSituation,
+    seeds: np.ndarray, answers: tuple[np.ndarray, ...], mode: TrialMode,
+) -> _CellBatch:
+    """A cell's event or untraced ideal trials with consecutive ids, from their
+    seeds and answers. The trials that confirm on one frame share its seedless
+    untraced ideal run, in the order of their first trial, which its aborts
+    name; event trials all share the noise-free run, whose aborts name the
+    event cell. A prompt is only reached when every earlier window expired,
+    and once a window opens the controller reads only the face, so a
+    responder's record is its face instant's from `_plan_response`. Ideal mode
+    takes it on a frame: its fire frame, plus the turn of the run's visitor
+    (`_settling`'s) on the frame before."""
+    ideal = mode == "ideal"
+    cursor, latency_s, gaze_s = answers
+    confirms = _confirm_frames(scenario, situation, seeds if ideal else None)
     last = len(_settling(scenario, situation)[0]) - 1
     robot = scenario.robot_pose.position
+    face_s = np.full(len(seeds), math.nan)
     for first in np.sort(np.unique(confirms, return_index=True)[1]).tolist():
-        confirm, run = int(confirms[first]), f"trial {first_id + first}"
-        cell = _event_cell(scenario, method, situation, confirm, first_id + first)
-        for k, window in enumerate(cell.windows):
+        confirm, run = int(confirms[first]), first_id + first if ideal else None
+        detail, windows = _run_ticks(scenario, method, situation, None, "ideal", run, None, confirm)
+        for k, window in enumerate(windows):
             rows = np.flatnonzero((confirms == confirm) & (cursor == k))
             start_s = window.controller.window_start_s
-            bearing = gaze_bearing_to(window.visitor, robot)
-            fire_s, _ = _plan_response(start_s, latency_s[rows], bearing)
-            fire = _fire_frames(fire_s, window.frame + 1)
-            delays = [_face_delay(scenario, situation, i)
-                      for i in np.minimum(fire - 1, last).tolist()]
-            face_s = (fire + np.array(delays, np.int64)) / FRAME_RATE_HZ
-            if (face_s >= window.controller.deadline_s - TIME_EPS_S).any():
-                raise RuntimeError(f"a face at window {k}'s deadline ({run}, {method.value})")
-            latency_s[rows] = face_s - start_s
-    return _cell_records(method, situation, seeds, first_id, cursor, latency_s, gaze_s)
+            fire_s, face_s[rows] = _plan_response(
+                start_s, latency_s[rows], gaze_bearing_to(window.visitor, robot))
+            if ideal:
+                fire = _fire_frames(fire_s, window.frame + 1)
+                delays = [_face_delay(scenario, situation, i)
+                          for i in np.minimum(fire - 1, last).tolist()]
+                face_s[rows] = (fire + np.array(delays, np.int64)) / FRAME_RATE_HZ
+                if (face_s[rows] >= window.controller.deadline_s - TIME_EPS_S).any():
+                    raise RuntimeError(
+                        f"a face at window {k}'s deadline (trial {run}, {method.value})")
+            latency_s[rows] = face_s[rows] - start_s
+    records = _cell_records(method, situation, seeds, first_id, cursor, latency_s, gaze_s)
+    return _CellBatch(detail.events, windows, records, cursor, face_s)
+
+
+def _cell_worker(args: tuple) -> Records:
+    """`_cell_batch`'s records, with each trial's events traced to its file
+    under the trace directory if one is given (event mode only)."""
+    *cell, trace_dir = args
+    batch = _cell_batch(*cell)
+    for i, trial_id in enumerate(batch.records.trial_id.tolist() if trace_dir else ()):
+        with open(_trace_path(trace_dir, trial_id), "w", encoding="utf-8") as fp:
+            _trace_events(TraceWriter(fp), batch.events(i))
+    return batch.records
 
 
 def _trial_worker(
@@ -642,10 +625,10 @@ def run_experiment(
 
     Seeds depend only on (base_seed, method, situation, rep), so a subset
     run reproduces the corresponding records of the full design exactly,
-    and workers can run trials in any order. Event mode runs each cell as
-    one batch in this process, whatever `jobs` says. An untraced ideal design
-    runs cell by cell, the other tick designs trial by trial, on a pool that
-    never holds more workers than there are cores or tasks.
+    and workers can run trials in any order. Event and untraced ideal designs
+    run cell by cell (`_cell_batch`), the full and traced ones trial by trial,
+    on a pool that never holds more workers than there are cores or tasks.
+    Event mode runs in this process, whatever `jobs` says.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
@@ -662,21 +645,10 @@ def run_experiment(
         for m, method in enumerate(METHODS) if method in config.methods
         for s, situation in enumerate(SITUATIONS) if situation in config.situations
     ]
-    if mode == "event":
-        parts = []
-        for (first_id, method, situation, seeds), answer in _design_responses(cells, n):
-            batch = _run_event_batch(config.scenario, method, situation, seeds, first_id, answer)
-            parts.append(batch.records)
-            if trace_dir is None:
-                continue
-            for i in range(len(seeds)):
-                path = _trace_path(trace_dir, first_id + i)
-                with open(path, "w", encoding="utf-8") as fp:
-                    _trace_events(TraceWriter(fp), batch.events(i))
-        return Records.concat(parts)
-    if mode == "ideal" and trace_dir is None:
-        worker = _ideal_cell
-        tasks = [(config.scenario, *cell, answer) for cell, answer in _design_responses(cells, n)]
+    if mode == "event" or (mode == "ideal" and trace_dir is None):
+        worker = _cell_worker
+        tasks = [(config.scenario, *cell, answer, mode, trace_dir)
+                 for cell, answer in _design_responses(cells, n)]
     else:
         worker = _trial_worker
         tasks = [
@@ -685,7 +657,7 @@ def run_experiment(
             for first_id, method, situation, seeds in cells
             for rep, seed in enumerate(seeds.tolist())
         ]
-    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    workers = min(1 if mode == "event" else jobs, os.cpu_count() or 1, len(tasks))
     if workers > 1:
         chunk = max(1, len(tasks) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -178,6 +178,18 @@ def count_drawn_rows(monkeypatch):
     return rows
 
 
+SeedlessRun = collections.namedtuple("SeedlessRun", "events windows")
+
+
+def seedless_run(room, method, situation):
+    """The cell's noise-free seedless run, as event mode has it: no head
+    noise and no response, so the controller runs on to Failure. Its events,
+    and the `_Window` of each response window it opened."""
+    confirm = int(harness._confirm_frames(room, situation, None)[0])
+    run = harness._run_ticks(room, method, situation, None, "ideal", None, None, confirm)
+    return SeedlessRun(run[0].events, run[1])
+
+
 def face_gate_s(cell, k, latency_s):
     """When the face gate opens on an answer to the cell's prompt k: the eyes
     land on the robot latency_s after the window opens, or once the head has
@@ -239,7 +251,7 @@ class TestEventEngine:
             assert record.responding_action is method.capture_plan[k]
             assert record.gaze_time_s == gaze_s
             if mode == "event":
-                cell = harness._event_cell(SC, method, OFOV)
+                cell = seedless_run(SC, method, OFOV)
                 detect_s = face_gate_s(cell, k, latency_s)
                 start_s = cell.windows[k].controller.window_start_s
                 assert record.response_latency_s == detect_s - start_s
@@ -267,7 +279,7 @@ class TestEventEngine:
         for method in METHODS:
             for situation in situations:
                 yaw = room.painting_world_yaw(room.painting_for(situation))
-                cell = harness._event_cell(room, method, situation)
+                cell = seedless_run(room, method, situation)
                 offset = normalize_angle(yaw - to_robot)
                 offsets = [gaze_bearing_to(w.visitor, room.robot_pose.position)
                            for w in cell.windows]
@@ -291,7 +303,7 @@ class TestResponseWindows:
     def test_each_window_is_its_prompt_as_it_opens(self, room, situations):
         for method in METHODS:
             for situation in situations:
-                cell = harness._event_cell(room, method, situation)
+                cell = seedless_run(room, method, situation)
                 assert len(cell.windows) == len(method.capture_plan)
                 for k, window in enumerate(cell.windows):
                     assert window.controller.phase is controller.Phase.AWAIT_RESPONSE
@@ -332,7 +344,7 @@ class TestResponseWindows:
         # the settled one has.
         assert len(starts) == len(responders) == 214
         states = harness._settling(room, OFOV)[0]
-        window = harness._event_cell(room, Method.M1, OFOV).windows[0]
+        window = seedless_run(room, Method.M1, OFOV).windows[0]
         assert window.frame == 46
         turning = {states[i].head_yaw_deg for i in starts} - {
             window.visitor.head_yaw_deg, states[-1].head_yaw_deg
@@ -990,6 +1002,19 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
         config = RunConfig(n_per_cell=4, base_seed=5)
         assert run_experiment(config, jobs=2) == run_experiment(config, jobs=1)
+
+    def test_event_trace_files_equal_single_trial_traces(self, tmp_path):
+        # All 16 cells at n=3 hold failures and responders to every prompt.
+        records = run_experiment(RunConfig(n_per_cell=3, base_seed=42), trace_dir=tmp_path)
+        actions = {None, RobotAction.HT, RobotAction.HS, RobotAction.RT}
+        assert {r.responding_action for r in records} == actions
+        files = sorted(tmp_path.iterdir())
+        assert [f.name for f in files] == [f"trial_{r.trial_id:06d}.jsonl" for r in records]
+        for record, path in zip(records, files):
+            stream = io.StringIO()
+            run_trial_detailed(SC, record.method, record.situation, record.seed, mode="event",
+                               trial_id=record.trial_id, trace=TraceWriter(stream))
+            assert path.read_bytes() == stream.getvalue().encode("utf-8")
 
     @pytest.mark.parametrize("base", [0, 2**32, 2**64 + 1, 2**128 + 3])
     def test_design_batches_equal_single_trials(self, base):
