@@ -54,6 +54,7 @@ FACADE_RECORD = "One import path per name"
 RESPONDER_RECORD = "Ideal-mode responders over arrays"
 BATCH_RECORD = "A design's answers drawn once per batch of cells"
 ENGINE_RECORD = "One cell engine for event and untraced ideal designs"
+TABLES_RECORD = "NumPy's ziggurat tables read off NumPy's own generator"
 
 MUTANTS = (
     Mutant(
@@ -532,10 +533,27 @@ MUTANTS = (
     Mutant(
         "slow_path_bound_raised",
         "src/gazesim/seeding.py",
-        "slow = np.flatnonzero(rabs >= _ZIGGURAT_KI[layer])",
-        "slow = np.flatnonzero(rabs >= _ZIGGURAT_KI[layer] + np.uint64(2**44))",
+        "slow = np.flatnonzero(rabs >= ki[layer])",
+        "slow = np.flatnonzero(rabs >= ki[layer] + np.uint64(2**44))",
         ("tests/test_seeding.py::TestBatchedSeeding::test_normal_matches_live_numpy",),
         ZIGGURAT_RECORD,
+    ),
+    Mutant(
+        "slow_path_bound_inclusive",
+        "src/gazesim/seeding.py",
+        "slow = np.flatnonzero(rabs >= ki[layer])",
+        "slow = np.flatnonzero(rabs > ki[layer])",
+        ("tests/test_seeding.py::TestBatchedSeeding::test_normal_at_every_layer_bound",),
+        TABLES_RECORD,
+    ),
+    Mutant(
+        "layer_one_bound_not_zeroed",
+        "src/gazesim/seeding.py",
+        "    ki[1] = 0  # as NumPy's\n",
+        "",
+        ("tests/test_seeding.py::TestBatchedSeeding::test_normal_at_every_layer_bound",
+         "tests/test_seeding.py::TestBatchedSeeding::test_normal_matches_live_numpy"),
+        TABLES_RECORD,
     ),
 )
 

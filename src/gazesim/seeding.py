@@ -13,13 +13,14 @@ is bit-identical to the scalar functions; the tests hold them to
 NumPy's own reference vectors and to live `np.random`. The hash holds
 each pool word as a uint32 vector over the rows, or as a Python int
 while it is the same on every row (a purpose tag, say). `PCG64Streams`
-draws from all those generators at once, normals included.
+draws from all those generators at once, normals included, by NumPy's
+ziggurat, whose tables `_ziggurat` reads off NumPy on the first draw.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from pathlib import Path
+from functools import cache
 from typing import Iterator
 
 import numpy as np
@@ -47,12 +48,6 @@ _XSHIFT = 16
 # PCG64's 128-bit LCG multiplier as high and low 64-bit limbs.
 _PCG_MULT_HI = 0x2360ED051FC65DA4
 _PCG_MULT_LO = 0x4385DF649FCCF645
-
-# NumPy's ziggurat tables wi_double (float64) and ki_double (uint64), 256
-# layers each; scripts/ziggurat_tables.py extracts them from NumPy.
-_ZIGGURAT = np.fromfile(Path(__file__).with_name("ziggurat_tables.bin"), "<u8")
-_ZIGGURAT_WI = _ZIGGURAT[:256].view("<f8")
-_ZIGGURAT_KI = _ZIGGURAT[256:]
 
 
 def derive_rng(seed: int, *keys: int) -> np.random.Generator:
@@ -138,21 +133,21 @@ class PCG64Streams:
         draws miss the layer's core rectangle: those streams go back to
         their state before the draw and a scalar NumPy generator makes
         the draw, tail and wedge sampling included."""
+        wi, ki = _ziggurat()
         before = PCG64Streams(self.hi, self.lo, self.inc_hi, self.inc_lo)
         r = self.next64()
         layer = (r & 0xFF).astype(np.intp)
         rabs = (r >> 9) & 0x000FFFFFFFFFFFFF
-        x = rabs.astype(np.float64) * _ZIGGURAT_WI[layer]
+        x = rabs.astype(np.float64) * wi[layer]
         np.negative(x, out=x, where=((r >> 8) & 1).astype(bool))
         out = loc + scale * x
-        slow = np.flatnonzero(rabs >= _ZIGGURAT_KI[layer])
+        slow = np.flatnonzero(rabs >= ki[layer])
         if len(slow):
-            bit_generator = np.random.PCG64(0)
-            rng = np.random.Generator(bit_generator)
+            rng = np.random.Generator(np.random.PCG64(0))
             for i, state in zip(slow.tolist(), before.take(slow).states()):
-                bit_generator.state = state
+                rng.bit_generator.state = state
                 out[i] = rng.normal(loc, scale)
-                state = bit_generator.state["state"]["state"]
+                state = rng.bit_generator.state["state"]["state"]
                 self.hi[i], self.lo[i] = state >> 64, state & 0xFFFFFFFFFFFFFFFF
         return out
 
@@ -173,6 +168,26 @@ class PCG64Streams:
                 "has_uint32": 0,
                 "uinteger": 0,
             }
+
+
+@cache
+def _ziggurat() -> tuple[np.ndarray, np.ndarray]:
+    """NumPy's ziggurat tables wi and ki, read off its generator. A PCG64
+    whose next output is 512 + i draws layer i, sign 0 and rabs 1: wi[i].
+    ki[i] = floor(2**52 * wi[i-1] / wi[i]), wi[-1] being wi[255], is
+    NumPy's or one below, which only sends rabs == ki[i] to the scalar draw."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    state = rng.bit_generator.state
+    inverse = pow(_PCG_MULT_HI << 64 | _PCG_MULT_LO, -1, 2**128)
+    wi = np.empty(256)
+    for i in range(256):
+        state["state"] = {"state": (511 + i) * inverse % 2**128, "inc": 1}
+        rng.bit_generator.state = state
+        wi[i] = rng.standard_normal()
+    ki = np.floor(2.0**52 * np.roll(wi, 1) / wi).astype(np.uint64)
+    ki[1] = 0  # as NumPy's
+    wi.flags.writeable = ki.flags.writeable = False
+    return wi, ki
 
 
 def _mul_hi64(a: np.ndarray, b: int) -> np.ndarray:

@@ -3,7 +3,8 @@
 The package binds the five names that its callers read through it, plus
 `__version__`. Importing it loads every module whose import time the
 benchmark reports (`IMPORT_SELF` in perfbench/run.py), so those figures
-never read 0."""
+never read 0. It loads no `numpy.random`: the seeding module reads
+NumPy's ziggurat tables on the first normal draw, not at import."""
 import ast
 import json
 import os
@@ -22,6 +23,7 @@ import gazesim
 attrs = vars(gazesim).items()
 print(json.dumps({
     "loaded": sorted(name for name in sys.modules if name.split(".")[0] == "gazesim"),
+    "numpy_random": "numpy.random" in sys.modules,
     "modules": {k: v.__name__ for k, v in attrs if isinstance(v, types.ModuleType)},
     "names": sorted(k for k, v in attrs if not isinstance(v, types.ModuleType)
                     and (k == "__version__" or not k.startswith("__"))),
@@ -51,4 +53,5 @@ def test_import_loads_every_benchmarked_module_and_binds_five_names():
     assert benchmarked <= set(probe["loaded"])
     assert set(probe["loaded"]) - benchmarked == {"gazesim.records"}
     assert set(probe["names"]) == BOUND
+    assert not probe["numpy_random"]
     assert all(name == f"gazesim.{k}" for k, name in probe["modules"].items())

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from gazesim.seeding import (
-    _ZIGGURAT_KI,
+    _PCG_MULT_HI,
+    _PCG_MULT_LO,
     _seed_sequence_state,
+    _ziggurat,
+    PCG64Streams,
     STREAM_FILTER,
     STREAM_GAZE,
     STREAM_HEAD,
@@ -168,9 +171,10 @@ class TestBatchedSeeding:
         draws = np.empty((len(keys), 1000))
         every = np.arange(len(keys))
         slow = 0
+        ki = _ziggurat()[1]
         for j in range(1000):
             r = streams.take(every).next64()
-            slow += int((((r >> 9) & 0x000FFFFFFFFFFFFF) >= _ZIGGURAT_KI[r & 0xFF]).sum())
+            slow += int((((r >> 9) & 0x000FFFFFFFFFFFFF) >= ki[r & 0xFF]).sum())
             draws[:, j] = streams.normal(loc, scale)
         assert slow >= 10_000
         for i, key in enumerate(keys.tolist()):
@@ -178,6 +182,45 @@ class TestBatchedSeeding:
             assert (live.normal(loc, scale, size=1000) == draws[i]).all()
             state = live.bit_generator.state["state"]["state"]
             assert (int(streams.hi[i]) << 64 | int(streams.lo[i])) == state
+
+    def test_normal_at_every_layer_bound(self):
+        # Every layer, both signs, and rabs at 1 and on each side of the
+        # fast path's bound ki: a bound one too high or too low sends
+        # some draw down the wrong path, and the extra uniform NumPy
+        # draws on its slow path shows in the post-draw state.
+        wi, ki = _ziggurat()
+        cases = [
+            (layer, sign, rabs)
+            for layer in range(256)
+            for sign in (0, 1)
+            for rabs in sorted({1, int(ki[layer]) - 1, int(ki[layer])})
+            if 0 <= rabs < 2**52
+        ]
+        outputs = [rabs << 9 | sign << 8 | layer for layer, sign, rabs in cases]
+        # One LCG step (increment 1) before the state whose high limb is
+        # 0 and low limb r: its XSL-RR output is r.
+        inverse = pow(_PCG_MULT_HI << 64 | _PCG_MULT_LO, -1, 2**128)
+        states = [(r - 1) * inverse % 2**128 for r in outputs]
+        streams = PCG64Streams(
+            np.array([state >> 64 for state in states], np.uint64),
+            np.array([state & (2**64 - 1) for state in states], np.uint64),
+            np.zeros(len(states), np.uint64),
+            np.ones(len(states), np.uint64),
+        )
+        every = np.arange(len(cases))
+        assert streams.take(every).next64().tolist() == outputs
+        before = list(streams.take(every).states())
+        draws = streams.normal(0.0, 1.0)
+        bit_generator = np.random.PCG64(0)
+        live = np.random.Generator(bit_generator)
+        for i, (case, state) in enumerate(zip(cases, before)):
+            bit_generator.state = state
+            assert live.normal(0.0, 1.0) == draws[i], case
+            after = int(streams.hi[i]) << 64 | int(streams.lo[i])
+            assert bit_generator.state["state"]["state"] == after, case
+            layer, sign, rabs = case
+            if rabs == 1:
+                assert draws[i] == (-wi[layer] if sign else wi[layer]), case
 
     @pytest.mark.parametrize("base", [0, 42, 2**32, 2**64 + 1, 2**128 + 3])
     def test_wide_and_zero_base_seeds(self, base):
