@@ -55,6 +55,7 @@ RESPONDER_RECORD = "Ideal-mode responders over arrays"
 BATCH_RECORD = "A design's answers drawn once per batch of cells"
 ENGINE_RECORD = "One cell engine for event and untraced ideal designs"
 TABLES_RECORD = "NumPy's ziggurat tables read off NumPy's own generator"
+SCHEMA_RECORD = "Each config key is listed once"
 
 MUTANTS = (
     Mutant(
@@ -554,6 +555,24 @@ MUTANTS = (
         ("tests/test_seeding.py::TestBatchedSeeding::test_normal_at_every_layer_bound",
          "tests/test_seeding.py::TestBatchedSeeding::test_normal_matches_live_numpy"),
         TABLES_RECORD,
+    ),
+    Mutant(
+        "required_room_keys_are_the_defaulted_ones",
+        "src/gazesim/config.py",
+        "if f.default is MISSING and f.default_factory is MISSING and f.name not in obj:",
+        "if (f.default is not MISSING or f.default_factory is not MISSING)"
+        " and f.name not in obj:",
+        ("tests/test_config.py::TestValidation::test_missing_required_scenario_field",),
+        SCHEMA_RECORD,
+    ),
+    Mutant(
+        "situation_map_written_in_insertion_order",
+        "src/gazesim/config.py",
+        "        p.painting_id: situations[p.painting_id].value\n"
+        "        for p in room.paintings if p.painting_id in situations}),",
+        "        pid: situation.value for pid, situation in situations.items()}),",
+        ("tests/test_config.py::TestRoundTrip::test_equal_configs_serialize_to_the_same_bytes",),
+        SCHEMA_RECORD,
     ),
 )
 

@@ -354,8 +354,8 @@ _COMMANDS = {
 
 
 def guarded(prog: str, command, args: argparse.Namespace) -> int:
-    """command(args), with its errors as exit codes: 1 for a ConfigError or
-    an output that cannot be written, 2 for a trial that aborts."""
+    """command(args), with its errors as exit codes: 1 for a ConfigError, an
+    unwritable output or a run out of memory, 2 for a trial that aborts."""
     try:
         code = command(args)
         sys.stdout.flush()  # a reader that has gone fails here, not in the flush at exit
@@ -368,6 +368,9 @@ def guarded(prog: str, command, args: argparse.Namespace) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         name = exc.filename or ("stdout" if isinstance(exc, BrokenPipeError) else "output")
         print(f"{prog}: cannot write {name}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a design too large for this machine
+        print(f"{prog}: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
     except TrialAbortError as exc:
         print(f"{prog}: aborted: {exc}", file=sys.stderr)

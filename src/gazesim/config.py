@@ -1,16 +1,17 @@
 """Run configuration: strict JSON in, dataclass out, JSON back.
 
-Unknown keys are rejected with their full path so a typo never silently
-falls back to a default. parse_config(serialize_config(c)) == c for any
-valid config.
+Each key of RunConfig and of its Scenario is listed once, with its parser
+and writer, in _CONFIG_SCHEMA or _SCENARIO_SCHEMA. Unknown keys are
+rejected with their full path so a typo never silently falls back to a
+default. parse_config(serialize_config(c)) == c for any valid config.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .controller import METHODS, Method
 from .geometry import Pose2
@@ -20,6 +21,7 @@ from .situation import SITUATIONS, ViewingSituation
 DEFAULT_N_PER_CELL = 12
 DEFAULT_BASE_SEED = 42
 DEFAULT_OUTPUT_DIR = "results"
+MAX_N_PER_CELL = (2**63 - 1) // (len(METHODS) * len(SITUATIONS))  # so trial ids fit int64
 
 
 class ConfigError(ValueError):
@@ -43,8 +45,8 @@ class RunConfig:
                 raise ConfigError(f"{key}: must not be empty")
             if len(set(entries)) != len(entries):
                 raise ConfigError(f"{key}: duplicate entries")
-        if self.n_per_cell < 1:
-            raise ConfigError(f"n_per_cell: must be >= 1, got {self.n_per_cell}")
+        if not 1 <= self.n_per_cell <= MAX_N_PER_CELL:
+            raise ConfigError(f"n_per_cell: must be in 1..{MAX_N_PER_CELL}, got {self.n_per_cell}")
         if self.base_seed < 0:
             raise ConfigError(
                 f"base_seed: expected a non-negative integer, got {self.base_seed}"
@@ -65,12 +67,6 @@ def _require_keys(obj: Mapping[str, Any], allowed: set[str], path: str) -> None:
         raise ConfigError(f"{path}: unknown keys: {names}")
 
 
-def _as_int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    return value
-
-
 def _as_number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
@@ -83,16 +79,18 @@ def _as_number(value: Any, path: str) -> float:
     return number
 
 
-def _as_bool(value: Any, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}: expected true or false, got {value!r}")
-    return value
+def _of_type(kind: type, expected: str) -> Callable[[Any, str], Any]:
+    """The parser of a JSON value of type `kind`, where a bool is not an int."""
+    def parse(value: Any, path: str) -> Any:
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+        return value
+    return parse
 
 
-def _as_str(value: Any, path: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{path}: expected a string, got {value!r}")
-    return value
+_as_int = _of_type(int, "an integer")
+_as_str = _of_type(str, "a string")
+_as_bool = _of_type(bool, "true or false")
 
 
 def _parse_pose(value: Any, path: str) -> Pose2:
@@ -102,27 +100,12 @@ def _parse_pose(value: Any, path: str) -> Pose2:
     return Pose2(x, y, heading)
 
 
-def _pose_to_list(pose: Pose2) -> list[float]:
-    return [pose.x, pose.y, pose.heading_deg]
-
-
-_POSE_KEYS = ("robot_pose", "sensor_pose", "camera_pose", "human_seat")
-_SCENARIO_KEYS = {f.name for f in fields(Scenario)}
-
-
-def scenario_from_dict(obj: Any, path: str = "scenario") -> Scenario:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object")
-    _require_keys(obj, _SCENARIO_KEYS, path)
-    for key in _POSE_KEYS + ("paintings", "situation_map"):
-        if key not in obj:
-            raise ConfigError(f"{path}.{key}: required")
-    paintings_raw = obj["paintings"]
-    if not isinstance(paintings_raw, list):
-        raise ConfigError(f"{path}.paintings: expected a list")
+def _parse_paintings(value: Any, path: str) -> tuple[Painting, ...]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a list")
     paintings = []
-    for i, entry in enumerate(paintings_raw):
-        entry_path = f"{path}.paintings[{i}]"
+    for i, entry in enumerate(value):
+        entry_path = f"{path}[{i}]"
         if not isinstance(entry, dict):
             raise ConfigError(f"{entry_path}: expected an object")
         _require_keys(entry, {"id", "bearing_deg"}, entry_path)
@@ -134,45 +117,13 @@ def scenario_from_dict(obj: Any, path: str = "scenario") -> Scenario:
                 _as_number(entry["bearing_deg"], f"{entry_path}.bearing_deg"),
             )
         )
-    map_raw = obj["situation_map"]
-    if not isinstance(map_raw, dict):
-        raise ConfigError(f"{path}.situation_map: expected an object")
-    situation_map = {}
-    for painting_id, name in map_raw.items():
-        situation_map[painting_id] = _parse_name(
-            SITUATIONS, name, f"{path}.situation_map.{painting_id}"
-        )
-    kwargs: dict[str, Any] = {}
-    for key in ("body_semi_major_m", "body_semi_minor_m", "painting_pitch_deg"):
-        if key in obj:
-            kwargs[key] = _as_number(obj[key], f"{path}.{key}")
-    for key in _POSE_KEYS:
-        kwargs[key] = _parse_pose(obj[key], f"{path}.{key}")
-    try:
-        return Scenario(paintings=tuple(paintings), situation_map=situation_map, **kwargs)
-    except RoomError as exc:
-        raise ConfigError("; ".join(f"{path}.{e}" for e in exc.errors)) from exc
+    return tuple(paintings)
 
 
-def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
-    return {
-        "robot_pose": _pose_to_list(scenario.robot_pose),
-        "sensor_pose": _pose_to_list(scenario.sensor_pose),
-        "camera_pose": _pose_to_list(scenario.camera_pose),
-        "human_seat": _pose_to_list(scenario.human_seat),
-        "paintings": [
-            {"id": p.painting_id, "bearing_deg": p.bearing_deg}
-            for p in scenario.paintings
-        ],
-        "situation_map": {
-            pid: scenario.situation_map[pid].value
-            for pid in (p.painting_id for p in scenario.paintings)
-            if pid in scenario.situation_map
-        },
-        "body_semi_major_m": scenario.body_semi_major_m,
-        "body_semi_minor_m": scenario.body_semi_minor_m,
-        "painting_pitch_deg": scenario.painting_pitch_deg,
-    }
+def _parse_situation_map(value: Any, path: str) -> dict[str, ViewingSituation]:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected an object")
+    return {pid: _parse_name(SITUATIONS, name, f"{path}.{pid}") for pid, name in value.items()}
 
 
 def _parse_name(canonical: tuple, name: Any, path: str):
@@ -184,19 +135,67 @@ def _parse_name(canonical: tuple, name: Any, path: str):
     raise ConfigError(f"{path}: expected one of {valid}, got {name!r}")
 
 
-def _parse_name_list(value: Any, path: str, canonical: tuple) -> tuple:
-    if not isinstance(value, list):
-        raise ConfigError(f"{path}: expected a list")
-    parsed = [_parse_name(canonical, v, f"{path}[{i}]") for i, v in enumerate(value)]
-    return tuple(sorted(parsed, key=canonical.index))
+def _names(canonical: tuple) -> tuple[Callable, Callable]:
+    """The parser and writer of a list of names of members of `canonical`."""
+    def parse(value: Any, path: str) -> tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list")
+        parsed = [_parse_name(canonical, v, f"{path}[{i}]") for i, v in enumerate(value)]
+        return tuple(sorted(parsed, key=canonical.index))
+    return parse, lambda members, _: [m.value for m in members]
 
 
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
-_OPTIONAL = {  # the RunConfig keys besides `scenario`, each optional, and their parsers
-    "methods": lambda value, path: _parse_name_list(value, path, METHODS),
-    "situations": lambda value, path: _parse_name_list(value, path, SITUATIONS),
-    "n_per_cell": _as_int, "base_seed": _as_int, "output_dir": _as_str, "trace": _as_bool,
+def _scalar(parse: Callable) -> tuple[Callable, Callable]:
+    """The parser and writer of a key whose value JSON holds as it is."""
+    return parse, lambda value, _: value
+
+
+# Each key of a room or a run config, in its dataclass's field order, with
+# its parser, of (JSON value, key path), and its writer, of (value, owner).
+_Schema = dict[str, tuple[Callable[[Any, str], Any], Callable[[Any, Any], Any]]]
+_POSE = (_parse_pose, lambda pose, _: [pose.x, pose.y, pose.heading_deg])
+_NUMBER = _scalar(_as_number)
+_SCENARIO_SCHEMA: _Schema = {
+    "robot_pose": _POSE, "sensor_pose": _POSE, "camera_pose": _POSE, "human_seat": _POSE,
+    "paintings": (_parse_paintings, lambda paintings, _: [
+        {"id": p.painting_id, "bearing_deg": p.bearing_deg} for p in paintings]),
+    # In paintings order, so equal rooms write the same bytes.
+    "situation_map": (_parse_situation_map, lambda situations, room: {
+        p.painting_id: situations[p.painting_id].value
+        for p in room.paintings if p.painting_id in situations}),
+    "body_semi_major_m": _NUMBER, "body_semi_minor_m": _NUMBER, "painting_pitch_deg": _NUMBER,
 }
+_CONFIG_SCHEMA: _Schema = {  # every RunConfig key but `scenario`, which parse_config reads
+    "methods": _names(METHODS), "situations": _names(SITUATIONS),
+    "n_per_cell": _scalar(_as_int), "base_seed": _scalar(_as_int),
+    "output_dir": _scalar(_as_str), "trace": _scalar(_as_bool),
+}
+
+
+def _parse_keys(obj: Mapping[str, Any], schema: _Schema, prefix: str) -> dict[str, Any]:
+    """The keys of `obj` that `schema` lists, each parsed with its key path."""
+    return {key: parse(obj[key], prefix + key) for key, (parse, _) in schema.items() if key in obj}
+
+
+def _write_keys(owner: Any, schema: _Schema) -> dict[str, Any]:
+    return {key: write(getattr(owner, key), owner) for key, (_, write) in schema.items()}
+
+
+def scenario_from_dict(obj: Any, path: str = "scenario") -> Scenario:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: expected an object")
+    _require_keys(obj, set(_SCENARIO_SCHEMA), path)
+    for f in fields(Scenario):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in obj:
+            raise ConfigError(f"{path}.{f.name}: required")
+    try:
+        return Scenario(**_parse_keys(obj, _SCENARIO_SCHEMA, f"{path}."))
+    except RoomError as exc:
+        raise ConfigError("; ".join(f"{path}.{e}" for e in exc.errors)) from exc
+
+
+def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
+    return _write_keys(scenario, _SCENARIO_SCHEMA)
 
 
 def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
@@ -208,38 +207,21 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError("config: expected a JSON object")
-    _require_keys(obj, _CONFIG_KEYS, "config")
+    _require_keys(obj, {"scenario", *_CONFIG_SCHEMA}, "config")
 
-    if "scenario" not in obj:
-        scenario = default_scenario()
-    elif isinstance(obj["scenario"], str):
-        scenario_path = Path(base_dir) / obj["scenario"]
+    room = obj.get("scenario")
+    if isinstance(room, str):
+        scenario_path = Path(base_dir) / room
         try:
-            scenario_text = scenario_path.read_text(encoding="utf-8")
+            room = json.loads(scenario_path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"scenario: {scenario_path} is not valid JSON: {exc}") from exc
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"scenario: cannot read {scenario_path}: {exc}") from exc
-        try:
-            scenario_obj = json.loads(scenario_text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"scenario: {scenario_path} is not valid JSON: {exc}"
-            ) from exc
-        scenario = scenario_from_dict(scenario_obj)
-    else:
-        scenario = scenario_from_dict(obj["scenario"])
-
-    optional = {key: parse(obj[key], key) for key, parse in _OPTIONAL.items() if key in obj}
-    return RunConfig(scenario=scenario, **optional)
+    scenario = scenario_from_dict(room) if "scenario" in obj else default_scenario()
+    return RunConfig(scenario=scenario, **_parse_keys(obj, _CONFIG_SCHEMA, ""))
 
 
 def serialize_config(config: RunConfig) -> str:
-    obj = {
-        "scenario": scenario_to_dict(config.scenario),
-        "methods": [m.value for m in config.methods],
-        "situations": [s.value for s in config.situations],
-        "n_per_cell": config.n_per_cell,
-        "base_seed": config.base_seed,
-        "output_dir": config.output_dir,
-        "trace": config.trace,
-    }
+    obj = {"scenario": scenario_to_dict(config.scenario), **_write_keys(config, _CONFIG_SCHEMA)}
     return json.dumps(obj, indent=2) + "\n"

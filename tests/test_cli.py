@@ -10,11 +10,21 @@ import pytest
 
 from gazesim import cli, harness
 from gazesim.cli import main, stats_payload
-from gazesim.config import RunConfig, scenario_from_dict, scenario_to_dict
+from gazesim.config import MAX_N_PER_CELL, RunConfig, scenario_from_dict, scenario_to_dict
 from gazesim.harness import RESULTS_CSV_HEADER
 from gazesim.scenario import default_scenario
 from gazesim.stats import SUMMARY_CSV_HEADER
 from gazesim.trace import TRACE_SOURCES
+
+
+# Trial ids past int64 fail the config. The largest n_per_cell passes it, but
+# its seeds alone would take 4 EiB, more than the 57-bit virtual address space
+# of the largest 64-bit CPUs, so the allocation fails at once and the run
+# exits as out of memory.
+OVERSIZED_DESIGNS = [
+    (10**30, "n_per_cell: must be in 1.."),
+    (MAX_N_PER_CELL, "out of memory: "),
+]
 
 
 def run_cli(argv, capsys):
@@ -365,6 +375,8 @@ class TestExperiment:
             (("scenario", "paintings", 0), {"id": "P1"},
              "scenario.paintings[0]: needs id and bearing_deg"),
             (("scenario", "situation_map"), [], "scenario.situation_map: expected an object"),
+            (("methods",), "M1", "methods: expected a list"),
+            (("situations",), "CFOV", "situations: expected a list"),
         ],
     )
     def test_each_type_check_exits_one_naming_its_key(
@@ -384,6 +396,20 @@ class TestExperiment:
         )
         assert code == 1
         assert err == f"gazesim: {message}\n"
+        assert out == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("n, message", OVERSIZED_DESIGNS)
+    def test_oversized_design_exits_one(self, tmp_path, capsys, n, message):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"n_per_cell": n}))
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            ["experiment", "--config", str(config_path), "--out", str(out_dir)], capsys
+        )
+        assert code == 1
+        assert err.startswith(f"gazesim: {message}") and err.count("\n") == 1
+        assert "Traceback" not in err
         assert out == ""
         assert not out_dir.exists()
 
@@ -719,6 +745,17 @@ class TestReproduceScript:
         assert err == f"reproduce_results: --out: {tmp_path / out}: {reason}\n"
         assert "Traceback" not in stdout + err
         assert stdout == "" and runs == []
+
+    @pytest.mark.parametrize("n, message", OVERSIZED_DESIGNS)
+    def test_oversized_design_exits_one(self, tmp_path, capsys, n, message):
+        out_dir = tmp_path / "out"
+        code = load_reproduce_script().main(["--n-per-cell", str(n), "--out", str(out_dir)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err.startswith(f"reproduce_results: {message}") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert out == ""
+        assert not out_dir.exists()
 
     def test_results_csv_a_directory_exits_one(self, tmp_path, capsys):
         results = tmp_path / "out" / "results.csv"

@@ -1,9 +1,15 @@
+import hashlib
 import json
 import math
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from gazesim.config import (
+    _CONFIG_SCHEMA,
+    _SCENARIO_SCHEMA,
+    MAX_N_PER_CELL,
     ConfigError,
     RunConfig,
     parse_config,
@@ -12,7 +18,7 @@ from gazesim.config import (
     serialize_config,
 )
 from gazesim.controller import METHODS, Method
-from gazesim.scenario import default_scenario
+from gazesim.scenario import Scenario, default_scenario
 from gazesim.situation import SITUATIONS, ViewingSituation
 
 
@@ -168,11 +174,27 @@ class TestValidation:
         with pytest.raises(ConfigError, match="situation_map"):
             parse_config(json.dumps({"scenario": scenario}))
 
-    def test_missing_required_scenario_field(self):
+    @pytest.mark.parametrize(
+        "key",
+        ["robot_pose", "sensor_pose", "camera_pose", "human_seat", "paintings", "situation_map"],
+    )
+    def test_missing_required_scenario_field(self, key):
         scenario = scenario_to_dict(default_scenario())
-        del scenario["paintings"]
-        with pytest.raises(ConfigError, match="scenario.paintings: required"):
+        del scenario[key]
+        with pytest.raises(ConfigError, match=rf"^scenario\.{key}: required$"):
             parse_config(json.dumps({"scenario": scenario}))
+
+    @pytest.mark.parametrize("key", ["body_semi_major_m", "body_semi_minor_m", "painting_pitch_deg"])
+    def test_optional_scenario_field_takes_its_default(self, key):
+        scenario = scenario_to_dict(default_scenario())
+        del scenario[key]
+        assert parse_config(json.dumps({"scenario": scenario})).scenario == default_scenario()
+
+    def test_n_per_cell_bounded_so_trial_ids_fit_int64(self):
+        assert MAX_N_PER_CELL * len(METHODS) * len(SITUATIONS) - 1 <= np.iinfo(np.int64).max
+        assert RunConfig(n_per_cell=MAX_N_PER_CELL).n_per_cell == MAX_N_PER_CELL
+        with pytest.raises(ConfigError, match=r"^n_per_cell: must be in 1\.\."):
+            RunConfig(n_per_cell=MAX_N_PER_CELL + 1)
 
     def test_eye_height_is_not_a_scenario_key(self):
         scenario = scenario_to_dict(default_scenario())
@@ -223,6 +245,20 @@ class TestRoundTrip:
     def test_scenario_dict_round_trips(self):
         sc = default_scenario()
         assert scenario_from_dict(scenario_to_dict(sc)) == sc
+
+    def test_each_dataclass_field_is_listed_once_in_field_order(self):
+        assert list(_SCENARIO_SCHEMA) == [f.name for f in fields(Scenario)]
+        assert ["scenario", *_CONFIG_SCHEMA] == [f.name for f in fields(RunConfig)]
+
+    def test_equal_configs_serialize_to_the_same_bytes(self):
+        room = default_scenario()
+        reordered = replace(room, situation_map=dict(reversed(room.situation_map.items())))
+        assert list(reordered.situation_map) != list(room.situation_map)
+        config = RunConfig(scenario=reordered)
+        assert config == RunConfig()
+        assert serialize_config(config) == serialize_config(RunConfig())
+        digest = hashlib.sha256(serialize_config(config).encode()).hexdigest()
+        assert digest == "27414f0e8b756a8a94350b6554167064f3b191888eade229702902eebde27fb5"
 
     def test_serialized_form_is_strict_json(self):
         blob = json.loads(serialize_config(RunConfig()))
