@@ -56,6 +56,7 @@ BATCH_RECORD = "A design's answers drawn once per batch of cells"
 ENGINE_RECORD = "One cell engine for event and untraced ideal designs"
 TABLES_RECORD = "NumPy's ziggurat tables read off NumPy's own generator"
 SCHEMA_RECORD = "Each config key is listed once"
+ANSWER_RECORD = "One home for the visitor's answer model"
 
 MUTANTS = (
     Mutant(
@@ -298,8 +299,8 @@ MUTANTS = (
          "::test_empty_and_non_empty_arrays_give_no_rows",),
         CELL_RECORD,
     ),
-    # Every engine takes each trial's answer from `_responses`; the tick loop
-    # schedules it as window k opens.
+    # Every engine takes each trial's answer from `human.draw_answers`; the
+    # tick loop schedules it as window k opens.
     Mutant(
         "answer_scheduled_one_window_late",
         "src/gazesim/harness.py",
@@ -385,7 +386,7 @@ MUTANTS = (
     # own method and situation, and hands each cell its slice.
     Mutant(
         "probability_at_the_next_situation",
-        "src/gazesim/harness.py",
+        "src/gazesim/human.py",
         "np.asarray(methods) * len(SITUATIONS) + situations,",
         "np.asarray(methods) * len(SITUATIONS) + (np.asarray(situations) + 1) % 4,",
         ("tests/test_harness.py::TestEventEngine::test_cell_outcomes_equal_per_trial_draws",
@@ -404,7 +405,7 @@ MUTANTS = (
     ),
     Mutant(
         "blink_of_the_first_responder",
-        "src/gazesim/harness.py",
+        "src/gazesim/human.py",
         "gaze_durations(blinks[cell[hit]] > 0, streams)",
         "gaze_durations(blinks[cell[hit[:1]]] > 0, streams)",
         ("tests/test_harness.py::TestEventEngine"
@@ -573,6 +574,25 @@ MUTANTS = (
         "        pid: situation.value for pid, situation in situations.items()}),",
         ("tests/test_config.py::TestRoundTrip::test_equal_configs_serialize_to_the_same_bytes",),
         SCHEMA_RECORD,
+    ),
+    # `derive_response_table` telescopes down the methods' cumulative rates,
+    # each stage over the one before, pinned at 1 past a saturated stage.
+    Mutant(
+        "predecessor_rate_never_advanced",
+        "src/gazesim/human.py",
+        "        earlier = rates\n",
+        "",
+        ("tests/test_human.py::TestDeriveResponseTable::test_conditional_stage_probabilities",),
+        ANSWER_RECORD,
+    ),
+    Mutant(
+        "saturation_pin_dropped",
+        "src/gazesim/human.py",
+        "{s: 1.0 if earlier[s] >= 1.0 else\n                         min(",
+        "{s: min(",
+        ("tests/test_human.py::TestDeriveResponseTable"
+         "::test_saturated_stage_pins_successors_to_one",),
+        ANSWER_RECORD,
     ),
 )
 

@@ -241,40 +241,28 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     table = derive_response_table()
-    reproduced = {
-        method.value: {
-            situation.value: escalation_success(method, situation)
-            for situation in SITUATIONS
-        }
-        for method in METHODS
+    payload = {
+        "response_probabilities": {
+            action.value: {s.value: table[action][s] for s in SITUATIONS}
+            for action in CAPTURE_ACTIONS
+        },
+        "reproduced_success_rates": {
+            method.value: {s.value: escalation_success(method, s) for s in SITUATIONS}
+            for method in METHODS
+        },
     }
     if args.as_json:
-        payload = {
-            "response_probabilities": {
-                action.value: {
-                    situation.value: table[action][situation]
-                    for situation in SITUATIONS
-                }
-                for action in CAPTURE_ACTIONS
-            },
-            "reproduced_success_rates": reproduced,
-        }
         print(json.dumps(to_jsonable(payload), indent=2))
         return 0
-    header = "          " + "".join(f"{s.value:>10}" for s in SITUATIONS)
-    print("response probability per prompt")
-    print(header)
-    for action in CAPTURE_ACTIONS:
-        row = "".join(f"{table[action][s]:>10.6f}" for s in SITUATIONS)
-        print(f"{action.value:<10}{row}")
-    print("\nreproduced cumulative success per method")
-    print(header)
-    for method in METHODS:
-        row = "".join(f"{reproduced[method.value][s.value]:>10.6f}" for s in SITUATIONS)
-        reference = REFERENCE_SUCCESS_RATES[method]
-        ref_row = "".join(f"{reference[s]:>10.2f}" for s in SITUATIONS)
-        print(f"{method.value:<10}{row}")
-        print(f"{'  target':<10}{ref_row}")
+    targets = {m.value: [REFERENCE_SUCCESS_RATES[m][s] for s in SITUATIONS] for m in METHODS}
+    titles = ("response probability per prompt", "\nreproduced cumulative success per method")
+    for title, rows in zip(titles, payload.values()):
+        print(title)
+        print("          " + "".join(f"{s.value:>10}" for s in SITUATIONS))
+        for name, row in rows.items():
+            print(f"{name:<10}" + "".join(f"{p:>10.6f}" for p in row.values()))
+            if name in targets:  # a method's row: the rates it is calibrated to
+                print(f"{'  target':<10}" + "".join(f"{t:>10.2f}" for t in targets[name]))
     return 0
 
 

@@ -6,8 +6,8 @@ escalation protocol against the stochastic visitor. Each prompt opens a
 response window; the trial succeeds in the window the visitor answers, or
 fails once the plan is spent. Each trial's answer (the prompt, the latency
 and the gaze span) is drawn in one place for the three fidelity modes,
-`_responses`, over arrays, so its decisions are the same in each. A design
-draws them over as many whole cells at once as RESPONSE_BATCH holds
+`human.draw_answers`, over arrays, so its decisions are the same in each. A
+design draws them over as many whole cells at once as RESPONSE_BATCH holds
 (`_design_responses`), and hands each engine its cell's; a trial draws its own.
 
 - "full":  sensors simulated end to end (laser scans, particle filter,
@@ -63,12 +63,9 @@ from .head_tracker import NOISE_SIGMA_DEG, TRACKING_LIMIT_DEG, observe_head, rel
 from .human import (
     HEAD_TURN_SPEED_DEG_S,
     HumanState,
-    LATENCY_MAX_S,
-    LATENCY_MIN_S,
     ROBOT_TARGET,
-    derive_response_table,
+    draw_answers,
     gaze_bearing_to,
-    gaze_durations,
     human_step,
     idle_until_s,
     make_human,
@@ -84,11 +81,9 @@ from .records import (  # noqa: F401  re-exported: the CSV form of the records
 from .scenario import Scenario
 from .seeding import (
     STREAM_FILTER,
-    STREAM_GAZE,
     STREAM_HEAD,
     STREAM_INIT,
     STREAM_LASER,
-    STREAM_RESPOND,
     derive_rngs,
     derive_seed,
     derive_seeds,
@@ -155,7 +150,7 @@ def run_trial_detailed(
     if mode not in TRIAL_MODES:
         raise ValueError(f"unknown trial mode {mode!r}")
     seeds = np.asarray([seed])
-    answer = _responses(seeds, METHODS.index(method), SITUATIONS.index(situation))
+    answer = draw_answers(seeds, METHODS.index(method), SITUATIONS.index(situation))
     if mode == "event":
         batch = _cell_batch(scenario, trial_id, method, situation, seeds, answer, mode)
         events = tuple(batch.events(0))
@@ -168,51 +163,15 @@ def run_trial_detailed(
     return _run_ticks(scenario, method, situation, seed, mode, trial_id, trace, confirm, answer)[0]
 
 
-@lru_cache(maxsize=1)
-def _response_table() -> np.ndarray:
-    """Column METHODS index * 4 + SITUATIONS index: each prompt's response probability
-    (NaN past the plan), then whether the method blinks (the gaze span's normal)."""
-    table, plans = derive_response_table(), [m.capture_plan for m in METHODS]
-    pad = [math.nan] * max(map(len, plans))
-    return np.array([([table[a][s] for a in plan] + pad)[:len(pad)] + [m.ensure_blink]
-                     for m, plan in zip(METHODS, plans) for s in SITUATIONS]).T.copy()
-
-
-def _responses(seeds: np.ndarray, methods: np.ndarray | int, situations: np.ndarray | int,
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each trial's answer from its seed and METHODS and SITUATIONS indexes, by
-    the draws of `respond` and `gaze_duration` over arrays: the prompt it answers
-    (-1 for none), the latency drawn there and the gaze span (NaN for none)."""
-    n = len(seeds)
-    cursor = np.full(n, -1)
-    latency_s, gaze_s = np.full((2, n), math.nan)
-    pending = np.arange(n)
-    *probs, blinks = _response_table()
-    cell = np.broadcast_to(np.asarray(methods) * len(SITUATIONS) + situations, n)
-    for k, prob in enumerate(probs):
-        pending = pending[~np.isnan(prob[cell[pending]])]  # NaN: past the cell's plan
-        if not len(pending):
-            break
-        rngs = derive_rngs(derive_seeds(seeds[pending], STREAM_RESPOND, k))
-        ok = rngs.random() < prob[cell[pending]]
-        latency_s[pending[ok]] = rngs.uniform(LATENCY_MIN_S, LATENCY_MAX_S)[ok]
-        cursor[pending[ok]] = k
-        pending = pending[~ok]
-    hit = np.flatnonzero(cursor >= 0)
-    if len(hit):
-        streams = derive_rngs(derive_seeds(seeds[hit], STREAM_GAZE))
-        gaze_s[hit] = gaze_durations(blinks[cell[hit]] > 0, streams)
-    return cursor, latency_s, gaze_s
-
-
 def _design_responses(cells: list, n: int) -> Iterator[tuple[tuple, tuple[np.ndarray, ...]]]:
     """Each (first id, method, situation, seeds) cell of n trials with its
-    `_responses`, drawn over as many whole cells at once as RESPONSE_BATCH holds."""
+    `draw_answers`, drawn over as many whole cells at once as RESPONSE_BATCH holds."""
     step = max(1, RESPONSE_BATCH // n)
     for batch in (cells[i:i + step] for i in range(0, len(cells), step)):
         _, methods, situations, seeds = zip(*batch)
-        answers = _responses(np.concatenate(seeds), np.repeat(list(map(METHODS.index, methods)), n),
-                             np.repeat(list(map(SITUATIONS.index, situations)), n))
+        answers = draw_answers(np.concatenate(seeds),
+                               np.repeat(list(map(METHODS.index, methods)), n),
+                               np.repeat(list(map(SITUATIONS.index, situations)), n))
         yield from zip(batch, zip(*(column.reshape(len(batch), n) for column in answers)))
 
 
@@ -341,7 +300,7 @@ def _run_ticks(
     answer: tuple[int, float, float] = (-1, math.nan, math.nan),
 ) -> tuple[TrialDetail, list[_Window]]:
     """One tick-mode trial, and a `_Window` as each response window opens.
-    Once window k of the `answer` (k, latency_s, gaze_s) from `_responses`
+    Once window k of the `answer` (k, latency_s, gaze_s) from `draw_answers`
     opens, the visitor is scheduled to respond. Without a seed or an answer
     the run is a `_cell_batch` cell's: no head camera noise, and the
     visitor never turns to the robot. Given its confirm frame (untraced
@@ -634,9 +593,7 @@ def run_experiment(
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     if mode not in TRIAL_MODES:
         raise ValueError(f"unknown trial mode {mode!r}")
-    if trace_dir is not None:
-        trace_dir = Path(trace_dir)
-        trace_dir.mkdir(parents=True, exist_ok=True)
+    trace_dir = None if trace_dir is None else Path(trace_dir)
     n = config.n_per_cell
     # In trial id order; each cell's block of ids is numbered as in the full design.
     cells = [
@@ -657,6 +614,8 @@ def run_experiment(
             for first_id, method, situation, seeds in cells
             for rep, seed in enumerate(seeds.tolist())
         ]
+    if trace_dir is not None:  # once the design's seeds and answers are held
+        trace_dir.mkdir(parents=True, exist_ok=True)
     workers = min(1 if mode == "event" else jobs, os.cpu_count() or 1, len(tasks))
     if workers > 1:
         chunk = max(1, len(tasks) // (workers * 8))

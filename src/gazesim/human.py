@@ -7,7 +7,8 @@ the visitor's field of view; a successful prompt makes the person look
 at the robot for a stochastic gaze span and then return to the painting.
 The per-prompt probabilities are recovered from measured per-method
 success rates by inverting the escalation structure: a later prompt is
-only reached when every earlier one failed.
+only reached when every earlier one failed. `draw_answers` draws every
+trial's answer for all three fidelity modes, over arrays.
 """
 from __future__ import annotations
 
@@ -17,10 +18,12 @@ from functools import cache
 
 import numpy as np
 
-from .controller import TICK_S, Method, RobotAction
+from .controller import METHODS, TICK_S, Method, RobotAction
 from .geometry import HeadPose, Pose2, bearing_to, move_toward_angle, normalize_angle
 from .scenario import Scenario
-from .seeding import PCG64Streams, derive_rng
+from .seeding import (
+    STREAM_GAZE, STREAM_RESPOND, PCG64Streams, derive_rng, derive_rngs, derive_seeds,
+)
 from .situation import SITUATIONS, ViewingSituation
 
 HEAD_TURN_SPEED_DEG_S = 90.0
@@ -73,28 +76,20 @@ def derive_response_table() -> dict[RobotAction, dict[ViewingSituation, float]]:
     per-prompt probabilities, indexed action then situation. Computed once;
     every caller shares the table.
 
-    With prompts tried in order and independently, the method reaching
-    prompt k succeeds with rate 1 - prod(1 - p_i, i <= k), so each p is
-    recovered by telescoping: p_k = (S_k - S_{k-1}) / (1 - S_{k-1}).
-    A stage whose predecessor already saturates (S = 1) is unreachable;
-    its probability is pinned at 1 so the forward model stays exact.
+    Method k's plan ends with prompt k, so with prompts tried in order and
+    independently it succeeds with S_k = 1 - prod(1 - p_i, i <= k), and each
+    p is recovered by telescoping: p_k = (S_k - S_{k-1}) / (1 - S_{k-1}),
+    S_{-1} = 0, clamped to [0, 1]. A stage whose predecessor already saturates
+    (S = 1) is unreachable; it is pinned at 1 so the forward model stays exact.
     """
-    cumulative = REFERENCE_SUCCESS_RATES
-    p_ht: dict[ViewingSituation, float] = {}
-    p_hs: dict[ViewingSituation, float] = {}
-    p_rt: dict[ViewingSituation, float] = {}
-    for situation in SITUATIONS:
-        m1 = cumulative[Method.M1][situation]
-        m2 = cumulative[Method.M2][situation]
-        m3 = cumulative[Method.M3][situation]
-        p_ht[situation] = m1
-        p_hs[situation] = 1.0 if m1 >= 1.0 else _clamp01((m2 - m1) / (1.0 - m1))
-        p_rt[situation] = 1.0 if m2 >= 1.0 else _clamp01((m3 - m2) / (1.0 - m2))
-    return {RobotAction.HT: p_ht, RobotAction.HS: p_hs, RobotAction.RT: p_rt}
-
-
-def _clamp01(x: float) -> float:
-    return min(max(x, 0.0), 1.0)
+    table, earlier = {}, dict.fromkeys(SITUATIONS, 0.0)
+    for action, method in zip(CAPTURE_ACTIONS, METHODS):
+        rates = REFERENCE_SUCCESS_RATES[method]
+        table[action] = {s: 1.0 if earlier[s] >= 1.0 else
+                         min(max((rates[s] - earlier[s]) / (1.0 - earlier[s]), 0.0), 1.0)
+                         for s in SITUATIONS}
+        earlier = rates
+    return table
 
 
 def escalation_success(method: Method, situation: ViewingSituation) -> float:
@@ -109,7 +104,7 @@ def escalation_success(method: Method, situation: ViewingSituation) -> float:
 def respond(
     action: RobotAction, situation: ViewingSituation, seed: int
 ) -> tuple[bool, float | None]:
-    """The scalar reference of one `harness._responses` decision: does the
+    """The scalar reference of one `draw_answers` decision: does the
     person react to this prompt, and if so, how long until their eyes land
     on the robot, a draw bounded so it always fits the response window."""
     if action not in CAPTURE_ACTIONS:
@@ -152,6 +147,43 @@ def gaze_durations(blinked: bool | np.ndarray, streams: PCG64Streams) -> np.ndar
         streams.hi[redo], streams.lo[redo] = again.hi, again.lo
         redo = redo[gaze[redo] <= GAZE_MIN_S]
     return gaze
+
+
+@cache
+def _response_table() -> np.ndarray:
+    """Column METHODS index * 4 + SITUATIONS index: each prompt's response probability
+    (NaN past the plan), then whether the method blinks (the gaze span's normal)."""
+    table, plans = derive_response_table(), [m.capture_plan for m in METHODS]
+    pad = [math.nan] * max(map(len, plans))
+    return np.array([([table[a][s] for a in plan] + pad)[:len(pad)] + [m.ensure_blink]
+                     for m, plan in zip(METHODS, plans) for s in SITUATIONS]).T.copy()
+
+
+def draw_answers(seeds: np.ndarray, methods: np.ndarray | int, situations: np.ndarray | int,
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each trial's answer from its seed and METHODS and SITUATIONS indexes, by
+    the draws of `respond` and `gaze_duration` over arrays: the prompt it answers
+    (-1 for none), the latency drawn there and the gaze span (NaN for none)."""
+    n = len(seeds)
+    cursor = np.full(n, -1)
+    latency_s, gaze_s = np.full((2, n), math.nan)
+    pending = np.arange(n)
+    *probs, blinks = _response_table()
+    cell = np.broadcast_to(np.asarray(methods) * len(SITUATIONS) + situations, n)
+    for k, prob in enumerate(probs):
+        pending = pending[~np.isnan(prob[cell[pending]])]  # NaN: past the cell's plan
+        if not len(pending):
+            break
+        rngs = derive_rngs(derive_seeds(seeds[pending], STREAM_RESPOND, k))
+        ok = rngs.random() < prob[cell[pending]]
+        latency_s[pending[ok]] = rngs.uniform(LATENCY_MIN_S, LATENCY_MAX_S)[ok]
+        cursor[pending[ok]] = k
+        pending = pending[~ok]
+    hit = np.flatnonzero(cursor >= 0)
+    if len(hit):
+        streams = derive_rngs(derive_seeds(seeds[hit], STREAM_GAZE))
+        gaze_s[hit] = gaze_durations(blinks[cell[hit]] > 0, streams)
+    return cursor, latency_s, gaze_s
 
 
 @dataclass

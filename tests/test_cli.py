@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import importlib.util
 import json
 import os
@@ -54,6 +55,16 @@ def moved_camera_room():
 
 
 class TestCalibrate:
+    @pytest.mark.parametrize("argv, digest", [
+        ([], "948b0ec9b786486af6eb82e4f9c33e7d63af34fc3936ae34e6909ac002d4f8dd"),
+        (["--json"], "b937ba665d130c7e1c8aff408d92f6bc1312627f87c58ffa6d9b884d4eada403"),
+    ])
+    def test_exact_output(self, capsys, argv, digest):
+        # Both views, byte for byte: the tables' layout and every digit.
+        code, out, _ = run_cli(["calibrate", *argv], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_table_output(self, capsys):
         code, out, _ = run_cli(["calibrate"], capsys)
         assert code == 0
@@ -399,13 +410,17 @@ class TestExperiment:
         assert out == ""
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("n, message", OVERSIZED_DESIGNS)
-    def test_oversized_design_exits_one(self, tmp_path, capsys, n, message):
+    # Traced, the run fails before it makes the trace directory, so nothing is left.
+    @pytest.mark.parametrize("n, message, flags", [
+        *(pytest.param(n, message, [], id=f"{n}-{message}") for n, message in OVERSIZED_DESIGNS),
+        pytest.param(MAX_N_PER_CELL, "out of memory: ", ["--trace"], id="traced-out-of-memory"),
+    ])
+    def test_oversized_design_exits_one(self, tmp_path, capsys, n, message, flags):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"n_per_cell": n}))
         out_dir = tmp_path / "out"
         code, out, err = run_cli(
-            ["experiment", "--config", str(config_path), "--out", str(out_dir)], capsys
+            ["experiment", "--config", str(config_path), "--out", str(out_dir), *flags], capsys
         )
         assert code == 1
         assert err.startswith(f"gazesim: {message}") and err.count("\n") == 1

@@ -33,7 +33,9 @@ from gazesim.harness import (
     trial_seeds,
     write_records_csv,
 )
-from gazesim.human import HEAD_TURN_SPEED_DEG_S, gaze_bearing_to, gaze_duration, respond
+from gazesim.human import (
+    HEAD_TURN_SPEED_DEG_S, draw_answers, gaze_bearing_to, gaze_duration, respond,
+)
 from gazesim.geometry import HeadPose, Pose2, bearing_to, normalize_angle
 from gazesim.head_tracker import NOISE_SIGMA_DEG, observe_head, relative_yaw_deg
 from gazesim.records import Records
@@ -167,14 +169,14 @@ def nan_free(rows):
 
 
 def count_drawn_rows(monkeypatch):
-    """The row count of each `_responses` call from here on, in call order."""
-    rows, responses = [], harness._responses
+    """The row count of each `draw_answers` call from here on, in call order."""
+    rows = []
 
     def counted(seeds, *axes):
         rows.append(len(seeds))
-        return responses(seeds, *axes)
+        return draw_answers(seeds, *axes)
 
-    monkeypatch.setattr(harness, "_responses", counted)
+    monkeypatch.setattr(harness, "draw_answers", counted)
     return rows
 
 
@@ -205,11 +207,11 @@ class TestEventEngine:
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("situation", SITUATIONS)
     def test_cell_outcomes_equal_per_trial_draws(self, method, situation):
-        """`_responses`, where every engine draws its trials' answers, gives
+        """`draw_answers`, where every engine draws its trials' answers, gives
         the scalar reference draws, trial by trial."""
         seeds = trial_seeds(42, method, situation, 200)
         cell = np.full((2, 200), [[METHODS.index(method)], [SITUATIONS.index(situation)]])
-        outcomes = harness._responses(seeds, *cell)
+        outcomes = draw_answers(seeds, *cell)
         batched = list(zip(*(column.tolist() for column in outcomes)))
         expected = [scalar_outcome(method, situation, seed) for seed in seeds.tolist()]
         assert nan_free(batched) == nan_free(expected)
@@ -217,7 +219,7 @@ class TestEventEngine:
 
     def test_one_batch_of_all_cells_equals_per_trial_draws(self, monkeypatch):
         """A design draws its answers over whole cells at once: here all 16
-        cells in one `_responses` call, whose rows mix every method and
+        cells in one `draw_answers` call, whose rows mix every method and
         situation. Each trial's answer is still the scalar reference draws'."""
         n = 40
         cells = [((m * 4 + s) * n, method, situation, trial_seeds(42, method, situation, n))
